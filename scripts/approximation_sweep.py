@@ -12,7 +12,6 @@ import json
 
 from strmv.bench import ExperimentConfig, ModelSpec, run_approximation_sweep
 from strmv.panel import SyntheticSpec
-from strmv.projection import ProjectionConfig
 from strmv.solver import SolverConfig
 
 
@@ -41,7 +40,6 @@ def main():
         eta_grid=args.eta,
         s_over_ell_grid=args.ratios,
         solver=SolverConfig(tol=1e-7, max_iters=30_000, residual_check_stride=5),
-        projection=ProjectionConfig(),
         repetitions=args.seeds,
         seed=args.seed,
         r_target_percentile=args.percentile,

@@ -47,7 +47,6 @@ from .panel import (
 )
 from .projection import (
     FeasibleSet,
-    ProjectionConfig,
     ProjectionDiagnostics,
     dykstra_project,
     project_feasible,

@@ -39,7 +39,7 @@ from .panel import (
     generate_synthetic,
     load_panel,
 )
-from .projection import FeasibleSet, ProjectionConfig
+from .projection import FeasibleSet
 from .sketch import SketchConfig, _splitmix64
 from .solver import SolverConfig, gradient, objective, solve
 from .spectrum import TruncationRule, cumulative_energy, energy_rank
@@ -128,7 +128,6 @@ class ExperimentConfig:
     sizes: list[int] = field(default_factory=lambda: [8, 10, 12])
     T_over_n: int = 4
     solver: SolverConfig = field(default_factory=SolverConfig)
-    projection: ProjectionConfig = field(default_factory=ProjectionConfig)
     repetitions: int = 3
     warmup: int = 1
     seed: int = 0
@@ -150,13 +149,12 @@ class ExperimentConfig:
             synth = SyntheticSpec(**synth)
         models = [ModelSpec(**m) for m in raw.pop("models", [{}])]
         solver = SolverConfig(**raw.pop("solver", {}))
-        projection = ProjectionConfig(**raw.pop("projection", {}))
         known = {f.name for f in dataclasses.fields(cls)}
         unknown = set(raw) - known
         if unknown:
             raise ArgumentError(f"unknown config keys: {sorted(unknown)}")
         return cls(
-            synthetic=synth, models=models, solver=solver, projection=projection, **raw
+            synthetic=synth, models=models, solver=solver, **raw
         )
 
     @classmethod
@@ -282,18 +280,18 @@ def _model_from_spec(
     return model, meta
 
 
-def _timed_solve(model, fs, cfg, pcfg, warmup: int, repeats: int):
+def _timed_solve(model, fs, cfg, warmup: int, repeats: int):
     """Warmup solves are discarded; the median of repeated timings is kept.
 
     The solve itself is deterministic, so metrics come from the last run.
     """
     for _ in range(warmup):
-        solve(model, fs, cfg=cfg, pcfg=pcfg)
+        solve(model, fs, cfg=cfg)
     times = []
     result = None
     for _ in range(max(repeats, 1)):
         t0 = time.perf_counter()
-        result = solve(model, fs, cfg=cfg, pcfg=pcfg)
+        result = solve(model, fs, cfg=cfg)
         times.append(time.perf_counter() - t0)
     return result, float(np.median(times))
 
@@ -325,7 +323,7 @@ def run_approximation_sweep(cfg: ExperimentConfig) -> BenchReport:
         Sigma = factor.L @ factor.L.T
         fs = feasible_from_factor(factor, cfg.r_target_percentile)
         baseline = build_baseline(factor)
-        ref = solve(baseline, fs, cfg=cfg.solver, pcfg=cfg.projection)
+        ref = solve(baseline, fs, cfg=cfg.solver)
         f_full_star = ref.objective
         for mi, mspec in enumerate(cfg.models):
             if mspec.kind == "baseline":
@@ -342,7 +340,7 @@ def run_approximation_sweep(cfg: ExperimentConfig) -> BenchReport:
                         build_time = time.perf_counter() - t0
                         spec_err = relative_spectral_error(model.covariance(), Sigma)
                         t0 = time.perf_counter()
-                        res = solve(model, fs, cfg=cfg.solver, pcfg=cfg.projection)
+                        res = solve(model, fs, cfg=cfg.solver)
                         solve_time = time.perf_counter() - t0
                         gap = objective_gap(objective(baseline, res.x), f_full_star)
                     except Exception as exc:  # a failed row is recorded, not fatal
@@ -446,7 +444,7 @@ def run_rate_experiment(cfg: ExperimentConfig, trace_path=None) -> BenchReport:
         tol=1e-300,
         record_objective=True,
     )
-    res = solve(baseline, fs, cfg=run_cfg, pcfg=cfg.projection)
+    res = solve(baseline, fs, cfg=run_cfg)
     inst = QPInstance(Q=2.0 * baseline.covariance(), c=np.zeros(spec.n), fs=fs)
     f_star = solve_exact(inst).value
     gaps = np.maximum(res.objective_trace - f_star, 1e-18)
@@ -490,7 +488,7 @@ def run_rate_experiment(cfg: ExperimentConfig, trace_path=None) -> BenchReport:
         tol=1e-300,
         record_objective=True,
     )
-    res = solve(model, fs, cfg=run_cfg, pcfg=cfg.projection)
+    res = solve(model, fs, cfg=run_cfg)
     inst = QPInstance(Q=2.0 * model.covariance(), c=np.zeros(spec.n), fs=fs)
     f_star = solve_exact(inst).value
     gaps = np.maximum(res.objective_trace - f_star, 1e-18)
@@ -564,7 +562,7 @@ def run_solver_benchmark(cfg: ExperimentConfig) -> BenchReport:
         fs = feasible_from_factor(factor, cfg.r_target_percentile)
         baseline = build_baseline(factor)
         ref_result, _ = _timed_solve(
-            baseline, fs, cfg.solver, cfg.projection, warmup=0, repeats=1
+            baseline, fs, cfg.solver, warmup=0, repeats=1
         )
         f_full_ref = ref_result.objective
         for mi, mspec in enumerate(cfg.models):
@@ -573,7 +571,7 @@ def run_solver_benchmark(cfg: ExperimentConfig) -> BenchReport:
             model, meta = _model_from_spec(factor, mspec, model_seed, dense_singvals)
             build_time = time.perf_counter() - t0
             result, solve_time = _timed_solve(
-                model, fs, cfg.solver, cfg.projection, cfg.warmup, cfg.repetitions
+                model, fs, cfg.solver, cfg.warmup, cfg.repetitions
             )
             if n <= MAX_ORACLE_DIM:
                 inst = QPInstance(Q=2.0 * model.covariance(), c=np.zeros(n), fs=fs)
@@ -649,7 +647,7 @@ def run_real_panel(cfg: ExperimentConfig) -> BenchReport:
     fs = feasible_from_factor(factor, cfg.r_target_percentile)
     baseline = build_baseline(factor)
     ref, ref_time = _timed_solve(
-        baseline, fs, cfg.solver, cfg.projection, cfg.warmup, cfg.repetitions
+        baseline, fs, cfg.solver, cfg.warmup, cfg.repetitions
     )
     f_full_star = ref.objective
     dense_singvals = np.linalg.svd(factor.L, compute_uv=False) if any(
@@ -666,7 +664,7 @@ def run_real_panel(cfg: ExperimentConfig) -> BenchReport:
             model, _ = _model_from_spec(factor, mspec, model_seed, dense_singvals)
             build_time = time.perf_counter() - t0
             result, solve_time = _timed_solve(
-                model, fs, cfg.solver, cfg.projection, cfg.warmup, cfg.repetitions
+                model, fs, cfg.solver, cfg.warmup, cfg.repetitions
             )
         full_gap = objective_gap(objective(baseline, result.x), f_full_star)
         stats = annualize(result.x @ test)

@@ -64,7 +64,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--mu", help="comma-separated expected returns")
     p.add_argument("--r-target", type=float, required=True)
     p.add_argument("--from-csv", help="CSV with header and columns v,mu")
-    p.add_argument("--tol", type=float, default=1e-10)
     p.add_argument("--out")
 
     p = add_parser("solve", help="single mean-variance solve")
@@ -144,7 +143,7 @@ def _cmd_project(args) -> int:
     import csv as _csv
 
     from .errors import ArgumentError
-    from .projection import FeasibleSet, ProjectionConfig, project_feasible
+    from .projection import FeasibleSet, project_feasible
 
     if args.from_csv:
         import numpy as np
@@ -161,7 +160,7 @@ def _cmd_project(args) -> int:
     else:
         raise ArgumentError("provide --v and --mu, or --from-csv")
     fs = FeasibleSet(mu=mu, R_target=args.r_target)
-    x, diag = project_feasible(v, fs, ProjectionConfig(tol_scalar=args.tol))
+    x, diag = project_feasible(v, fs)
     _emit({"x": x.tolist(), "diagnostics": diag.to_dict()}, args.out)
     return EXIT_OK
 
@@ -171,7 +170,7 @@ def _cmd_solve(args) -> int:
 
     from .models import RidgePolicy, build_baseline, build_sketch, build_str
     from .panel import center_and_factor, load_panel
-    from .projection import FeasibleSet, ProjectionConfig
+    from .projection import FeasibleSet
     from .sketch import SketchConfig, recommended_sketch_size
     from .solver import SolverConfig, solve
 
@@ -197,7 +196,7 @@ def _cmd_solve(args) -> int:
                 factor, cfg, ridge=RidgePolicy(kappa_target=args.kappa_target)
             )
     scfg = SolverConfig(tol=args.tol, max_iters=args.max_iters, seed=args.seed)
-    result = solve(model, fs, cfg=scfg, pcfg=ProjectionConfig())
+    result = solve(model, fs, cfg=scfg)
     payload = result.to_dict()
     payload["model"] = args.model
     payload["r_target"] = r_target

@@ -2,11 +2,14 @@
 
 The feasible set is the probability simplex intersected with a single
 return halfspace. The projector first tries the simplex projection alone;
-when the return constraint is violated there, the optimum lies on the
-active face and is found by a one-dimensional search over the constraint's
-multiplier nu, where x(nu) is the simplex projection of the shifted point
-v + nu*mu and phi(nu) = mu.T @ x(nu) is continuous and nondecreasing. A
-Dykstra-style alternating scheme remains as a safeguarded fallback.
+when the return constraint is violated there, the optimum is x(nu), the
+simplex projection of v + nu*mu, at a root of phi(nu) = mu.T @ x(nu) =
+R_target. phi is nondecreasing and piecewise linear, and it reaches max(mu)
+at a finite nu, so one safeguarded Newton search over its pieces (the
+breakpoint view of the continuous quadratic knapsack, on top of sorted
+simplex thresholding) finds the root exactly up to roundoff. There is no
+tolerance and no fallback; Dykstra's alternating projections remain as an
+independent reference.
 """
 
 from __future__ import annotations
@@ -22,6 +25,10 @@ from .errors import (
     NumericError,
     ProjectionFailureError,
 )
+
+#: Sweep budget and stopping tolerance of the Dykstra reference projection.
+DYKSTRA_MAX_ITERS = 10_000
+DYKSTRA_TOL = 1e-10
 
 
 @dataclass
@@ -51,24 +58,16 @@ class FeasibleSet:
 
 
 @dataclass
-class ProjectionConfig:
-    tol_scalar: float = 1e-10
-    max_bracket_doublings: int = 60
-    dykstra_max_iters: int = 10_000
-    dykstra_tol: float = 1e-10
-
-    def __post_init__(self):
-        if min(self.tol_scalar, self.dykstra_tol) <= 0:
-            raise ArgumentError("tolerances must be positive")
-        if min(self.max_bracket_doublings, self.dykstra_max_iters) <= 0:
-            raise ArgumentError("iteration budgets must be positive")
-
-
-@dataclass
 class ProjectionDiagnostics:
+    """What one ``project_feasible`` call did.
+
+    ``bisection_iters`` counts safeguard bisection steps. ``fallback_used``
+    is always False, since there is no fallback; perfbench/tracing.py still
+    reads it.
+    """
+
     constraint_active: bool = False
     nu_star: float = 0.0
-    bracket_doublings: int = 0
     bisection_iters: int = 0
     fallback_used: bool = False
     return_residual: float = 0.0
@@ -77,7 +76,6 @@ class ProjectionDiagnostics:
         return {
             "constraint_active": self.constraint_active,
             "nu_star": self.nu_star,
-            "bracket_doublings": self.bracket_doublings,
             "bisection_iters": self.bisection_iters,
             "fallback_used": self.fallback_used,
             "return_residual": self.return_residual,
@@ -87,13 +85,16 @@ class ProjectionDiagnostics:
 def project_simplex(v: np.ndarray) -> np.ndarray:
     """Euclidean projection onto {x >= 0, sum x = 1} by sorted thresholding.
 
-    Sort descending, find the largest j with u_j - (cumsum_j - 1)/j > 0, and
-    clip at that threshold. Ties keep their original order (stable sort); the
+    Shift by max(v), sort descending, find the largest j with
+    u_j - (cumsum_j - 1)/j > 0, and clip at that threshold. The projection is
+    shift-invariant, and after the shift j = 1 always qualifies, however
+    large the entries. Ties keep their original order (stable sort); the
     projection value itself is tie-independent.
     """
     v = np.asarray(v, dtype=np.float64)
     if not np.all(np.isfinite(v)):
         raise NumericError("cannot project a non-finite point")
+    v = v - v.max()
     u = -np.sort(-v, kind="stable")
     cssv = np.cumsum(u) - 1.0
     j = np.arange(1, v.size + 1)
@@ -124,103 +125,107 @@ def project_halfspace(y: np.ndarray, fs: FeasibleSet) -> np.ndarray:
     return y + (gap / norm2) * mu
 
 
-def _dual_point(v: np.ndarray, mu: np.ndarray, nu: float) -> np.ndarray:
-    return project_simplex(v + nu * mu)
+def _flat_nu(v: np.ndarray, mu: np.ndarray) -> float:
+    """A nu >= 0 at which x(nu) is supported on argmax(mu), so phi = max(mu).
+
+    The simplex threshold is at least max(w) - 1, so asset i leaves the
+    support once v_i + nu*mu_i <= max over argmax(mu) of v_j + nu*max(mu) - 1.
+    """
+    top = mu == mu.max()
+    gap = mu.max() - mu[~top]
+    return float(np.max((v[~top] - v[top].max() + 1.0) / gap, initial=0.0))
 
 
-def project_feasible(
-    v: np.ndarray,
-    fs: FeasibleSet,
-    cfg: ProjectionConfig | None = None,
-) -> tuple[np.ndarray, ProjectionDiagnostics]:
-    """Exact projection onto simplex-cap-halfspace via the scalar dual search.
+def project_feasible(v: np.ndarray, fs: FeasibleSet) -> tuple[np.ndarray, ProjectionDiagnostics]:
+    """Exact projection onto simplex-cap-halfspace by a safeguarded Newton search.
 
     Returns the projected point and diagnostics. If the simplex projection
-    already meets the return constraint it is returned unchanged; otherwise
-    nu is bracketed by geometric doubling from 1 and refined by bisection
-    until |phi(nu) - R_target| <= tol_scalar * max(1, |R_target|). A target
-    equal to max(mu) exactly can exhaust the bracket budget (phi approaches
-    that value only asymptotically), in which case the Dykstra fallback runs.
+    already meets the return constraint it is returned unchanged. Otherwise
+    the root of phi(nu) = R_target is searched in the bracket [0, nu_flat],
+    where nu_flat is a finite point at which phi = max(mu) >= R_target. Each
+    step is a Newton step on the current piece, cut off at the upper end of
+    the bracket, or a bisection when that step does not move right of the
+    lower end or the piece is flat. There is no tolerance; the search stops
+    when one of these holds, each of which pins nu to the root:
+
+    - a Newton step taken from piece S lands on a point whose support is S,
+      or is shorter than one ulp of nu;
+    - the piece is flat at the target (every mu on the support equals it);
+    - no double lies strictly inside the bracket; its upper end is returned.
+
+    The result is exact up to the roundoff of forming v + nu*mu. phi has at
+    most 2n breakpoints (each asset enters and leaves the support at most
+    once), so the search gets 2n + 200 steps; if they run out it raises
+    ProjectionFailureError. There is no fallback method. Every trial point
+    is projected through ``project_simplex``.
     """
-    cfg = cfg or ProjectionConfig()
     v = np.asarray(v, dtype=np.float64)
     mu = fs.mu
+    R = fs.R_target
     if v.shape != mu.shape:
         raise ArgumentError(f"point has shape {v.shape}, mu has shape {mu.shape}")
-    if fs.R_target > mu.max():
+    if R > mu.max():
         raise InfeasibleTargetError(
-            f"R_target={fs.R_target} exceeds max(mu)={mu.max()}: no feasible portfolio"
+            f"R_target={R} exceeds max(mu)={mu.max()}: no feasible portfolio"
         )
     diag = ProjectionDiagnostics()
-    x0 = project_simplex(v)
-    rtol = cfg.tol_scalar * max(1.0, abs(fs.R_target))
-    phi0 = float(mu @ x0)
-    if phi0 >= fs.R_target:
-        diag.return_residual = 0.0
-        return x0, diag
-
-    diag.constraint_active = True
-    lo, phi_lo = 0.0, phi0
-    hi = 1.0
-    bracketed = False
-    for d in range(cfg.max_bracket_doublings):
-        diag.bracket_doublings = d + 1
-        x_hi = _dual_point(v, mu, hi)
-        phi_hi = float(mu @ x_hi)
-        if phi_hi >= fs.R_target:
-            bracketed = True
-            break
-        lo, phi_lo = hi, phi_hi
-        hi *= 2.0
-    if not bracketed:
-        diag.fallback_used = True
-        x = dykstra_project(v, fs, cfg)
-        diag.return_residual = abs(float(mu @ x) - fs.R_target)
+    x = project_simplex(v)
+    phi = float(mu @ x)
+    if phi >= R:
         return x, diag
 
-    # Bisection; phi is continuous and nondecreasing, so the residual shrinks
-    # with the bracket. The iteration cap only guards pathological flats.
-    x, nu = x_hi, hi
-    if abs(phi_hi - fs.R_target) > rtol:
-        for _ in range(200):
-            diag.bisection_iters += 1
-            mid = 0.5 * (lo + hi)
-            x_mid = _dual_point(v, mu, mid)
-            phi_mid = float(mu @ x_mid)
-            if abs(phi_mid - fs.R_target) <= rtol:
-                x, nu = x_mid, mid
-                break
-            if phi_mid >= fs.R_target:
-                hi = mid
-                x, nu = x_mid, mid
-            else:
-                lo = mid
+    diag.constraint_active = True
+    nu, lo, hi, x_hi = 0.0, 0.0, _flat_nu(v, mu), None
+    budget = 2 * mu.size + 200
+    for _ in range(budget):
+        support = x > 0.0
+        mu_s = mu[support]
+        d = mu_s - mu_s[0]  # shifted so a tied support has slope exactly 0
+        slope = float(d @ d) - float(d.sum()) ** 2 / d.size
+        if slope == 0.0 and mu_s[0] == R:
+            break
+        trial = nu + (R - phi) / slope if slope > 0.0 else np.nan
+        if trial == nu:  # the Newton step is below one ulp of nu
+            break
+        newton = trial > lo
+        if newton:
+            trial = min(trial, hi)
         else:
-            # Bracket collapsed without meeting the scalar tolerance; the
-            # upper end is feasible-side, keep it but flag through residual.
-            x, nu = _dual_point(v, mu, hi), hi
+            diag.bisection_iters += 1
+            trial = 0.5 * (lo + hi)
+            if not lo < trial < hi:
+                nu, x = hi, x_hi if x_hi is not None else project_simplex(v + hi * mu)
+                break
+        nu, x = trial, project_simplex(v + trial * mu)
+        if newton and np.array_equal(x > 0.0, support):
+            break
+        phi = float(mu @ x)
+        if phi >= R:
+            hi, x_hi = nu, x
+        else:
+            lo = nu
+    else:
+        raise ProjectionFailureError(
+            f"exact projection search did not settle within {budget} steps"
+        )
     diag.nu_star = nu
-    diag.return_residual = abs(float(mu @ x) - fs.R_target)
+    diag.return_residual = abs(float(mu @ x) - R)
     return x, diag
 
 
-def dykstra_project(
-    v: np.ndarray,
-    fs: FeasibleSet,
-    cfg: ProjectionConfig | None = None,
-) -> np.ndarray:
+def dykstra_project(v: np.ndarray, fs: FeasibleSet) -> np.ndarray:
     """Dykstra alternating projections between the simplex and the halfspace.
 
     Converges to the exact projection onto the intersection; stops when the
-    simplex-side iterate moves less than dykstra_tol between sweeps.
+    simplex-side iterate moves less than DYKSTRA_TOL between sweeps. Kept as
+    an independent reference for ``project_feasible``.
     """
-    cfg = cfg or ProjectionConfig()
     v = np.asarray(v, dtype=np.float64)
     x = v.copy()
     p = np.zeros_like(v)
     q = np.zeros_like(v)
     y_prev = None
-    for _ in range(cfg.dykstra_max_iters):
+    for _ in range(DYKSTRA_MAX_ITERS):
         y = project_simplex(x + p)
         p = x + p - y
         x = project_halfspace(y + q, fs)
@@ -229,9 +234,9 @@ def dykstra_project(
         # agree guards against stalls where the simplex side parks on a
         # vertex for several sweeps while the corrections still evolve.
         change = float(np.linalg.norm(y - y_prev)) if y_prev is not None else np.inf
-        if change <= cfg.dykstra_tol and float(np.linalg.norm(y - x)) <= cfg.dykstra_tol:
+        if change <= DYKSTRA_TOL and float(np.linalg.norm(y - x)) <= DYKSTRA_TOL:
             return y
         y_prev = y
     raise ProjectionFailureError(
-        f"Dykstra did not converge within {cfg.dykstra_max_iters} sweeps"
+        f"Dykstra did not converge within {DYKSTRA_MAX_ITERS} sweeps"
     )

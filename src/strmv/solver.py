@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import ArgumentError, DimensionError, InfeasibleTargetError, NumericError
 from .models import FactorModel
-from .projection import FeasibleSet, ProjectionConfig, project_feasible
+from .projection import FeasibleSet, project_feasible
 
 STEP_MODES = ("fixed_auto", "fixed_explicit", "backtracking")
 MOMENTUM_MODES = ("fista", "strongly_convex")
@@ -196,7 +196,6 @@ def _accelerated_pg_loop(
     fs: FeasibleSet,
     x0: Optional[np.ndarray],
     cfg: SolverConfig,
-    pcfg: ProjectionConfig,
 ) -> SolveResult:
     n = fs.n
     if fs.R_target > fs.mu.max():
@@ -204,7 +203,7 @@ def _accelerated_pg_loop(
 
     if x0 is None:
         x0 = np.full(n, 1.0 / n)
-    x, _ = project_feasible(np.asarray(x0, dtype=np.float64), fs, pcfg)
+    x, _ = project_feasible(np.asarray(x0, dtype=np.float64), fs)
 
     if cfg.step_mode == "fixed_explicit":
         alpha = float(cfg.alpha)
@@ -226,7 +225,7 @@ def _accelerated_pg_loop(
     obj_trace = [obj(x)] if cfg.record_objective else None
 
     def residual(point: np.ndarray, step: float) -> float:
-        moved, _ = project_feasible(point - step * grad(point), fs, pcfg)
+        moved, _ = project_feasible(point - step * grad(point), fs)
         return float(np.linalg.norm(moved - point))
 
     r0 = residual(x, alpha)
@@ -252,7 +251,7 @@ def _accelerated_pg_loop(
             alpha = 2.0 * alpha  # retry upward from the last accepted step
             f_y = obj(y)
             while True:
-                x_new, _ = project_feasible(y - alpha * g, fs, pcfg)
+                x_new, _ = project_feasible(y - alpha * g, fs)
                 d = x_new - y
                 model_val = f_y + float(g @ d) + float(d @ d) / (2.0 * alpha)
                 f_new = obj(x_new)
@@ -261,9 +260,8 @@ def _accelerated_pg_loop(
                 alpha *= cfg.shrink
                 if alpha < _BACKTRACK_FLOOR:
                     raise NumericError("backtracking step underflow")
-            assert f_new <= model_val + 1e-12 * max(1.0, abs(f_new))
         else:
-            x_new, _ = project_feasible(y - alpha * g, fs, pcfg)
+            x_new, _ = project_feasible(y - alpha * g, fs)
 
         if cfg.momentum_mode == "fista":
             t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_k * t_k))
@@ -297,7 +295,6 @@ def solve(
     fs: FeasibleSet,
     x0: Optional[np.ndarray] = None,
     cfg: Optional[SolverConfig] = None,
-    pcfg: Optional[ProjectionConfig] = None,
     sigma_min_hint: Optional[float] = None,
 ) -> SolveResult:
     """Run the accelerated projected-gradient loop on a factor model.
@@ -306,7 +303,6 @@ def solve(
     set; any supplied x0 is projected as well.
     """
     cfg = cfg or SolverConfig()
-    pcfg = pcfg or ProjectionConfig()
     if model.n != fs.n:
         raise DimensionError(f"model has {model.n} assets, feasible set {fs.n}")
     consts = curvature_constants(
@@ -320,7 +316,6 @@ def solve(
         fs=fs,
         x0=x0,
         cfg=cfg,
-        pcfg=pcfg,
     )
 
 
@@ -328,7 +323,6 @@ def solve_dense(
     Sigma: np.ndarray,
     fs: FeasibleSet,
     cfg: Optional[SolverConfig] = None,
-    pcfg: Optional[ProjectionConfig] = None,
     x0: Optional[np.ndarray] = None,
     m_hint: float = 0.0,
 ) -> SolveResult:
@@ -337,7 +331,6 @@ def solve_dense(
     Used for cross-checks against the factor path.
     """
     cfg = cfg or SolverConfig()
-    pcfg = pcfg or ProjectionConfig()
     Sigma = np.asarray(Sigma, dtype=np.float64)
     if Sigma.ndim != 2 or Sigma.shape[0] != Sigma.shape[1]:
         raise DimensionError("Sigma must be square")
@@ -358,5 +351,4 @@ def solve_dense(
         fs=fs,
         x0=x0,
         cfg=cfg,
-        pcfg=pcfg,
     )

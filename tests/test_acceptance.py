@@ -24,12 +24,10 @@ from strmv.models import (
 )
 from strmv.oracle import QPInstance, project_exact, solve_exact
 from strmv.panel import CovarianceFactor, SyntheticSpec, center_and_factor, generate_synthetic
-from strmv.projection import FeasibleSet, ProjectionConfig, dykstra_project, project_feasible
+from strmv.projection import FeasibleSet, dykstra_project, project_feasible
 from strmv.sketch import SketchConfig, materialize_sketch_matrix, recommended_sketch_size
 from strmv.solver import SolverConfig, gradient, objective, solve
 from strmv.spectrum import cumulative_energy, energy_rank
-
-PCFG = ProjectionConfig(tol_scalar=1e-13)
 
 
 def report(criterion, ok, detail):
@@ -84,7 +82,7 @@ def test_criterion_1_oracle_equivalence():
         mode = "strongly_convex" if (model.gamma > 0 or smin > 0) else "fista"
         cfg = SolverConfig(momentum_mode=mode, tol=5e-10, max_iters=20_000,
                            residual_check_stride=5)
-        res = solve(model, fs, cfg=cfg, pcfg=PCFG,
+        res = solve(model, fs, cfg=cfg,
                     sigma_min_hint=smin if smin > 0 else None)
         oracle = solve_exact(QPInstance(Q=2.0 * model.covariance(), c=np.zeros(n), fs=fs))
         worst = max(worst, objective_gap(res.objective, oracle.value))
@@ -96,7 +94,6 @@ def test_criterion_1_oracle_equivalence():
 
 def test_criterion_2_projection_exactness():
     rng = np.random.default_rng(123)
-    cfg = ProjectionConfig(tol_scalar=1e-12)
     worst_scalar = 0.0
     worst_dyk = 0.0
     for _ in range(200):
@@ -106,8 +103,8 @@ def test_criterion_2_projection_exactness():
         R = float(mu.min() + rng.uniform(0.1, 0.9) * (mu.max() - mu.min()))
         fs = FeasibleSet(mu=mu, R_target=R)
         xe = project_exact(v, fs)
-        x, _ = project_feasible(v, fs, cfg)
-        xd = dykstra_project(v, fs, cfg)
+        x, _ = project_feasible(v, fs)
+        xd = dykstra_project(v, fs)
         worst_scalar = max(worst_scalar, float(np.linalg.norm(x - xe)))
         worst_dyk = max(worst_dyk, float(np.linalg.norm(xd - xe)))
     report(2, worst_scalar <= 1e-8 and worst_dyk <= 1e-6,
@@ -133,9 +130,9 @@ def test_criterion_3_convex_rate():
         x0[0] = 1.0
         cfg = SolverConfig(step_mode="fixed_explicit", alpha=alpha, momentum_mode="fista",
                            tol=1e-300, max_iters=500, record_objective=True)
-        res = solve(model, fs, x0=x0, cfg=cfg, pcfg=PCFG)
+        res = solve(model, fs, x0=x0, cfg=cfg)
         oracle = solve_exact(QPInstance(Q=2.0 * model.covariance(), c=np.zeros(n), fs=fs))
-        x0p, _ = project_feasible(x0, fs, PCFG)
+        x0p, _ = project_feasible(x0, fs)
         d0 = float(np.linalg.norm(x0p - oracle.x)) ** 2
         ks = np.arange(1, len(res.objective_trace))
         envelope = 2.0 * d0 / (alpha * (ks + 1.0) ** 2)
@@ -181,7 +178,7 @@ def test_criterion_4_linear_rate():
         cfg = SolverConfig(step_mode="fixed_explicit", alpha=alpha,
                            momentum_mode="strongly_convex", tol=1e-300,
                            max_iters=200, record_objective=True)
-        res = solve(model, fs, cfg=cfg, pcfg=PCFG)
+        res = solve(model, fs, cfg=cfg)
         fstar = solve_exact(QPInstance(Q=2.0 * model.covariance(), c=np.zeros(n), fs=fs)).value
         gaps = np.asarray(res.objective_trace) - fstar
         C = max(gaps[k] / theta**k for k in range(6))

@@ -19,7 +19,6 @@ from strmv.bench import (
     strip_timings,
 )
 from strmv.panel import SyntheticSpec, center_and_factor, generate_synthetic, save_panel
-from strmv.projection import ProjectionConfig
 from strmv.solver import SolverConfig
 
 
@@ -33,7 +32,6 @@ def small_cfg(**kw):
         eta_grid=[0.9],
         s_over_ell_grid=[2.0, 4.0],
         solver=SolverConfig(tol=1e-8, max_iters=4000, residual_check_stride=5),
-        projection=ProjectionConfig(),
         repetitions=3,
         seed=7,
     )

@@ -44,6 +44,11 @@ class TestSubcommands:
         np.testing.assert_allclose(payload["x"], [0.9, 0.1], atol=1e-8)
         assert payload["diagnostics"]["constraint_active"]
 
+    def test_project_huge_entry(self):
+        proc = run_cli("project", "--v", "1e17,0", "--mu", "1,0", "--r-target", "0.5")
+        assert proc.returncode == 0, proc.stderr
+        np.testing.assert_array_equal(json.loads(proc.stdout)["x"], [1.0, 0.0])
+
     def test_project_from_csv(self, tmp_path):
         path = tmp_path / "vm.csv"
         path.write_text("v,mu\n0.5,1.0\n0.5,0.0\n")

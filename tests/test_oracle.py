@@ -3,7 +3,7 @@ import pytest
 
 from strmv.errors import ArgumentError, InfeasibleTargetError, NumericError
 from strmv.oracle import QPInstance, project_exact, solve_exact
-from strmv.projection import FeasibleSet, ProjectionConfig, project_feasible, project_simplex
+from strmv.projection import FeasibleSet, project_feasible, project_simplex
 
 
 class TestSolveExact:
@@ -46,7 +46,6 @@ class TestSolveExact:
     def test_optimality_certificate_random_probes(self):
         # the oracle value never exceeds the objective of any feasible point
         rng = np.random.default_rng(0)
-        pcfg = ProjectionConfig()
         for trial in range(5):
             n = int(rng.integers(3, 8))
             A = rng.standard_normal((n, n + 3))
@@ -57,13 +56,12 @@ class TestSolveExact:
             out = solve_exact(QPInstance(Q=Q, c=np.zeros(n), fs=fs))
             probes = rng.dirichlet(np.ones(n), size=200)
             for p in probes:
-                x, _ = project_feasible(p, fs, pcfg)
+                x, _ = project_feasible(p, fs)
                 val = 0.5 * x @ Q @ x
                 assert out.value <= val + 1e-10
 
     def test_kkt_residual_via_projection(self):
         rng = np.random.default_rng(1)
-        pcfg = ProjectionConfig(tol_scalar=1e-13)
         for trial in range(10):
             n = int(rng.integers(3, 9))
             A = rng.standard_normal((n, n + 2))
@@ -73,7 +71,7 @@ class TestSolveExact:
             out = solve_exact(QPInstance(Q=Q, c=np.zeros(n), fs=fs))
             grad = Q @ out.x
             alpha = 0.1
-            moved, _ = project_feasible(out.x - alpha * grad, fs, pcfg)
+            moved, _ = project_feasible(out.x - alpha * grad, fs)
             assert np.linalg.norm(moved - out.x) <= 1e-10
 
     def test_singular_q_handled(self):

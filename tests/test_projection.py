@@ -3,18 +3,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from strmv.errors import ArgumentError, InfeasibleTargetError, NumericError
+from strmv.errors import InfeasibleTargetError, NumericError
 from strmv.oracle import project_exact
 from strmv.projection import (
     FeasibleSet,
-    ProjectionConfig,
     dykstra_project,
     project_feasible,
     project_halfspace,
     project_simplex,
 )
-
-TIGHT = ProjectionConfig(tol_scalar=1e-12)
 
 
 class TestSimplex:
@@ -30,6 +27,13 @@ class TestSimplex:
     def test_non_finite(self):
         with pytest.raises(NumericError):
             project_simplex(np.array([np.inf, 0.0]))
+
+    def test_huge_entries(self):
+        # At entries of about 1e16 and up, only the shift by max(v) keeps the
+        # first threshold candidate.
+        np.testing.assert_array_equal(project_simplex(np.array([1e17, 0.0])), [1.0, 0.0])
+        np.testing.assert_array_equal(project_simplex(np.array([0.0, -1e300, 1e300])),
+                                      [0.0, 0.0, 1.0])
 
     def test_matches_oracle_small(self):
         rng = np.random.default_rng(2)
@@ -72,13 +76,13 @@ class TestHalfspace:
 class TestProjectFeasible:
     def test_inactive_path(self):
         fs = FeasibleSet(mu=np.array([1.0, 0.0]), R_target=0.3)
-        x, diag = project_feasible(np.array([0.5, 0.5]), fs, TIGHT)
+        x, diag = project_feasible(np.array([0.5, 0.5]), fs)
         np.testing.assert_allclose(x, [0.5, 0.5])
         assert not diag.constraint_active
 
     def test_active_path_scalar_search(self):
         fs = FeasibleSet(mu=np.array([1.0, 0.0]), R_target=0.9)
-        x, diag = project_feasible(np.array([0.5, 0.5]), fs, TIGHT)
+        x, diag = project_feasible(np.array([0.5, 0.5]), fs)
         np.testing.assert_allclose(x, [0.9, 0.1], atol=1e-9)
         assert diag.constraint_active
         assert diag.nu_star == pytest.approx(0.8, abs=1e-6)
@@ -87,7 +91,7 @@ class TestProjectFeasible:
         with pytest.warns(UserWarning):
             fs = FeasibleSet(mu=np.array([0.1, 0.2]), R_target=0.5)
         with pytest.raises(InfeasibleTargetError):
-            project_feasible(np.array([0.5, 0.5]), fs, TIGHT)
+            project_feasible(np.array([0.5, 0.5]), fs)
 
     def test_oracle_agreement(self):
         rng = np.random.default_rng(10)
@@ -97,7 +101,7 @@ class TestProjectFeasible:
             mu = rng.standard_normal(n)
             R = float(mu.min() + rng.uniform(0.1, 0.9) * (mu.max() - mu.min()))
             fs = FeasibleSet(mu=mu, R_target=R)
-            x, _ = project_feasible(v, fs, TIGHT)
+            x, _ = project_feasible(v, fs)
             np.testing.assert_allclose(x, project_exact(v, fs), atol=1e-9)
 
     def test_idempotent(self):
@@ -106,8 +110,8 @@ class TestProjectFeasible:
             mu = rng.standard_normal(6)
             fs = FeasibleSet(mu=mu, R_target=float(np.quantile(mu, 0.6)))
             v = rng.standard_normal(6) * 2
-            x1, _ = project_feasible(v, fs, TIGHT)
-            x2, _ = project_feasible(x1, fs, TIGHT)
+            x1, _ = project_feasible(v, fs)
+            x2, _ = project_feasible(x1, fs)
             assert np.linalg.norm(x2 - x1) <= 1e-10
 
     def test_nonexpansive(self):
@@ -117,9 +121,37 @@ class TestProjectFeasible:
         for _ in range(200):
             u = rng.standard_normal(8) * 3
             v = rng.standard_normal(8) * 3
-            xu, _ = project_feasible(u, fs, TIGHT)
-            xv, _ = project_feasible(v, fs, TIGHT)
+            xu, _ = project_feasible(u, fs)
+            xv, _ = project_feasible(v, fs)
             assert np.linalg.norm(xu - xv) <= np.linalg.norm(u - v) + 1e-10
+
+    def test_oracle_agreement_target_at_max_mu(self):
+        # R_target == max(mu): phi reaches the target only once every asset
+        # outside argmax(mu) has left the support, with ties in mu.
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            n = int(rng.integers(3, 11))
+            mu = rng.integers(-2, 3, n) * 0.1
+            mu[rng.integers(n)] = mu.max()
+            v = rng.standard_normal(n) * 2
+            fs = FeasibleSet(mu=mu, R_target=float(mu.max()))
+            x, _ = project_feasible(v, fs)
+            np.testing.assert_allclose(x, project_exact(v, fs), atol=1e-9)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(st.floats(-10, 10), min_size=3, max_size=10),
+        st.floats(-100, 100),
+        st.floats(0.05, 0.95),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_shift_invariance(self, vals, c, q, seed):
+        v = np.asarray(vals)
+        mu = np.random.default_rng(seed).standard_normal(v.size)
+        fs = FeasibleSet(mu=mu, R_target=float(np.quantile(mu, q)))
+        x, _ = project_feasible(v, fs)
+        x_shift, _ = project_feasible(v + c, fs)
+        np.testing.assert_allclose(x_shift, x, atol=1e-9)
 
     def test_phi_monotone_in_nu(self):
         rng = np.random.default_rng(5)
@@ -136,21 +168,21 @@ class TestProjectFeasible:
             mu = rng.standard_normal(n)
             R = float(mu.min() + rng.uniform(0.2, 0.8) * (mu.max() - mu.min()))
             fs = FeasibleSet(mu=mu, R_target=R)
-            x, _ = project_feasible(rng.standard_normal(n) * 2, fs, TIGHT)
+            x, _ = project_feasible(rng.standard_normal(n) * 2, fs)
             assert x.min() >= -1e-12
             assert abs(x.sum() - 1.0) <= 1e-12 * n
-            assert mu @ x >= R - TIGHT.tol_scalar * max(1.0, abs(R))
+            assert mu @ x >= R - 1e-12 * max(1.0, abs(R))
 
 
 class TestDykstra:
     def test_feasible_point_one_sweep(self):
         fs = FeasibleSet(mu=np.array([1.0, 0.0]), R_target=0.3)
         v = np.array([0.5, 0.5])
-        np.testing.assert_allclose(dykstra_project(v, fs, TIGHT), project_simplex(v))
+        np.testing.assert_allclose(dykstra_project(v, fs), project_simplex(v))
 
     def test_matches_scalar_search(self):
         fs = FeasibleSet(mu=np.array([1.0, 0.0]), R_target=0.9)
-        x = dykstra_project(np.array([0.5, 0.5]), fs, TIGHT)
+        x = dykstra_project(np.array([0.5, 0.5]), fs)
         np.testing.assert_allclose(x, [0.9, 0.1], atol=1e-8)
 
     def test_matches_oracle(self):
@@ -161,12 +193,5 @@ class TestDykstra:
             R = float(mu.min() + rng.uniform(0.2, 0.8) * (mu.max() - mu.min()))
             fs = FeasibleSet(mu=mu, R_target=R)
             np.testing.assert_allclose(
-                dykstra_project(v, fs, TIGHT), project_exact(v, fs), atol=1e-8
+                dykstra_project(v, fs), project_exact(v, fs), atol=1e-8
             )
-
-
-def test_config_validation():
-    with pytest.raises(ArgumentError):
-        ProjectionConfig(tol_scalar=0.0)
-    with pytest.raises(ArgumentError):
-        ProjectionConfig(dykstra_max_iters=0)

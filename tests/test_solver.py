@@ -7,7 +7,7 @@ from strmv.errors import ArgumentError, DimensionError, InfeasibleTargetError, N
 from strmv.models import FactorModel, RidgePolicy, build_baseline, build_str
 from strmv.oracle import QPInstance, solve_exact
 from strmv.panel import CovarianceFactor, SyntheticSpec, center_and_factor, generate_synthetic
-from strmv.projection import FeasibleSet, ProjectionConfig
+from strmv.projection import FeasibleSet
 from strmv.sketch import SketchConfig
 from strmv.solver import (
     SolverConfig,
@@ -19,8 +19,6 @@ from strmv.solver import (
     solve,
     solve_dense,
 )
-
-PCFG = ProjectionConfig(tol_scalar=1e-13)
 
 
 def factor_of(L):
@@ -128,7 +126,7 @@ class TestSolve:
         m = build_baseline(factor_of(np.eye(2)))
         fs = FeasibleSet(mu=np.array([0.1, 0.2]), R_target=0.1)
         res = solve(m, fs, x0=np.array([1.0, 0.0]),
-                    cfg=SolverConfig(tol=1e-12, max_iters=5000), pcfg=PCFG)
+                    cfg=SolverConfig(tol=1e-12, max_iters=5000))
         np.testing.assert_allclose(res.x, [0.5, 0.5], atol=1e-8)
         assert res.objective == pytest.approx(0.5, abs=1e-10)
         assert fs.mu @ res.x == pytest.approx(0.15, abs=1e-8)  # slack constraint
@@ -136,7 +134,7 @@ class TestSolve:
     def test_hand_instance_diagonal(self):
         m = build_baseline(factor_of(np.diag([1.0, 2.0])))  # Sigma = diag(1,4)
         fs = FeasibleSet(mu=np.array([1.0, 1.0]), R_target=0.5)
-        res = solve(m, fs, cfg=SolverConfig(tol=1e-12, max_iters=5000), pcfg=PCFG)
+        res = solve(m, fs, cfg=SolverConfig(tol=1e-12, max_iters=5000))
         np.testing.assert_allclose(res.x, [0.8, 0.2], atol=1e-8)
         assert res.objective == pytest.approx(0.8, abs=1e-10)
 
@@ -144,7 +142,7 @@ class TestSolve:
         m = build_baseline(factor_of(np.eye(2)))
         fs = FeasibleSet(mu=np.array([0.1, 0.2]), R_target=0.1)
         res = solve(m, fs, x0=np.array([0.5, 0.5]),
-                    cfg=SolverConfig(tol=1e-8), pcfg=PCFG)
+                    cfg=SolverConfig(tol=1e-8))
         assert res.iterations == 0
         assert res.termination == "tolerance"
         assert len(res.residual_trace) == 1
@@ -163,7 +161,7 @@ class TestSolve:
         mu = rng.standard_normal(6)
         fs = FeasibleSet(mu=mu, R_target=float(np.quantile(mu, 0.5)))
         cfg = SolverConfig(tol=1e-10, max_iters=300, record_objective=True)
-        res = solve(m, fs, cfg=cfg, pcfg=PCFG)
+        res = solve(m, fs, cfg=cfg)
         x = res.x
         assert x.min() >= -1e-12 and abs(x.sum() - 1) <= 1e-10
         assert fs.mu @ x >= fs.R_target - 1e-9
@@ -171,7 +169,7 @@ class TestSolve:
     def test_residual_trace_terminates_below_tol(self):
         m = build_baseline(factor_of(np.diag([1.0, 2.0])))
         fs = FeasibleSet(mu=np.array([1.0, 1.0]), R_target=0.5)
-        res = solve(m, fs, cfg=SolverConfig(tol=1e-9, max_iters=10000), pcfg=PCFG)
+        res = solve(m, fs, cfg=SolverConfig(tol=1e-9, max_iters=10000))
         assert res.termination == "tolerance"
         assert res.residual_trace[-1] <= 1e-9
 
@@ -180,9 +178,9 @@ class TestSolve:
         m = build_baseline(center_and_factor(generate_synthetic(spec)))
         mu = np.linspace(-1, 1, 5)
         fs = FeasibleSet(mu=mu, R_target=0.0)
-        fixed = solve(m, fs, cfg=SolverConfig(tol=1e-11, max_iters=20000), pcfg=PCFG)
+        fixed = solve(m, fs, cfg=SolverConfig(tol=1e-11, max_iters=20000))
         bt = solve(m, fs, cfg=SolverConfig(step_mode="backtracking", tol=1e-11,
-                                           max_iters=20000), pcfg=PCFG)
+                                           max_iters=20000))
         assert bt.objective == pytest.approx(fixed.objective, abs=1e-9)
 
     def test_strongly_convex_needs_curvature(self):
@@ -195,7 +193,7 @@ class TestSolve:
         m = build_baseline(factor_of(np.diag([1.0, 2.0])))
         fs = FeasibleSet(mu=np.array([1.0, 1.0]), R_target=0.5)
         res = solve(m, fs, cfg=SolverConfig(tol=1e-10, max_iters=50,
-                                            record_objective=True), pcfg=PCFG)
+                                            record_objective=True))
         assert res.objective_trace is not None
         assert len(res.objective_trace) == res.iterations + 1
 
@@ -209,8 +207,8 @@ class TestSolveDense:
         mu = np.linspace(-0.5, 0.5, 8)
         fs = FeasibleSet(mu=mu, R_target=0.0)
         cfg = SolverConfig(tol=1e-300, max_iters=50, record_objective=True)
-        a = solve(m, fs, cfg=cfg, pcfg=PCFG)
-        b = solve_dense(Sigma, fs, cfg=cfg, pcfg=PCFG)
+        a = solve(m, fs, cfg=cfg)
+        b = solve_dense(Sigma, fs, cfg=cfg)
         np.testing.assert_allclose(a.x, b.x, atol=1e-10)
         np.testing.assert_allclose(a.objective_trace, b.objective_trace, atol=1e-10)
 
@@ -222,8 +220,7 @@ class TestSolveDense:
     def test_simplex_only_symmetric(self):
         n = 5
         fs = FeasibleSet(mu=np.full(n, 1.0), R_target=0.5)  # slack for any x
-        res = solve_dense(np.eye(n), fs, cfg=SolverConfig(tol=1e-11, max_iters=5000),
-                          pcfg=PCFG)
+        res = solve_dense(np.eye(n), fs, cfg=SolverConfig(tol=1e-11, max_iters=5000))
         np.testing.assert_allclose(res.x, np.full(n, 1.0 / n), atol=1e-8)
 
     def test_asymmetric_rejected(self):
@@ -244,7 +241,7 @@ class TestAgainstOracle:
         mu = rng.standard_normal(n)
         fs = FeasibleSet(mu=mu, R_target=float(np.quantile(mu, 0.5)))
         res = solve(m, fs, cfg=SolverConfig(momentum_mode="strongly_convex",
-                                            tol=1e-10, max_iters=20000), pcfg=PCFG)
+                                            tol=1e-10, max_iters=20000))
         oracle = solve_exact(QPInstance(Q=2 * m.covariance(), c=np.zeros(n), fs=fs))
         assert res.objective - oracle.value <= 1e-8 * max(abs(oracle.value), 1e-12)
 
