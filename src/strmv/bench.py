@@ -172,13 +172,7 @@ class BenchReport:
     seed_ledger: dict
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "rows": self.rows,
-            "summary": self.summary,
-            "environment": self.environment,
-            "seed_ledger": self.seed_ledger,
-        }
+        return dataclasses.asdict(self)
 
     def save(self, path) -> None:
         with open(path, "w") as fh:
@@ -280,6 +274,13 @@ def _model_from_spec(
     return model, meta
 
 
+def _timed_build(factor, mspec, seed, dense_singvals=None):
+    """``_model_from_spec`` plus its wall time: (model, metadata, seconds)."""
+    t0 = time.perf_counter()
+    model, meta = _model_from_spec(factor, mspec, seed, dense_singvals)
+    return model, meta, time.perf_counter() - t0
+
+
 def _timed_solve(model, fs, cfg, warmup: int, repeats: int):
     """Warmup solves are discarded; the median of repeated timings is kept.
 
@@ -294,6 +295,22 @@ def _timed_solve(model, fs, cfg, warmup: int, repeats: int):
         result = solve(model, fs, cfg=cfg)
         times.append(time.perf_counter() - t0)
     return result, float(np.median(times))
+
+
+def _oracle_value(model: FactorModel, fs: FeasibleSet) -> float:
+    """Exact optimum of the model's objective over ``fs`` (n <= MAX_ORACLE_DIM)."""
+    inst = QPInstance(Q=2.0 * model.covariance(), c=np.zeros(fs.n), fs=fs)
+    return solve_exact(inst).value
+
+
+def _report(kind: str, cfg: ExperimentConfig, rows: list[dict], summary=()) -> BenchReport:
+    return BenchReport(
+        kind=kind,
+        rows=rows,
+        summary=list(summary),
+        environment=environment_metadata(),
+        seed_ledger={"master_seed": cfg.seed, "derivation": "splitmix64 chain"},
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -316,49 +333,35 @@ def run_approximation_sweep(cfg: ExperimentConfig) -> BenchReport:
     failures: list[dict] = []
     for rep in range(cfg.repetitions):
         panel_seed = derive_seed(cfg.seed, 101, rep)
-        spec = replace(cfg.synthetic, seed=panel_seed)
-        panel = generate_synthetic(spec)
-        factor = center_and_factor(panel)
+        factor = center_and_factor(generate_synthetic(replace(cfg.synthetic, seed=panel_seed)))
         dense_singvals = np.linalg.svd(factor.L, compute_uv=False)
         Sigma = factor.L @ factor.L.T
         fs = feasible_from_factor(factor, cfg.r_target_percentile)
         baseline = build_baseline(factor)
-        ref = solve(baseline, fs, cfg=cfg.solver)
-        f_full_star = ref.objective
+        f_full_star = solve(baseline, fs, cfg=cfg.solver).objective
         for mi, mspec in enumerate(cfg.models):
             if mspec.kind == "baseline":
                 continue
             for ei, eta in enumerate(cfg.eta_grid):
                 for ri, ratio in enumerate(cfg.s_over_ell_grid):
-                    point = dataclasses.replace(mspec, eta=eta, s_over_ell=ratio, s=None)
+                    point = replace(mspec, eta=eta, s_over_ell=ratio, s=None)
                     sketch_seed = derive_seed(cfg.seed, 102, rep, mi, ei, ri)
+                    key = {"model": point.label(), "eta": eta, "s_over_ell": ratio}
                     try:
-                        t0 = time.perf_counter()
-                        model, meta = _model_from_spec(
+                        model, meta, build_time = _timed_build(
                             factor, point, sketch_seed, dense_singvals
                         )
-                        build_time = time.perf_counter() - t0
                         spec_err = relative_spectral_error(model.covariance(), Sigma)
-                        t0 = time.perf_counter()
-                        res = solve(model, fs, cfg=cfg.solver)
-                        solve_time = time.perf_counter() - t0
+                        res, solve_time = _timed_solve(model, fs, cfg.solver, 0, 1)
                         gap = objective_gap(objective(baseline, res.x), f_full_star)
                     except Exception as exc:  # a failed row is recorded, not fatal
                         failures.append(
-                            {
-                                "model": point.label(),
-                                "eta": eta,
-                                "s_over_ell": ratio,
-                                "seed": sketch_seed,
-                                "error": f"{type(exc).__name__}: {exc}",
-                            }
+                            {**key, "seed": sketch_seed, "error": f"{type(exc).__name__}: {exc}"}
                         )
                         continue
                     rows.append(
                         {
-                            "model": point.label(),
-                            "eta": eta,
-                            "s_over_ell": ratio,
+                            **key,
                             "s": meta.get("s"),
                             "ell": meta.get("ell"),
                             "gamma": meta.get("gamma", 0.0),
@@ -372,14 +375,7 @@ def run_approximation_sweep(cfg: ExperimentConfig) -> BenchReport:
                             "solve_time_s": solve_time,
                         }
                     )
-    summary = _summarize_sweep(rows)
-    return BenchReport(
-        kind="approx",
-        rows=rows + failures,
-        summary=summary,
-        environment=environment_metadata(),
-        seed_ledger={"master_seed": cfg.seed, "derivation": "splitmix64 chain"},
-    )
+    return _report("approx", cfg, rows + failures, _summarize_sweep(rows))
 
 
 def _summarize_sweep(rows: list[dict]) -> list[dict]:
@@ -413,6 +409,22 @@ def _summarize_sweep(rows: list[dict]) -> list[dict]:
 # ---------------------------------------------------------------------------
 
 
+def _gap_trace(model, fs, cfg: ExperimentConfig, alpha: float, momentum_mode: str):
+    """Fixed-step run of ``cfg.rate_iters`` iterations; per-iteration gaps to
+    the oracle optimum, floored at 1e-18 for the log fits."""
+    run_cfg = replace(
+        cfg.solver,
+        step_mode="fixed_explicit",
+        alpha=alpha,
+        momentum_mode=momentum_mode,
+        max_iters=cfg.rate_iters,
+        tol=1e-300,
+        record_objective=True,
+    )
+    res = solve(model, fs, cfg=run_cfg)
+    return res, np.maximum(res.objective_trace - _oracle_value(model, fs), 1e-18)
+
+
 def run_rate_experiment(cfg: ExperimentConfig, trace_path=None) -> BenchReport:
     """Per-iteration objective-gap traces for the two curvature regimes.
 
@@ -424,82 +436,49 @@ def run_rate_experiment(cfg: ExperimentConfig, trace_path=None) -> BenchReport:
     spec = cfg.synthetic or SyntheticSpec(n=8, T=40, singular_decay=0.7, seed=cfg.seed)
     if spec.n > MAX_ORACLE_DIM:
         raise ArgumentError(f"rate experiment needs n <= {MAX_ORACLE_DIM} for the oracle")
-    rows = []
-    traces: list[tuple[str, np.ndarray]] = []
     panel_seed = derive_seed(cfg.seed, 201)
-    panel = generate_synthetic(replace(spec, seed=panel_seed))
-    factor = center_and_factor(panel)
+    factor = center_and_factor(generate_synthetic(replace(spec, seed=panel_seed)))
     fs = feasible_from_factor(factor, cfg.r_target_percentile)
+    dense_singvals = np.linalg.svd(factor.L, compute_uv=False)
+    s1 = float(dense_singvals[0])
 
     # Convex case: exact smoothness constant from the dense spectrum.
-    baseline = build_baseline(factor)
-    s1 = float(np.linalg.norm(factor.L, 2))
-    L_f = 2.0 * s1**2
-    run_cfg = replace(
-        cfg.solver,
-        step_mode="fixed_explicit",
-        alpha=1.0 / L_f,
-        momentum_mode="fista",
-        max_iters=cfg.rate_iters,
-        tol=1e-300,
-        record_objective=True,
-    )
-    res = solve(baseline, fs, cfg=run_cfg)
-    inst = QPInstance(Q=2.0 * baseline.covariance(), c=np.zeros(spec.n), fs=fs)
-    f_star = solve_exact(inst).value
-    gaps = np.maximum(res.objective_trace - f_star, 1e-18)
-    k_hi = min(200, gaps.size - 1)
-    ks = np.arange(10, k_hi + 1)
-    slope = float(np.polyfit(np.log(ks), np.log(gaps[ks]), 1)[0])
-    traces.append(("convex", gaps))
-    rows.append(
+    alpha = 1.0 / (2.0 * s1**2)
+    res, convex_gaps = _gap_trace(build_baseline(factor), fs, cfg, alpha, "fista")
+    ks = np.arange(10, min(200, convex_gaps.size - 1) + 1)
+    slope = float(np.polyfit(np.log(ks), np.log(convex_gaps[ks]), 1)[0])
+    rows = [
         {
             "model": "baseline",
             "case": "convex",
             "seed": panel_seed,
-            "alpha": 1.0 / L_f,
+            "alpha": alpha,
             "loglog_slope": slope,
             "iterations": res.iterations,
-            "final_gap": float(gaps[-1]),
+            "final_gap": float(convex_gaps[-1]),
         }
-    )
+    ]
 
     # Strongly convex case: ridge large enough for a visible linear rate,
     # truncation below n so the curvature bound 2*gamma is exact.
-    gamma = 0.005 * s1**2
-    dense_singvals = np.linalg.svd(factor.L, compute_uv=False)
     str_spec = ModelSpec(
-        kind="str", sketch_kind="gaussian_jl", s=factor.columns, eta=0.95, gamma=gamma
+        kind="str", sketch_kind="gaussian_jl", s=factor.columns, eta=0.95,
+        gamma=0.005 * s1**2,
     )
     model, _ = _model_from_spec(
         factor, str_spec, derive_seed(cfg.seed, 202), dense_singvals
     )
     sig1 = float(np.linalg.norm(model.L_eff, 2))
-    L_f = 2.0 * (sig1**2 + model.gamma)
     m_f = 2.0 * model.gamma
-    alpha = 1.0 / L_f
+    alpha = 1.0 / (2.0 * (sig1**2 + model.gamma))
     theta = 1.0 - math.sqrt(alpha * m_f)
-    run_cfg = replace(
-        cfg.solver,
-        step_mode="fixed_explicit",
-        alpha=alpha,
-        momentum_mode="strongly_convex",
-        max_iters=cfg.rate_iters,
-        tol=1e-300,
-        record_objective=True,
-    )
-    res = solve(model, fs, cfg=run_cfg)
-    inst = QPInstance(Q=2.0 * model.covariance(), c=np.zeros(spec.n), fs=fs)
-    f_star = solve_exact(inst).value
-    gaps = np.maximum(res.objective_trace - f_star, 1e-18)
+    res, gaps = _gap_trace(model, fs, cfg, alpha, "strongly_convex")
     k_fit = 5
-    k_hi = min(200, gaps.size - 1)
     envelope_ok = True
     if gaps.size > k_fit:
         C = gaps[k_fit] / theta**k_fit
-        ks = np.arange(k_fit, k_hi + 1)
+        ks = np.arange(k_fit, min(200, gaps.size - 1) + 1)
         envelope_ok = bool(np.all(gaps[ks] <= C * theta**ks * (1 + 1e-9) + 1e-18))
-    traces.append(("strongly_convex", gaps))
     rows.append(
         {
             "model": "str-gaussian_jl",
@@ -517,17 +496,10 @@ def run_rate_experiment(cfg: ExperimentConfig, trace_path=None) -> BenchReport:
         with open(trace_path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["case", "k", "gap"])
-            for case, gap_arr in traces:
+            for case, gap_arr in (("convex", convex_gaps), ("strongly_convex", gaps)):
                 for k, g in enumerate(gap_arr):
                     writer.writerow([case, k, repr(float(g))])
-
-    return BenchReport(
-        kind="rate",
-        rows=rows,
-        summary=[],
-        environment=environment_metadata(),
-        seed_ledger={"master_seed": cfg.seed, "derivation": "splitmix64 chain"},
-    )
+    return _report("rate", cfg, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -549,41 +521,23 @@ def run_solver_benchmark(cfg: ExperimentConfig) -> BenchReport:
     for n in cfg.sizes:
         T = max(cfg.T_over_n * n, 4)
         panel_seed = derive_seed(cfg.seed, 301, n)
-        spec = SyntheticSpec(
-            n=n,
-            T=T,
-            singular_decay=base.singular_decay,
-            leading_scale=base.leading_scale,
-            noise_floor=base.noise_floor,
-            seed=panel_seed,
+        factor = center_and_factor(
+            generate_synthetic(replace(base, n=n, T=T, seed=panel_seed))
         )
-        factor = center_and_factor(generate_synthetic(spec))
         dense_singvals = np.linalg.svd(factor.L, compute_uv=False)
         fs = feasible_from_factor(factor, cfg.r_target_percentile)
         baseline = build_baseline(factor)
-        ref_result, _ = _timed_solve(
-            baseline, fs, cfg.solver, warmup=0, repeats=1
+        oracle = n <= MAX_ORACLE_DIM
+        f_full_star = (
+            _oracle_value(baseline, fs) if oracle
+            else solve(baseline, fs, cfg=cfg.solver).objective
         )
-        f_full_ref = ref_result.objective
         for mi, mspec in enumerate(cfg.models):
             model_seed = derive_seed(cfg.seed, 302, n, mi)
-            t0 = time.perf_counter()
-            model, meta = _model_from_spec(factor, mspec, model_seed, dense_singvals)
-            build_time = time.perf_counter() - t0
+            model, _, build_time = _timed_build(factor, mspec, model_seed, dense_singvals)
             result, solve_time = _timed_solve(
                 model, fs, cfg.solver, cfg.warmup, cfg.repetitions
             )
-            if n <= MAX_ORACLE_DIM:
-                inst = QPInstance(Q=2.0 * model.covariance(), c=np.zeros(n), fs=fs)
-                oracle_val = solve_exact(inst).value
-                model_gap = objective_gap(result.objective, oracle_val)
-                inst_full = QPInstance(Q=2.0 * baseline.covariance(), c=np.zeros(n), fs=fs)
-                f_full_star = solve_exact(inst_full).value
-            else:
-                model_gap = None
-                f_full_star = f_full_ref
-            full_gap = objective_gap(objective(baseline, result.x), f_full_star)
-            grad_time = _median_gradient_time(model, result.x)
             rows.append(
                 {
                     "model": mspec.label(),
@@ -592,22 +546,19 @@ def run_solver_benchmark(cfg: ExperimentConfig) -> BenchReport:
                     "columns": model.columns,
                     "seed": model_seed,
                     "panel_seed": panel_seed,
-                    "model_gap": model_gap,
-                    "full_model_gap": full_gap,
+                    "model_gap": (
+                        objective_gap(result.objective, _oracle_value(model, fs))
+                        if oracle else None
+                    ),
+                    "full_model_gap": objective_gap(objective(baseline, result.x), f_full_star),
                     "iterations": result.iterations,
                     "build_time_s": build_time,
                     "solve_time_s": solve_time,
                     "total_time_s": build_time + solve_time,
-                    "grad_us_per_iter": grad_time,
+                    "grad_us_per_iter": _median_gradient_time(model, result.x),
                 }
             )
-    return BenchReport(
-        kind="solver",
-        rows=rows,
-        summary=[],
-        environment=environment_metadata(),
-        seed_ledger={"master_seed": cfg.seed, "derivation": "splitmix64 chain"},
-    )
+    return _report("solver", cfg, rows)
 
 
 def _median_gradient_time(model: FactorModel, x: np.ndarray, reps: int = 100) -> float:
@@ -646,10 +597,8 @@ def run_real_panel(cfg: ExperimentConfig) -> BenchReport:
     factor = center_and_factor(ReturnPanel(asset_ids=panel.asset_ids, returns=train))
     fs = feasible_from_factor(factor, cfg.r_target_percentile)
     baseline = build_baseline(factor)
-    ref, ref_time = _timed_solve(
-        baseline, fs, cfg.solver, cfg.warmup, cfg.repetitions
-    )
-    f_full_star = ref.objective
+    ref = _timed_solve(baseline, fs, cfg.solver, cfg.warmup, cfg.repetitions)
+    f_full_star = ref[0].objective
     dense_singvals = np.linalg.svd(factor.L, compute_uv=False) if any(
         m.eta is not None for m in cfg.models
     ) else None
@@ -658,16 +607,12 @@ def run_real_panel(cfg: ExperimentConfig) -> BenchReport:
         model_seed = derive_seed(cfg.seed, 401, mi)
         if mspec.kind == "baseline":
             model, build_time = baseline, 0.0
-            result, solve_time = ref, ref_time
+            result, solve_time = ref
         else:
-            t0 = time.perf_counter()
-            model, _ = _model_from_spec(factor, mspec, model_seed, dense_singvals)
-            build_time = time.perf_counter() - t0
+            model, _, build_time = _timed_build(factor, mspec, model_seed, dense_singvals)
             result, solve_time = _timed_solve(
                 model, fs, cfg.solver, cfg.warmup, cfg.repetitions
             )
-        full_gap = objective_gap(objective(baseline, result.x), f_full_star)
-        stats = annualize(result.x @ test)
         rows.append(
             {
                 "model": mspec.label(),
@@ -678,18 +623,12 @@ def run_real_panel(cfg: ExperimentConfig) -> BenchReport:
                 "seed": model_seed,
                 "r_target": fs.R_target,
                 "r_target_percentile": cfg.r_target_percentile,
-                "full_model_gap": full_gap,
+                "full_model_gap": objective_gap(objective(baseline, result.x), f_full_star),
                 "iterations": result.iterations,
-                "portfolio": stats.to_dict(),
+                "portfolio": annualize(result.x @ test).to_dict(),
                 "build_time_s": build_time,
                 "solve_time_s": solve_time,
                 "total_time_s": build_time + solve_time,
             }
         )
-    return BenchReport(
-        kind="real",
-        rows=rows,
-        summary=[],
-        environment=environment_metadata(),
-        seed_ledger={"master_seed": cfg.seed, "derivation": "splitmix64 chain"},
-    )
+    return _report("real", cfg, rows)

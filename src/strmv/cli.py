@@ -197,6 +197,12 @@ def _cmd_solve(args) -> int:
             )
     scfg = SolverConfig(tol=args.tol, max_iters=args.max_iters, seed=args.seed)
     result = solve(model, fs, cfg=scfg)
+    if result.termination == "max_iters":
+        print(
+            f"strmv: warning: stopped at max_iters={args.max_iters} with residual "
+            f"{result.residual_trace[-1]:.3g} > {args.tol:g}",
+            file=sys.stderr,
+        )
     payload = result.to_dict()
     payload["model"] = args.model
     payload["r_target"] = r_target
@@ -214,34 +220,25 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    from .bench import (
-        ExperimentConfig,
-        run_approximation_sweep,
-        run_rate_experiment,
-        run_real_panel,
-        run_solver_benchmark,
-    )
+    from . import bench
 
     if args.config:
-        cfg = ExperimentConfig.from_json(args.config)
+        cfg = bench.ExperimentConfig.from_json(args.config)
     else:
-        cfg = ExperimentConfig()
+        cfg = bench.ExperimentConfig()
     if args.seed is not None:
         cfg.seed = args.seed
     if args.tol is not None:
         cfg.solver.tol = args.tol
-    if args.experiment == "approx":
-        report = run_approximation_sweep(cfg)
-    elif args.experiment == "rate":
-        report = run_rate_experiment(cfg, trace_path=args.trace_out)
-    elif args.experiment == "solver":
-        report = run_solver_benchmark(cfg)
-    else:
-        report = run_real_panel(cfg)
+    runners = {
+        "approx": bench.run_approximation_sweep,
+        "rate": lambda c: bench.run_rate_experiment(c, trace_path=args.trace_out),
+        "solver": bench.run_solver_benchmark,
+        "real": bench.run_real_panel,
+    }
+    report = runners[args.experiment](cfg)
     if args.csv_out:
-        from .bench import rows_to_csv
-
-        rows_to_csv(report.rows, args.csv_out)
+        bench.rows_to_csv(report.rows, args.csv_out)
     _emit(report.to_dict(), args.out)
     return EXIT_OK
 

@@ -9,6 +9,7 @@ gradient) is unchanged while the per-iteration cost falls to O(n * ell).
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -23,6 +24,8 @@ MODEL_KINDS = ("baseline", "sketch", "str")
 
 #: Practical default for the conditioning target of the ridge stage.
 DEFAULT_KAPPA_TARGET = 1e3
+
+logger = logging.getLogger(__name__)
 
 
 @dataclass
@@ -141,7 +144,9 @@ def build_str(
 
     The truncation level comes from ``rule`` (head/knee tests on the sketched
     eigenvalues) unless ``ell`` pins it directly, which is how energy-mapped
-    sweeps parameterize the pipeline.
+    sweeps parameterize the pipeline. A level outside [1, rank] is clamped
+    into it; the model then records the requested value as
+    ``provenance["ell_requested"]`` and one warning is logged.
     """
     ridge = ridge or RidgePolicy()
     sk = apply_sketch(factor, cfg)
@@ -151,15 +156,15 @@ def build_str(
     if ell is None:
         rule = rule or TruncationRule()
         ell = select_truncation_level(svd.S, rule)
-    if not 1 <= ell <= svd.rank:
-        ell = min(max(ell, 1), svd.rank)
+    ell_requested = int(ell)
+    ell = min(max(ell_requested, 1), svd.rank)
     sigma1 = float(svd.S[0])
     if ridge.mode == "target_kappa":
         gamma = ridge_for_target_kappa(sigma1, ridge.kappa_target)
     else:
         gamma = float(ridge.gamma_explicit)
     L_eff = svd.U[:, :ell] * svd.S[:ell]
-    return FactorModel(
+    model = FactorModel(
         L_eff=L_eff,
         gamma=gamma,
         kind="str",
@@ -173,3 +178,10 @@ def build_str(
             "singular_values": svd.S[:ell].tolist(),
         },
     )
+    if ell != ell_requested:
+        logger.warning(
+            "requested ell=%d is outside [1, %d], the sketched rank; using ell=%d",
+            ell_requested, svd.rank, ell,
+        )
+        model.provenance["ell_requested"] = ell_requested
+    return model

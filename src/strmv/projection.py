@@ -153,11 +153,14 @@ def project_feasible(v: np.ndarray, fs: FeasibleSet) -> tuple[np.ndarray, Projec
     - the piece is flat at the target (every mu on the support equals it);
     - no double lies strictly inside the bracket; its upper end is returned.
 
-    The result is exact up to the roundoff of forming v + nu*mu. phi has at
-    most 2n breakpoints (each asset enters and leaves the support at most
-    once), so the search gets 2n + 200 steps; if they run out it raises
-    ProjectionFailureError. There is no fallback method. Every trial point
-    is projected through ``project_simplex``.
+    The result is exact up to the roundoff of forming v + nu*mu. When |v| is
+    so large (~1e15 and up) that this sum drops the digits of nu*mu, the
+    point can miss the target; a miss of more than 1e-9 * max|mu| raises
+    ProjectionFailureError. phi has at most 2n breakpoints (each asset
+    enters and leaves the support at most once), so the search gets
+    2n + 200 steps; if they run out it raises ProjectionFailureError too.
+    There is no fallback method. Every trial point is projected through
+    ``project_simplex``.
     """
     v = np.asarray(v, dtype=np.float64)
     mu = fs.mu
@@ -208,8 +211,14 @@ def project_feasible(v: np.ndarray, fs: FeasibleSet) -> tuple[np.ndarray, Projec
         raise ProjectionFailureError(
             f"exact projection search did not settle within {budget} steps"
         )
+    ret = float(mu @ x)
+    if R - ret > 1e-9 * np.abs(mu).max():
+        raise ProjectionFailureError(
+            f"projection misses R_target={R} by {R - ret:.3g}: v + nu*mu kept too few "
+            f"digits of nu*mu (max|v| = {np.abs(v).max():.3g})"
+        )
     diag.nu_star = nu
-    diag.return_residual = abs(float(mu @ x) - R)
+    diag.return_residual = abs(ret - R)
     return x, diag
 
 

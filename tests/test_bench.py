@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -190,6 +191,12 @@ class TestConfigAndHelpers:
         assert cfg.synthetic.n == 8
         assert cfg.models[0].sketch_kind == "countsketch"
         assert cfg.solver.tol == 1e-7
+
+    def test_committed_configs_load(self):
+        paths = sorted((Path(__file__).parent.parent / "configs").glob("*.json"))
+        assert paths
+        for path in paths:
+            ExperimentConfig.from_json(path)
 
     def test_unknown_keys_rejected(self):
         from strmv.errors import ArgumentError

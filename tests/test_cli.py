@@ -70,6 +70,17 @@ class TestSubcommands:
         assert payload["termination"] in ("tolerance", "max_iters")
         assert payload["provenance"]["ell"] >= 1
 
+    def test_solve_max_iters_warns(self, panel_csv, tmp_path):
+        out = tmp_path / "result.json"
+        proc = run_cli("solve", "--panel", str(panel_csv), "--model", "baseline",
+                       "--max-iters", "2", "--out", str(out))
+        assert proc.returncode == 0
+        assert json.loads(out.read_text())["termination"] == "max_iters"
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("strmv: warning: stopped at max_iters=2 with residual ")
+        assert lines[0].endswith(" > 1e-08")
+
     def test_solve_rule_sized_sketch_and_residual_csv(self, panel_csv, tmp_path):
         out = tmp_path / "result.json"
         res_csv = tmp_path / "res.csv"
@@ -104,6 +115,53 @@ class TestSubcommands:
         report = json.loads(out.read_text())
         assert report["kind"] == "approx" and len(report["rows"]) == 2
 
+    def test_bench_rate_trace_out(self, tmp_path):
+        out, trace = tmp_path / "report.json", tmp_path / "traces.csv"
+        proc = run_cli("bench", "rate", "--seed", "2", "--trace-out", str(trace),
+                       "--out", str(out))
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(out.read_text())["kind"] == "rate"
+        assert trace.read_text().splitlines()[0] == "case,k,gap"
+
+    def test_bench_solver_csv_out(self, tmp_path):
+        cfg = {
+            "models": [{"kind": "baseline"}, {"kind": "str", "s": 16}],
+            "sizes": [6],
+            "solver": {"tol": 1e-7, "max_iters": 2000},
+            "repetitions": 1,
+            "warmup": 0,
+        }
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        out, rows = tmp_path / "report.json", tmp_path / "rows.csv"
+        proc = run_cli("bench", "solver", "--config", str(cfg_path),
+                       "--out", str(out), "--csv-out", str(rows))
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(out.read_text())["kind"] == "solver"
+        header = rows.read_text().splitlines()[0].split(",")
+        assert header[:3] == ["model", "n", "T"] and "grad_us_per_iter" in header
+
+    def test_bench_real_csv_out(self, tmp_path):
+        panel = tmp_path / "panel.csv"
+        assert main(["synth", "--n", "6", "--T", "30", "--decay", "0.7",
+                     "--seed", "1", "--out", str(panel)]) == 0
+        cfg = {
+            "panel_path": str(panel),
+            "models": [{"kind": "baseline"}, {"kind": "str", "s": 12}],
+            "solver": {"tol": 1e-7, "max_iters": 2000},
+            "repetitions": 1,
+        }
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        out, rows = tmp_path / "report.json", tmp_path / "rows.csv"
+        proc = run_cli("bench", "real", "--config", str(cfg_path),
+                       "--out", str(out), "--csv-out", str(rows))
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads(out.read_text())
+        assert report["kind"] == "real" and len(report["rows"]) == 2
+        header = rows.read_text().splitlines()[0].split(",")
+        assert header[0] == "model" and "portfolio.annualized_vol_pct" in header
+
 
 class TestExitCodes:
     def test_usage_error_is_1(self):
@@ -127,6 +185,12 @@ class TestExitCodes:
         # projecting a non-finite point is a numeric failure
         proc = run_cli("project", "--v", "nan,0", "--mu", "1,0", "--r-target", "0.1")
         assert proc.returncode == 3
+
+    def test_projection_missing_target_is_3(self):
+        proc = run_cli("project", "--v=-6.23e16,4.13e15,-2.33e17,-2.19e16,-1.25e17",
+                       "--mu=-0.73,-0.54,-0.32,0.41,1.04", "--r-target", "0.16")
+        assert proc.returncode == 3
+        assert "misses R_target" in proc.stderr
 
     def test_infeasible_target_is_2(self, panel_csv):
         proc = run_cli("solve", "--panel", str(panel_csv), "--model", "baseline",

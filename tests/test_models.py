@@ -143,6 +143,15 @@ class TestBuildStr:
         L = random_low_rank(8, 20, 5, seed=3)
         m = build_str(factor_of(L), SketchConfig(kind="identity", s=20, seed=0), ell=2)
         assert m.columns == 2 and m.provenance["ell"] == 2
+        assert "ell_requested" not in m.provenance
+
+    def test_ell_above_rank_is_clamped_visibly(self, caplog):
+        L = random_low_rank(8, 20, 5, seed=3)
+        with caplog.at_level("WARNING", logger="strmv.models"):
+            m = build_str(factor_of(L), SketchConfig(kind="identity", s=20, seed=0), ell=7)
+        assert m.columns == 5 and m.provenance["ell"] == 5
+        assert m.provenance["ell_requested"] == 7
+        assert len(caplog.records) == 1 and "ell=7" in caplog.records[0].getMessage()
 
 
 class TestFactorEquivalence:

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from strmv.errors import InfeasibleTargetError, NumericError
+from strmv.errors import InfeasibleTargetError, NumericError, ProjectionFailureError
 from strmv.oracle import project_exact
 from strmv.projection import (
     FeasibleSet,
@@ -172,6 +172,23 @@ class TestProjectFeasible:
             assert x.min() >= -1e-12
             assert abs(x.sum() - 1.0) <= 1e-12 * n
             assert mu @ x >= R - 1e-12 * max(1.0, abs(R))
+
+    def test_huge_point_missing_target_raises(self):
+        # At |v| ~ 1e17, v + nu*mu keeps few digits of nu*mu; a point that
+        # misses R_target must raise instead of being returned.
+        rng = np.random.default_rng(0)
+        raised = 0
+        for _ in range(200):
+            v = rng.normal(0.0, 1e17, 5)
+            mu = rng.normal(0.0, 1.0, 5)
+            fs = FeasibleSet(mu=mu, R_target=0.5 * (mu.min() + mu.max()))
+            try:
+                x, _ = project_feasible(v, fs)
+            except ProjectionFailureError:
+                raised += 1
+                continue
+            assert fs.R_target - mu @ x <= 1e-9 * np.abs(mu).max()
+        assert raised > 0
 
 
 class TestDykstra:
