@@ -69,7 +69,6 @@ from .solver import (
     gradient,
     objective,
     solve,
-    solve_dense,
 )
 from .spectrum import (
     SpectrumReport,

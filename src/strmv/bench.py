@@ -146,21 +146,28 @@ class ExperimentConfig:
         raw = dict(raw)
         synth = raw.pop("synthetic", None)
         if synth is not None:
-            synth = SyntheticSpec(**synth)
-        models = [ModelSpec(**m) for m in raw.pop("models", [{}])]
-        solver = SolverConfig(**raw.pop("solver", {}))
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(raw) - known
-        if unknown:
-            raise ArgumentError(f"unknown config keys: {sorted(unknown)}")
-        return cls(
-            synthetic=synth, models=models, solver=solver, **raw
-        )
+            synth = _from_keys(SyntheticSpec, synth, "synthetic")
+        models = [
+            _from_keys(ModelSpec, m, f"models[{i}]")
+            for i, m in enumerate(raw.pop("models", [{}]))
+        ]
+        solver = _from_keys(SolverConfig, raw.pop("solver", {}), "solver")
+        return _from_keys(cls, raw, "top-level", synthetic=synth, models=models, solver=solver)
 
     @classmethod
     def from_json(cls, path) -> "ExperimentConfig":
         with open(path) as fh:
             return cls.from_dict(json.load(fh))
+
+
+def _from_keys(kind, raw: dict, section: str, **parsed):
+    """``kind(**raw, **parsed)``, after rejecting keys ``kind`` has no field for."""
+    if not isinstance(raw, dict):
+        raise ArgumentError(f"config section {section} must be an object, got {raw!r}")
+    unknown = set(raw) - {f.name for f in dataclasses.fields(kind)}
+    if unknown:
+        raise ArgumentError(f"unknown config keys in {section}: {sorted(unknown)}")
+    return kind(**raw, **parsed)
 
 
 @dataclass
@@ -468,9 +475,8 @@ def run_rate_experiment(cfg: ExperimentConfig, trace_path=None) -> BenchReport:
     model, _ = _model_from_spec(
         factor, str_spec, derive_seed(cfg.seed, 202), dense_singvals
     )
-    sig1 = float(np.linalg.norm(model.L_eff, 2))
     m_f = 2.0 * model.gamma
-    alpha = 1.0 / (2.0 * (sig1**2 + model.gamma))
+    alpha = 1.0 / (2.0 * (float(model.singular_values[0]) ** 2 + model.gamma))
     theta = 1.0 - math.sqrt(alpha * m_f)
     res, gaps = _gap_trace(model, fs, cfg, alpha, "strongly_convex")
     k_fit = 5

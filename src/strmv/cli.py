@@ -207,6 +207,8 @@ def _cmd_solve(args) -> int:
     payload["model"] = args.model
     payload["r_target"] = r_target
     payload["provenance"] = model.provenance
+    sv = model.singular_values
+    payload["singular_values"] = sv.tolist() if sv is not None else None
     if args.residual_csv:
         import csv as _csv
 

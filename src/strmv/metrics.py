@@ -10,13 +10,13 @@ import numpy as np
 
 from .errors import ArgumentError, DimensionError, NumericError
 from .models import FactorModel
+from .spectrum import power_sequence
 
 #: 5-minute intervals per trading year: 48 per day times 244 trading days.
 INTERVALS_PER_YEAR = 48 * 244
 
 #: Dense spectral norms up to this dimension; power iteration above.
 _DENSE_NORM_LIMIT = 1000
-_POWER_ITERS = 50
 
 
 @dataclass
@@ -60,18 +60,8 @@ def spectral_norm(A: np.ndarray) -> float:
     A = np.asarray(A, dtype=np.float64)
     if A.shape[0] <= _DENSE_NORM_LIMIT:
         return float(np.linalg.norm(A, 2))
-    rng = np.random.default_rng(0)
-    u = rng.standard_normal(A.shape[0])
-    u /= np.linalg.norm(u)
-    est = 0.0
-    for _ in range(_POWER_ITERS):
-        w = A @ u
-        wn = float(np.linalg.norm(w))
-        if wn == 0.0:
-            return 0.0
-        est = wn
-        u = w / wn
-    return est
+    # sqrt(u.T A^2 u) = ||A u||: 25 Rayleigh steps on A^2 are 50 products with A.
+    return float(power_sequence(lambda u: A @ (A @ u), A.shape[0], 25, 0)[-1])
 
 
 def relative_spectral_error(Sigma_hat: np.ndarray, Sigma: np.ndarray) -> float:
@@ -117,12 +107,11 @@ def conditioning_report(model: FactorModel) -> ConditioningReport:
     ridgeless models report an infinite condition number.
     """
     if model.kind == "str":
-        sigma1 = float(model.provenance["sigma1"])
-        ell = int(model.provenance["ell"])
-        lam_max = sigma1**2 + model.gamma
-        lam_min = model.gamma if ell < model.n else float(
-            model.provenance["singular_values"][-1]
-        ) ** 2 + model.gamma
+        s = model.singular_values
+        lam_max = float(s[0]) ** 2 + model.gamma
+        lam_min = model.gamma
+        if model.columns >= model.n:
+            lam_min += float(s[model.n - 1]) ** 2
         return ConditioningReport(
             lambda_min=lam_min,
             lambda_max=lam_max,

@@ -51,12 +51,18 @@ class RidgePolicy:
 
 @dataclass
 class FactorModel:
-    """Effective factor plus ridge; gamma > 0 exactly for the str kind."""
+    """Effective factor plus ridge; gamma > 0 exactly for the str kind.
+
+    A str model also carries ``singular_values``, the kept spectrum of its
+    factor: one value per column, descending, zero past the n-th for a factor
+    wider than tall. Other kinds carry None.
+    """
 
     L_eff: np.ndarray  # (n, m)
     gamma: float
     kind: str
     provenance: dict = field(default_factory=dict)
+    singular_values: Optional[np.ndarray] = None
 
     def __post_init__(self):
         if self.kind not in MODEL_KINDS:
@@ -64,10 +70,22 @@ class FactorModel:
         self.L_eff = np.asarray(self.L_eff, dtype=np.float64)
         if self.L_eff.ndim != 2:
             raise DimensionError("L_eff must be a matrix")
-        if self.kind == "str" and self.gamma <= 0.0:
-            raise ArgumentError("str models require gamma > 0")
-        if self.kind != "str" and self.gamma != 0.0:
-            raise ArgumentError(f"{self.kind} models require gamma == 0")
+        if self.kind == "str":
+            if self.gamma <= 0.0:
+                raise ArgumentError("str models require gamma > 0")
+            if self.singular_values is None:
+                raise ArgumentError("str models require singular_values")
+            self.singular_values = np.asarray(self.singular_values, dtype=np.float64)
+            if self.singular_values.shape != (self.columns,):
+                raise DimensionError(
+                    f"{self.singular_values.size} singular values for {self.columns} columns"
+                )
+            self.singular_values.setflags(write=False)
+        else:
+            if self.gamma != 0.0:
+                raise ArgumentError(f"{self.kind} models require gamma == 0")
+            if self.singular_values is not None:
+                raise ArgumentError(f"{self.kind} models carry no singular_values")
         self.L_eff.setflags(write=False)
 
     @property
@@ -158,25 +176,22 @@ def build_str(
         ell = select_truncation_level(svd.S, rule)
     ell_requested = int(ell)
     ell = min(max(ell_requested, 1), svd.rank)
-    sigma1 = float(svd.S[0])
     if ridge.mode == "target_kappa":
-        gamma = ridge_for_target_kappa(sigma1, ridge.kappa_target)
+        gamma = ridge_for_target_kappa(float(svd.S[0]), ridge.kappa_target)
     else:
         gamma = float(ridge.gamma_explicit)
-    L_eff = svd.U[:, :ell] * svd.S[:ell]
     model = FactorModel(
-        L_eff=L_eff,
+        L_eff=svd.U[:, :ell] * svd.S[:ell],
         gamma=gamma,
         kind="str",
         provenance={
             "sketch": {"kind": cfg.kind, "s": cfg.s, "seed": cfg.seed},
             "ell": int(ell),
             "gamma": float(gamma),
-            "sigma1": sigma1,
             "ridge_mode": ridge.mode,
             "kappa_target": ridge.kappa_target if ridge.mode == "target_kappa" else None,
-            "singular_values": svd.S[:ell].tolist(),
         },
+        singular_values=svd.S[:ell],
     )
     if ell != ell_requested:
         logger.warning(

@@ -8,7 +8,7 @@ residual ||P_F(x - alpha*grad f(x)) - x||, which vanishes exactly at KKT
 points.
 
 Gradients use only matrix-vector products with the factor, never the dense
-covariance; a dense-covariance entry point exists for cross-checks.
+covariance.
 """
 
 from __future__ import annotations
@@ -16,13 +16,14 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
 from .errors import ArgumentError, DimensionError, InfeasibleTargetError, NumericError
 from .models import FactorModel
 from .projection import FeasibleSet, project_feasible
+from .spectrum import power_sequence
 
 STEP_MODES = ("fixed_auto", "fixed_explicit", "backtracking")
 MOMENTUM_MODES = ("fista", "strongly_convex")
@@ -30,6 +31,9 @@ MOMENTUM_MODES = ("fista", "strongly_convex")
 #: Inflation applied to the power-method norm estimate when deriving the
 #: automatic fixed step; the estimate is a lower bound on the true norm.
 STEP_SAFETY = 1.05
+
+#: Power iterations behind the curvature estimate of every solve.
+POWER_ITERS = 10
 
 _BACKTRACK_FLOOR = 1e-18
 
@@ -44,7 +48,6 @@ class SolverConfig:
     tol: float = 1e-8
     max_iters: int = 10_000
     residual_check_stride: int = 1
-    power_iters: int = 10
     seed: int = 0
     record_objective: bool = False
 
@@ -53,15 +56,19 @@ class SolverConfig:
             raise ArgumentError(f"unknown step mode {self.step_mode!r}")
         if self.momentum_mode not in MOMENTUM_MODES:
             raise ArgumentError(f"unknown momentum mode {self.momentum_mode!r}")
-        if self.tol <= 0:
+        if not self.tol > 0:
             raise ArgumentError("tol must be positive")
         if not 0.0 < self.shrink < 1.0:
             raise ArgumentError("shrink must be in (0,1)")
-        if self.step_mode == "fixed_explicit" and (self.alpha is None or self.alpha <= 0):
+        for name in ("alpha", "alpha0"):
+            step = getattr(self, name)
+            if step is not None and not 0.0 < step < math.inf:
+                raise ArgumentError(f"{name} must be positive and finite, got {step}")
+        if self.step_mode == "fixed_explicit" and self.alpha is None:
             raise ArgumentError("fixed_explicit requires alpha > 0")
         if self.momentum_mode == "strongly_convex" and self.step_mode == "backtracking":
             raise ArgumentError("constant momentum requires a fixed step")
-        if self.max_iters < 1 or self.residual_check_stride < 1 or self.power_iters < 1:
+        if self.max_iters < 1 or self.residual_check_stride < 1:
             raise ArgumentError("iteration counts must be positive")
 
 
@@ -124,47 +131,18 @@ def objective(model: FactorModel, x: np.ndarray) -> float:
     return val
 
 
-def _power_sequence(matvec: Callable[[np.ndarray], np.ndarray], n: int,
-                    iters: int, seed: int) -> np.ndarray:
-    """Rayleigh-quotient sequence sqrt(u.T M u) for the PSD operator M.
-
-    The sequence is nondecreasing and converges to the top singular value of
-    the factor (spectral norm of M is its square).
-    """
-    rng = np.random.default_rng(seed)
-    u = rng.standard_normal(n)
-    norm = np.linalg.norm(u)
-    if norm == 0.0:
-        return np.zeros(iters)
-    u /= norm
-    vals = np.empty(iters)
-    for t in range(iters):
-        w = matvec(u)
-        rayleigh = float(u @ w)
-        vals[t] = math.sqrt(max(rayleigh, 0.0))
-        wn = np.linalg.norm(w)
-        if wn == 0.0:
-            vals[t:] = 0.0
-            break
-        u = w / wn
-    return vals
-
-
-def estimate_spectral_norm(model: FactorModel, iters: int = 10, seed: int = 0) -> float:
+def estimate_spectral_norm(model: FactorModel, iters: int = POWER_ITERS, seed: int = 0) -> float:
     """Power-method estimate of ||L_eff||_2 (a lower bound on the true norm)."""
     if iters < 1:
         raise ArgumentError("iters must be >= 1")
     matvec = lambda u: model.L_eff @ (model.L_eff.T @ u)
-    seq = _power_sequence(matvec, model.n, iters, seed)
-    return float(seq[-1])
+    return float(power_sequence(matvec, model.n, iters, seed)[-1])
 
 
 def curvature_constants(
     model: FactorModel,
     sigma_min_hint: Optional[float] = None,
-    power_iters: int = 10,
     seed: int = 0,
-    safety: float = STEP_SAFETY,
 ) -> CurvatureConstants:
     """Smoothness and strong-convexity constants from the factor spectrum.
 
@@ -174,8 +152,8 @@ def curvature_constants(
     and for the full baseline computing it is as hard as the problem itself.
     A known smallest singular value can be passed as a hint.
     """
-    est = estimate_spectral_norm(model, iters=power_iters, seed=seed)
-    L_f = safety * 2.0 * (est**2 + model.gamma)
+    est = estimate_spectral_norm(model, seed=seed)
+    L_f = STEP_SAFETY * 2.0 * (est**2 + model.gamma)
     if sigma_min_hint is not None:
         m_f = 2.0 * (sigma_min_hint**2 + model.gamma)
     else:
@@ -183,21 +161,24 @@ def curvature_constants(
     return CurvatureConstants(L_f=L_f, m_f=m_f)
 
 
-# ---------------------------------------------------------------------------
-# Core loop shared by the factor and dense paths
-# ---------------------------------------------------------------------------
-
-
-def _accelerated_pg_loop(
-    obj: Callable[[np.ndarray], float],
-    grad: Callable[[np.ndarray], np.ndarray],
-    L_f: float,
-    m_f: float,
+def solve(
+    model: FactorModel,
     fs: FeasibleSet,
-    x0: Optional[np.ndarray],
-    cfg: SolverConfig,
+    x0: Optional[np.ndarray] = None,
+    cfg: Optional[SolverConfig] = None,
+    sigma_min_hint: Optional[float] = None,
 ) -> SolveResult:
+    """Run the accelerated projected-gradient loop on a factor model.
+
+    The default start is the uniform portfolio projected onto the feasible
+    set; any supplied x0 is projected as well.
+    """
+    cfg = cfg or SolverConfig()
     n = fs.n
+    if model.n != n:
+        raise DimensionError(f"model has {model.n} assets, feasible set {n}")
+    consts = curvature_constants(model, sigma_min_hint=sigma_min_hint, seed=cfg.seed)
+    L_f, m_f = consts.L_f, consts.m_f
     if fs.R_target > fs.mu.max():
         raise InfeasibleTargetError("feasible set is empty: R_target > max(mu)")
 
@@ -222,39 +203,39 @@ def _accelerated_pg_loop(
 
     start = time.perf_counter()
     residuals: list[float] = []
-    obj_trace = [obj(x)] if cfg.record_objective else None
+    obj_trace = [objective(model, x)] if cfg.record_objective else None
 
     def residual(point: np.ndarray, step: float) -> float:
-        moved, _ = project_feasible(point - step * grad(point), fs)
+        moved, _ = project_feasible(point - step * gradient(model, point), fs)
         return float(np.linalg.norm(moved - point))
 
-    r0 = residual(x, alpha)
-    residuals.append(r0)
-    if r0 <= cfg.tol:
+    def result(iterations: int, termination: str) -> SolveResult:
         return SolveResult(
-            x=x, objective=obj(x), iterations=0,
+            x=x, objective=objective(model, x), iterations=iterations,
             residual_trace=np.asarray(residuals), step_used=alpha,
             L_f_estimate=L_f, m_f=m_f, wall_time=time.perf_counter() - start,
-            termination="tolerance",
+            termination=termination,
             objective_trace=np.asarray(obj_trace) if obj_trace is not None else None,
         )
 
+    residuals.append(residual(x, alpha))
+    if residuals[0] <= cfg.tol:
+        return result(0, "tolerance")
+
     y = x.copy()
     t_k = 1.0
-    termination = "max_iters"
-    k = 0
     if cfg.step_mode == "backtracking":
         alpha *= 0.5  # so the first upward retry lands on the initial trial
     for k in range(1, cfg.max_iters + 1):
-        g = grad(y)
+        g = gradient(model, y)
         if cfg.step_mode == "backtracking":
             alpha = 2.0 * alpha  # retry upward from the last accepted step
-            f_y = obj(y)
+            f_y = objective(model, y)
             while True:
                 x_new, _ = project_feasible(y - alpha * g, fs)
                 d = x_new - y
                 model_val = f_y + float(g @ d) + float(d @ d) / (2.0 * alpha)
-                f_new = obj(x_new)
+                f_new = objective(model, x_new)
                 if f_new <= model_val + 1e-15 * max(1.0, abs(f_new)):
                     break
                 alpha *= cfg.shrink
@@ -273,82 +254,9 @@ def _accelerated_pg_loop(
         x = x_new
 
         if obj_trace is not None:
-            obj_trace.append(obj(x))
+            obj_trace.append(objective(model, x))
         if k % cfg.residual_check_stride == 0:
-            r = residual(x, alpha)
-            residuals.append(r)
-            if r <= cfg.tol:
-                termination = "tolerance"
-                break
-
-    return SolveResult(
-        x=x, objective=obj(x), iterations=k,
-        residual_trace=np.asarray(residuals), step_used=alpha,
-        L_f_estimate=L_f, m_f=m_f, wall_time=time.perf_counter() - start,
-        termination=termination,
-        objective_trace=np.asarray(obj_trace) if obj_trace is not None else None,
-    )
-
-
-def solve(
-    model: FactorModel,
-    fs: FeasibleSet,
-    x0: Optional[np.ndarray] = None,
-    cfg: Optional[SolverConfig] = None,
-    sigma_min_hint: Optional[float] = None,
-) -> SolveResult:
-    """Run the accelerated projected-gradient loop on a factor model.
-
-    The default start is the uniform portfolio projected onto the feasible
-    set; any supplied x0 is projected as well.
-    """
-    cfg = cfg or SolverConfig()
-    if model.n != fs.n:
-        raise DimensionError(f"model has {model.n} assets, feasible set {fs.n}")
-    consts = curvature_constants(
-        model, sigma_min_hint=sigma_min_hint, power_iters=cfg.power_iters, seed=cfg.seed
-    )
-    return _accelerated_pg_loop(
-        obj=lambda x: objective(model, x),
-        grad=lambda x: gradient(model, x),
-        L_f=consts.L_f,
-        m_f=consts.m_f,
-        fs=fs,
-        x0=x0,
-        cfg=cfg,
-    )
-
-
-def solve_dense(
-    Sigma: np.ndarray,
-    fs: FeasibleSet,
-    cfg: Optional[SolverConfig] = None,
-    x0: Optional[np.ndarray] = None,
-    m_hint: float = 0.0,
-) -> SolveResult:
-    """Same iteration with an explicit covariance: grad f = 2 * Sigma @ x.
-
-    Used for cross-checks against the factor path.
-    """
-    cfg = cfg or SolverConfig()
-    Sigma = np.asarray(Sigma, dtype=np.float64)
-    if Sigma.ndim != 2 or Sigma.shape[0] != Sigma.shape[1]:
-        raise DimensionError("Sigma must be square")
-    scale = max(1.0, float(np.abs(Sigma).max()))
-    if float(np.abs(Sigma - Sigma.T).max()) > 1e-8 * scale:
-        raise NumericError("Sigma is not symmetric within tolerance")
-    if Sigma.shape[0] != fs.n:
-        raise DimensionError(f"Sigma is {Sigma.shape[0]}x{Sigma.shape[0]}, feasible set {fs.n}")
-
-    seq = _power_sequence(lambda u: Sigma @ u, Sigma.shape[0], cfg.power_iters, cfg.seed)
-    # For PSD Sigma the Rayleigh sequence estimates sqrt(lambda_max).
-    L_f = STEP_SAFETY * 2.0 * float(seq[-1]) ** 2
-    return _accelerated_pg_loop(
-        obj=lambda x: float(x @ (Sigma @ x)),
-        grad=lambda x: 2.0 * (Sigma @ x),
-        L_f=L_f,
-        m_f=m_hint,
-        fs=fs,
-        x0=x0,
-        cfg=cfg,
-    )
+            residuals.append(residual(x, alpha))
+            if residuals[-1] <= cfg.tol:
+                return result(k, "tolerance")
+    return result(cfg.max_iters, "max_iters")

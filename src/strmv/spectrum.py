@@ -1,4 +1,5 @@
-"""Thin SVD, spectral diagnostics, and the truncation-level rule.
+"""Thin SVD, the power method, spectral diagnostics, and the truncation-level
+rule.
 
 The truncation rule works on covariance eigenvalues (squared singular
 values): keep the largest index i whose eigenvalue still clears the head
@@ -10,7 +11,9 @@ are still handled.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -73,6 +76,33 @@ def thin_svd(A: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL) -> ThinSVD:
     else:
         r = int(np.count_nonzero(S >= rank_tol * S[0]))
     return ThinSVD(U=U[:, :r], S=S[:r], V=Vt[:r].T)
+
+
+def power_sequence(matvec: Callable[[np.ndarray], np.ndarray], n: int,
+                   iters: int, seed: int) -> np.ndarray:
+    """Rayleigh-quotient sequence sqrt(u.T M u) for the PSD operator M.
+
+    The sequence is nondecreasing and converges to sqrt(||M||_2): the top
+    singular value of L when M = L @ L.T, and ||A||_2 when M = A @ A for a
+    symmetric A.
+    """
+    rng = np.random.default_rng(seed)
+    u = rng.standard_normal(n)
+    norm = np.linalg.norm(u)
+    if norm == 0.0:
+        return np.zeros(iters)
+    u /= norm
+    vals = np.empty(iters)
+    for t in range(iters):
+        w = matvec(u)
+        rayleigh = float(u @ w)
+        vals[t] = math.sqrt(max(rayleigh, 0.0))
+        wn = np.linalg.norm(w)
+        if wn == 0.0:
+            vals[t:] = 0.0
+            break
+        u = w / wn
+    return vals
 
 
 def cumulative_energy(eigenvalues: np.ndarray) -> np.ndarray:

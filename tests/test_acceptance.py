@@ -234,7 +234,7 @@ def test_criterion_6_conditioning_identities():
         cfg = SketchConfig(kind=kind, s=s, seed=seed)
         m = build_str(factor, cfg, ell=ell, ridge=RidgePolicy(kappa_target=100.0))
         eig = np.linalg.eigvalsh(m.covariance())
-        closed = (m.provenance["sigma1"] ** 2 + m.gamma) / m.gamma
+        closed = (m.singular_values[0] ** 2 + m.gamma) / m.gamma
         worst_rel = max(worst_rel, abs(eig[-1] / eig[0] - closed) / closed)
         eps = measured_distortion(L, materialize_sketch_matrix(cfg, T))
         thr = kappa_improvement_threshold(lam[0], lam[-1], eps)

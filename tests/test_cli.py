@@ -70,6 +70,22 @@ class TestSubcommands:
         assert payload["termination"] in ("tolerance", "max_iters")
         assert payload["provenance"]["ell"] >= 1
 
+    @pytest.mark.parametrize("model", ["str", "baseline", "sketch"])
+    def test_solve_reports_typed_spectrum(self, panel_csv, tmp_path, model):
+        out = tmp_path / "result.json"
+        proc = run_cli("solve", "--panel", str(panel_csv), "--model", model,
+                       "--s", "24", "--out", str(out))
+        assert proc.returncode == 0, proc.stderr
+        payload = json.loads(out.read_text())
+        assert "sigma1" not in payload["provenance"]
+        assert "singular_values" not in payload["provenance"]
+        sv = payload["singular_values"]
+        if model == "str":
+            assert len(sv) == payload["provenance"]["ell"]
+            assert sv == sorted(sv, reverse=True) and sv[-1] > 0
+        else:
+            assert sv is None
+
     def test_solve_max_iters_warns(self, panel_csv, tmp_path):
         out = tmp_path / "result.json"
         proc = run_cli("solve", "--panel", str(panel_csv), "--model", "baseline",
@@ -191,6 +207,29 @@ class TestExitCodes:
                        "--mu=-0.73,-0.54,-0.32,0.41,1.04", "--r-target", "0.16")
         assert proc.returncode == 3
         assert "misses R_target" in proc.stderr
+
+    @pytest.mark.parametrize("cfg", [
+        {"solver": {"bogus": 1}},
+        {"solver": {"power_iters": 10}},
+        {"models": [{"bogus": 1}]},
+        {"synthetic": {"n": 6, "T": 24, "bogus": 2}},
+    ])
+    def test_unknown_nested_config_key_is_1(self, tmp_path, cfg):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        proc = run_cli("bench", "approx", "--config", str(cfg_path))
+        assert proc.returncode == 1
+        assert "unknown config keys" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("cfg", [{"models": [1]}, {"solver": [1]}])
+    def test_non_object_config_section_is_1(self, tmp_path, cfg):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        proc = run_cli("bench", "approx", "--config", str(cfg_path))
+        assert proc.returncode == 1
+        assert "must be an object" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_infeasible_target_is_2(self, panel_csv):
         proc = run_cli("solve", "--panel", str(panel_csv), "--model", "baseline",

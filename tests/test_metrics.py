@@ -95,7 +95,7 @@ class TestConditioningReport:
                       ridge=RidgePolicy(mode="explicit", kappa_target=None,
                                         gamma_explicit=1.0))
         rep = conditioning_report(m)
-        sigma1 = m.provenance["sigma1"]
+        sigma1 = m.singular_values[0]
         assert rep.kappa == pytest.approx(sigma1**2 + 1.0)
         eig = np.linalg.eigvalsh(m.covariance())
         assert rep.kappa == pytest.approx(eig[-1] / eig[0], rel=1e-10)

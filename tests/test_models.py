@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from strmv.errors import ArgumentError, DegenerateSpectrumError
+from strmv.errors import ArgumentError, DegenerateSpectrumError, DimensionError
 from strmv.models import (
     FactorModel,
     RidgePolicy,
@@ -128,12 +128,31 @@ class TestBuildStr:
         m = build_str(factor_of(L), SketchConfig(kind="identity", s=16, seed=0))
         eig = np.linalg.eigvalsh(m.covariance())
         kappa = eig[-1] / eig[0]
-        closed = (m.provenance["sigma1"] ** 2 + m.gamma) / m.gamma
+        closed = (m.singular_values[0] ** 2 + m.gamma) / m.gamma
         assert abs(kappa - closed) / closed <= 1e-10
 
     def test_gamma_zero_rejected(self):
         with pytest.raises(ArgumentError):
             FactorModel(L_eff=np.eye(2), gamma=0.0, kind="str")
+
+    def test_singular_values_validated(self):
+        with pytest.raises(ArgumentError):
+            FactorModel(L_eff=np.eye(2), gamma=0.1, kind="str")
+        with pytest.raises(DimensionError):
+            FactorModel(L_eff=np.eye(2), gamma=0.1, kind="str", singular_values=[1.0])
+        with pytest.raises(ArgumentError):
+            FactorModel(L_eff=np.eye(2), gamma=0.0, kind="baseline",
+                        singular_values=[1.0, 1.0])
+
+    def test_kept_spectrum_is_typed(self):
+        L = random_low_rank(8, 20, 5, seed=3)
+        m = build_str(factor_of(L), SketchConfig(kind="identity", s=20, seed=0), ell=3)
+        np.testing.assert_allclose(m.singular_values,
+                                   np.linalg.svd(L, compute_uv=False)[:3], rtol=1e-12)
+        assert not m.singular_values.flags.writeable
+        assert set(m.provenance) == {
+            "sketch", "ell", "gamma", "ridge_mode", "kappa_target"
+        }
 
     def test_degenerate_spectrum(self):
         with pytest.raises(DegenerateSpectrumError):
@@ -164,13 +183,14 @@ class TestFactorEquivalence:
         svd = thin_svd(sk)
         ell = 3
         thin = FactorModel(L_eff=svd.U[:, :ell] * svd.S[:ell], gamma=0.05, kind="str",
-                           provenance={"sigma1": svd.S[0], "ell": ell,
-                                       "singular_values": svd.S[:ell].tolist()})
+                           provenance={"ell": ell}, singular_values=svd.S[:ell])
+        wide_L = (svd.U[:, :ell] * svd.S[:ell]) @ svd.V[:, :ell].T
         wide = FactorModel(
-            L_eff=(svd.U[:, :ell] * svd.S[:ell]) @ svd.V[:, :ell].T,
+            L_eff=wide_L,
             gamma=0.05,
             kind="str",
             provenance=thin.provenance,
+            singular_values=np.r_[svd.S[:ell], np.zeros(wide_L.shape[1] - ell)],
         )
         for _ in range(20):
             x = rng.standard_normal(7)

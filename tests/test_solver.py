@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from strmv.errors import ArgumentError, DimensionError, InfeasibleTargetError, NumericError
+from strmv.errors import ArgumentError, DimensionError, InfeasibleTargetError
 from strmv.models import FactorModel, RidgePolicy, build_baseline, build_str
 from strmv.oracle import QPInstance, solve_exact
 from strmv.panel import CovarianceFactor, SyntheticSpec, center_and_factor, generate_synthetic
@@ -11,14 +11,13 @@ from strmv.projection import FeasibleSet
 from strmv.sketch import SketchConfig
 from strmv.solver import (
     SolverConfig,
-    _power_sequence,
     curvature_constants,
     estimate_spectral_norm,
     gradient,
     objective,
     solve,
-    solve_dense,
 )
+from strmv.spectrum import power_sequence
 
 
 def factor_of(L):
@@ -29,10 +28,10 @@ def factor_of(L):
 def str_model(L_eff, gamma):
     L_eff = np.asarray(L_eff, dtype=float)
     sv = np.linalg.svd(L_eff, compute_uv=False)
+    sv = np.r_[sv, np.zeros(L_eff.shape[1] - sv.size)]  # one per column
     return FactorModel(
         L_eff=L_eff, gamma=gamma, kind="str",
-        provenance={"sigma1": float(sv[0]), "ell": L_eff.shape[1],
-                    "singular_values": sv.tolist()},
+        provenance={"ell": L_eff.shape[1]}, singular_values=sv,
     )
 
 
@@ -81,7 +80,7 @@ class TestPowerMethod:
     def test_monotone_rayleigh_sequence(self):
         rng = np.random.default_rng(4)
         L = rng.standard_normal((8, 12))
-        seq = _power_sequence(lambda u: L @ (L.T @ u), 8, 25, seed=1)
+        seq = power_sequence(lambda u: L @ (L.T @ u), 8, 25, seed=1)
         assert (np.diff(seq) >= -1e-12).all()
         assert seq[-1] <= np.linalg.norm(L, 2) + 1e-10
 
@@ -111,7 +110,7 @@ class TestCurvature:
 
     def test_baseline_with_hint(self):
         m = build_baseline(factor_of(np.diag([3.0, 1.0])))
-        consts = curvature_constants(m, sigma_min_hint=1.0, power_iters=30)
+        consts = curvature_constants(m, sigma_min_hint=1.0)
         assert consts.L_f == pytest.approx(1.05 * 18.0, rel=1e-6)
         assert consts.m_f == pytest.approx(2.0)
 
@@ -189,6 +188,18 @@ class TestSolve:
         with pytest.raises(ArgumentError):
             solve(m, fs, cfg=SolverConfig(momentum_mode="strongly_convex"))
 
+    def test_zero_factor_stops_immediately(self):
+        m = build_baseline(factor_of(np.zeros((2, 3))))
+        fs = FeasibleSet(mu=np.array([1.0, 0.0]), R_target=0.2)
+        assert solve(m, fs).iterations == 0
+
+    def test_identity_factor_slack_target_is_uniform(self):
+        n = 5
+        m = build_baseline(factor_of(np.eye(n)))
+        fs = FeasibleSet(mu=np.full(n, 1.0), R_target=0.5)  # slack for any x
+        res = solve(m, fs, cfg=SolverConfig(tol=1e-11, max_iters=5000))
+        np.testing.assert_allclose(res.x, np.full(n, 1.0 / n), atol=1e-8)
+
     def test_objective_trace_recorded(self):
         m = build_baseline(factor_of(np.diag([1.0, 2.0])))
         fs = FeasibleSet(mu=np.array([1.0, 1.0]), R_target=0.5)
@@ -196,37 +207,6 @@ class TestSolve:
                                             record_objective=True))
         assert res.objective_trace is not None
         assert len(res.objective_trace) == res.iterations + 1
-
-
-class TestSolveDense:
-    def test_matches_factor_path(self):
-        spec = SyntheticSpec(n=8, T=40, singular_decay=0.8, seed=5)
-        factor = center_and_factor(generate_synthetic(spec))
-        m = build_baseline(factor)
-        Sigma = factor.L @ factor.L.T
-        mu = np.linspace(-0.5, 0.5, 8)
-        fs = FeasibleSet(mu=mu, R_target=0.0)
-        cfg = SolverConfig(tol=1e-300, max_iters=50, record_objective=True)
-        a = solve(m, fs, cfg=cfg)
-        b = solve_dense(Sigma, fs, cfg=cfg)
-        np.testing.assert_allclose(a.x, b.x, atol=1e-10)
-        np.testing.assert_allclose(a.objective_trace, b.objective_trace, atol=1e-10)
-
-    def test_zero_covariance_stops_immediately(self):
-        fs = FeasibleSet(mu=np.array([1.0, 0.0]), R_target=0.2)
-        res = solve_dense(np.zeros((2, 2)), fs)
-        assert res.iterations == 0
-
-    def test_simplex_only_symmetric(self):
-        n = 5
-        fs = FeasibleSet(mu=np.full(n, 1.0), R_target=0.5)  # slack for any x
-        res = solve_dense(np.eye(n), fs, cfg=SolverConfig(tol=1e-11, max_iters=5000))
-        np.testing.assert_allclose(res.x, np.full(n, 1.0 / n), atol=1e-8)
-
-    def test_asymmetric_rejected(self):
-        fs = FeasibleSet(mu=np.array([1.0, 0.0]), R_target=0.2)
-        with pytest.raises(NumericError):
-            solve_dense(np.array([[1.0, 0.5], [0.0, 1.0]]), fs)
 
 
 class TestAgainstOracle:
@@ -261,3 +241,56 @@ def test_objective_two_evaluations_agree(seed, gamma):
     direct = objective(m, x)
     via_grad = float(x @ (m.L_eff @ (m.L_eff.T @ x))) + m.gamma * float(x @ x)
     assert direct == pytest.approx(via_grad, rel=1e-12, abs=1e-12)
+
+
+class TestSolverConfig:
+    @pytest.mark.parametrize("kwargs", [
+        {"step_mode": "backtracking", "alpha0": -1.0},
+        {"step_mode": "backtracking", "alpha0": 0.0},
+        {"step_mode": "backtracking", "alpha0": float("nan")},
+        {"step_mode": "backtracking", "alpha0": float("inf")},
+        {"step_mode": "fixed_explicit", "alpha": float("nan")},
+        {"step_mode": "fixed_explicit", "alpha": float("inf")},
+        {"step_mode": "fixed_explicit", "alpha": -0.5},
+        {"tol": float("nan")},
+        {"tol": 0.0},
+    ])
+    def test_bad_step_parameters_rejected(self, kwargs):
+        with pytest.raises(ArgumentError):
+            SolverConfig(**kwargs)
+
+
+def _property_instance(seed):
+    spec = SyntheticSpec(n=12, T=48, singular_decay=0.8, noise_floor=0.02, seed=seed)
+    factor = center_and_factor(generate_synthetic(spec))
+    mu = np.random.default_rng(seed).standard_normal(12)
+    return factor.L, FeasibleSet(mu=mu, R_target=float(np.quantile(mu, 0.6)))
+
+
+PROPERTY_CFG = SolverConfig(tol=1e-10, max_iters=20000)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 4), st.integers(-10, 10))
+def test_power_of_two_scaling_is_exact(seed, k):
+    # Scaling L by 2**k scales every gradient and curvature estimate by an
+    # exact power of two, so the iterates are bit-identical.
+    L, fs = _property_instance(seed)
+    ref = solve(build_baseline(factor_of(L)), fs, cfg=PROPERTY_CFG)
+    scaled = solve(build_baseline(factor_of(L * 2.0**k)), fs, cfg=PROPERTY_CFG)
+    np.testing.assert_array_equal(scaled.x, ref.x)
+    assert scaled.iterations == ref.iterations
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(0, 4), st.integers(0, 2**32 - 1))
+def test_asset_permutation_maps_through(seed, perm_seed):
+    # Only x* is compared: the power method's start vector is not permuted,
+    # so iteration counts may differ.
+    L, fs = _property_instance(seed)
+    perm = np.random.default_rng(perm_seed).permutation(L.shape[0])
+    ref = solve(build_baseline(factor_of(L)), fs, cfg=PROPERTY_CFG)
+    permuted = solve(build_baseline(factor_of(L[perm])),
+                     FeasibleSet(mu=fs.mu[perm], R_target=fs.R_target), cfg=PROPERTY_CFG)
+    assert permuted.termination == ref.termination == "tolerance"
+    np.testing.assert_allclose(permuted.x, ref.x[perm], atol=1e-7)
