@@ -15,6 +15,7 @@ import os
 import platform
 import sys
 import time
+import typing
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -93,11 +94,14 @@ def environment_metadata(threads: Optional[int] = None) -> dict:
     }
 
 
+MODEL_KINDS = ("baseline", "sketch", "str")
+
+
 @dataclass
 class ModelSpec:
     """One model configuration inside an experiment."""
 
-    kind: str = "str"  # baseline | sketch | str
+    kind: str = "str"  # one of MODEL_KINDS
     sketch_kind: str = "gaussian_jl"
     s: Optional[int] = None
     s_over_ell: Optional[float] = None
@@ -106,6 +110,10 @@ class ModelSpec:
     rho: float = 0.9
     kappa_target: Optional[float] = DEFAULT_KAPPA_TARGET
     gamma: Optional[float] = None  # explicit ridge, overrides kappa_target
+
+    def __post_init__(self):
+        if self.kind not in MODEL_KINDS:
+            raise ArgumentError(f"unknown model kind {self.kind!r}; expected one of {MODEL_KINDS}")
 
     def label(self) -> str:
         if self.kind == "baseline":
@@ -143,6 +151,8 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
+        if not isinstance(raw, dict):
+            raise ArgumentError(f"config must be an object, got {raw!r}")
         raw = dict(raw)
         synth = raw.pop("synthetic", None)
         if synth is not None:
@@ -161,13 +171,36 @@ class ExperimentConfig:
 
 
 def _from_keys(kind, raw: dict, section: str, **parsed):
-    """``kind(**raw, **parsed)``, after rejecting keys ``kind`` has no field for."""
+    """``kind(**raw, **parsed)``, after rejecting keys ``kind`` has no field for
+    and values that do not fit the field's annotation."""
     if not isinstance(raw, dict):
         raise ArgumentError(f"config section {section} must be an object, got {raw!r}")
     unknown = set(raw) - {f.name for f in dataclasses.fields(kind)}
     if unknown:
         raise ArgumentError(f"unknown config keys in {section}: {sorted(unknown)}")
+    hints = typing.get_type_hints(kind)
+    for key, value in raw.items():
+        if not _fits(value, hints[key]):
+            raise ArgumentError(
+                f"config key {section}.{key} must be {_type_name(hints[key])}, got {value!r}"
+            )
     return kind(**raw, **parsed)
+
+
+def _fits(value, hint) -> bool:
+    """Whether a JSON value fits a config annotation (an int fits a float field)."""
+    args = typing.get_args(hint)
+    if typing.get_origin(hint) is typing.Union:
+        return any(_fits(value, arg) for arg in args)
+    if typing.get_origin(hint) is list:
+        return isinstance(value, list) and all(_fits(item, args[0]) for item in value)
+    if isinstance(value, bool) and hint is not bool:
+        return False
+    return isinstance(value, (int, float) if hint is float else hint)
+
+
+def _type_name(hint) -> str:
+    return hint.__name__ if isinstance(hint, type) else str(hint).replace("typing.", "")
 
 
 @dataclass

@@ -7,13 +7,15 @@ simplex projection of v + nu*mu, at a root of phi(nu) = mu.T @ x(nu) =
 R_target. phi is nondecreasing and piecewise linear, and it reaches max(mu)
 at a finite nu, so one safeguarded Newton search over its pieces (the
 breakpoint view of the continuous quadratic knapsack, on top of sorted
-simplex thresholding) finds the root exactly up to roundoff. There is no
-tolerance and no fallback; Dykstra's alternating projections remain as an
-independent reference.
+simplex thresholding) finds the root exactly up to roundoff. The search can
+start from a known nearby root, such as the previous solver iterate's
+(Kiwiel 2008). There is no tolerance and no fallback; Dykstra's alternating
+projections remain as an independent reference.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -88,14 +90,15 @@ def project_simplex(v: np.ndarray) -> np.ndarray:
     Shift by max(v), sort descending, find the largest j with
     u_j - (cumsum_j - 1)/j > 0, and clip at that threshold. The projection is
     shift-invariant, and after the shift j = 1 always qualifies, however
-    large the entries. Ties keep their original order (stable sort); the
-    projection value itself is tie-independent.
+    large the entries. The sort orders values only, so it need not be
+    stable: tied values are interchangeable, and only where -0.0 and +0.0
+    land can differ, which leaves the threshold unchanged.
     """
     v = np.asarray(v, dtype=np.float64)
     if not np.all(np.isfinite(v)):
         raise NumericError("cannot project a non-finite point")
     v = v - v.max()
-    u = -np.sort(-v, kind="stable")
+    u = -np.sort(-v)
     cssv = np.cumsum(u) - 1.0
     j = np.arange(1, v.size + 1)
     cand = np.nonzero(u - cssv / j > 0.0)[0]
@@ -136,7 +139,9 @@ def _flat_nu(v: np.ndarray, mu: np.ndarray) -> float:
     return float(np.max((v[~top] - v[top].max() + 1.0) / gap, initial=0.0))
 
 
-def project_feasible(v: np.ndarray, fs: FeasibleSet) -> tuple[np.ndarray, ProjectionDiagnostics]:
+def project_feasible(
+    v: np.ndarray, fs: FeasibleSet, nu0: float = 0.0
+) -> tuple[np.ndarray, ProjectionDiagnostics]:
     """Exact projection onto simplex-cap-halfspace by a safeguarded Newton search.
 
     Returns the projected point and diagnostics. If the simplex projection
@@ -161,6 +166,15 @@ def project_feasible(v: np.ndarray, fs: FeasibleSet) -> tuple[np.ndarray, Projec
     2n + 200 steps; if they run out it raises ProjectionFailureError too.
     There is no fallback method. Every trial point is projected through
     ``project_simplex``.
+
+    ``nu0`` warm-starts the search, typically from the ``nu_star`` of a
+    nearby point (the previous solver iterate). If phi(nu0) < R_target the
+    constraint is known to be active: the nu = 0 simplex projection is
+    skipped and the search starts at nu0, the lower end of the bracket.
+    Otherwise x(0) still decides whether the constraint is active, and a
+    nu0 below nu_flat becomes the upper end of the bracket and the start of
+    the search. The default nu0 = 0 is the cold path itself. The root, and
+    so the result, does not depend on nu0 beyond roundoff.
     """
     v = np.asarray(v, dtype=np.float64)
     mu = fs.mu
@@ -171,14 +185,25 @@ def project_feasible(v: np.ndarray, fs: FeasibleSet) -> tuple[np.ndarray, Projec
         raise InfeasibleTargetError(
             f"R_target={R} exceeds max(mu)={mu.max()}: no feasible portfolio"
         )
+    if not 0.0 <= nu0 < math.inf:
+        raise ArgumentError(f"nu0 must be nonnegative and finite, got {nu0}")
     diag = ProjectionDiagnostics()
-    x = project_simplex(v)
-    phi = float(mu @ x)
-    if phi >= R:
-        return x, diag
+    if nu0 > 0.0:
+        x_warm = project_simplex(v + nu0 * mu)
+        phi_warm = float(mu @ x_warm)
+    warm_active = nu0 > 0.0 and phi_warm < R  # then phi(0) <= phi(nu0) < R_target
+    if not warm_active:
+        x = project_simplex(v)
+        phi = float(mu @ x)
+        if phi >= R:
+            return x, diag
 
     diag.constraint_active = True
     nu, lo, hi, x_hi = 0.0, 0.0, _flat_nu(v, mu), None
+    if warm_active:
+        nu, lo, x, phi = nu0, nu0, x_warm, phi_warm
+    elif 0.0 < nu0 < hi:  # phi(nu0) >= R_target: nu0 caps the bracket
+        nu, hi, x_hi, x, phi = nu0, nu0, x_warm, x_warm, phi_warm
     budget = 2 * mu.size + 200
     for _ in range(budget):
         support = x > 0.0

@@ -100,8 +100,18 @@ def countsketch_arrays(T: int, s: int, seed: int) -> tuple[np.ndarray, np.ndarra
 
 
 def _apply_countsketch(L: np.ndarray, h: np.ndarray, signs: np.ndarray, s: int) -> np.ndarray:
+    """Add (sign +1) or subtract (sign -1) each column of L into column h[i].
+
+    Columns go in input order, so every output sum is formed exactly as
+    ``np.add.at`` forms it from (L * signs).T (a - b is a + (-b) in IEEE
+    arithmetic), without that n x T temporary.
+    """
     out = np.zeros((s, L.shape[0]))
-    np.add.at(out, h, (L * signs).T)
+    for col, j, sign in zip(L.T, h.tolist(), signs.tolist()):
+        if sign > 0.0:
+            out[j] += col
+        else:
+            out[j] -= col
     return out.T
 
 

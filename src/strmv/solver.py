@@ -171,7 +171,9 @@ def solve(
     """Run the accelerated projected-gradient loop on a factor model.
 
     The default start is the uniform portfolio projected onto the feasible
-    set; any supplied x0 is projected as well.
+    set; any supplied x0 is projected as well. Each projection starts its
+    search from the previous projection's nu*, which moves little between
+    iterates.
     """
     cfg = cfg or SolverConfig()
     n = fs.n
@@ -182,9 +184,17 @@ def solve(
     if fs.R_target > fs.mu.max():
         raise InfeasibleTargetError("feasible set is empty: R_target > max(mu)")
 
+    nu = 0.0  # nu* of the latest projection, the warm start of the next one
+
+    def project(point: np.ndarray) -> np.ndarray:
+        nonlocal nu
+        moved, diag = project_feasible(point, fs, nu)
+        nu = diag.nu_star
+        return moved
+
     if x0 is None:
         x0 = np.full(n, 1.0 / n)
-    x, _ = project_feasible(np.asarray(x0, dtype=np.float64), fs)
+    x = project(np.asarray(x0, dtype=np.float64))
 
     if cfg.step_mode == "fixed_explicit":
         alpha = float(cfg.alpha)
@@ -206,7 +216,7 @@ def solve(
     obj_trace = [objective(model, x)] if cfg.record_objective else None
 
     def residual(point: np.ndarray, step: float) -> float:
-        moved, _ = project_feasible(point - step * gradient(model, point), fs)
+        moved = project(point - step * gradient(model, point))
         return float(np.linalg.norm(moved - point))
 
     def result(iterations: int, termination: str) -> SolveResult:
@@ -232,7 +242,7 @@ def solve(
             alpha = 2.0 * alpha  # retry upward from the last accepted step
             f_y = objective(model, y)
             while True:
-                x_new, _ = project_feasible(y - alpha * g, fs)
+                x_new = project(y - alpha * g)
                 d = x_new - y
                 model_val = f_y + float(g @ d) + float(d @ d) / (2.0 * alpha)
                 f_new = objective(model, x_new)
@@ -242,7 +252,7 @@ def solve(
                 if alpha < _BACKTRACK_FLOOR:
                     raise NumericError("backtracking step underflow")
         else:
-            x_new, _ = project_feasible(y - alpha * g, fs)
+            x_new = project(y - alpha * g)
 
         if cfg.momentum_mode == "fista":
             t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_k * t_k))

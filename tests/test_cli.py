@@ -231,6 +231,31 @@ class TestExitCodes:
         assert "must be an object" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    def test_unknown_model_kind_is_1(self, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({
+            "models": [{"kind": "bogus", "s": 4}],
+            "synthetic": {"n": 6, "T": 24},
+            "repetitions": 1,
+        }))
+        proc = run_cli("bench", "approx", "--config", str(cfg_path))
+        assert proc.returncode == 1
+        assert "unknown model kind 'bogus'" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("cfg,key", [
+        ({"solver": {"tol": "abc"}}, "solver.tol"),
+        ({"synthetic": {"n": "x", "T": 24}}, "synthetic.n"),
+        ([1], "config must be an object"),
+    ])
+    def test_config_value_of_wrong_type_is_1(self, tmp_path, cfg, key):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        proc = run_cli("bench", "approx", "--config", str(cfg_path))
+        assert proc.returncode == 1
+        assert "usage error" in proc.stderr and key in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_infeasible_target_is_2(self, panel_csv):
         proc = run_cli("solve", "--panel", str(panel_csv), "--model", "baseline",
                        "--r-target", "999.0")

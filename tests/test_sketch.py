@@ -97,6 +97,21 @@ class TestCountSketch:
         out = _apply_countsketch(L, h, signs, 2)
         np.testing.assert_array_equal(out, [[1.0, 0.0], [0.0, -1.0]])
 
+    @pytest.mark.parametrize("n,T,s", [(5, 7, 3), (40, 300, 17), (600, 2400, 968)])
+    def test_bit_identical_to_add_at(self, n, T, s):
+        def add_at_reference(L, h, signs, s):
+            out = np.zeros((s, L.shape[0]))
+            np.add.at(out, h, (L * signs).T)
+            return out.T
+
+        L = np.random.default_rng(n).standard_normal((n, T))
+        L[0, :3] = -0.0
+        h, signs = countsketch_arrays(T, s, seed=n + T)
+        out = _apply_countsketch(L, h, signs, s)
+        ref = add_at_reference(L, h, signs, s)
+        np.testing.assert_array_equal(out.view(np.int64), ref.view(np.int64))
+        assert out.flags["F_CONTIGUOUS"] == ref.flags["F_CONTIGUOUS"]
+
     def test_zero_factor(self):
         sk = countsketch_sketch(factor_of(np.zeros((3, 8))), s=4, seed=0)
         np.testing.assert_array_equal(sk.Ltilde, 0.0)

@@ -165,6 +165,36 @@ class TestSolve:
         assert x.min() >= -1e-12 and abs(x.sum() - 1) <= 1e-10
         assert fs.mu @ x >= fs.R_target - 1e-9
 
+    @pytest.mark.parametrize("step_mode", ["fixed_auto", "backtracking"])
+    def test_warm_started_projection_matches_cold(self, monkeypatch, step_mode):
+        import strmv.projection as projection
+        import strmv.solver as solver
+
+        spec = SyntheticSpec(n=40, T=160, singular_decay=0.9, noise_floor=0.03, seed=2)
+        factor = center_and_factor(generate_synthetic(spec))
+        m = build_baseline(factor)
+        fs = FeasibleSet(mu=factor.mean, R_target=float(np.quantile(factor.mean, 0.85)))
+        cfg = SolverConfig(step_mode=step_mode, tol=1e-8, max_iters=20000)
+        simplex_calls = []
+        original = projection.project_simplex
+
+        def counted(v):
+            simplex_calls[-1] += 1
+            return original(v)
+
+        monkeypatch.setattr(projection, "project_simplex", counted)
+        simplex_calls.append(0)
+        warm = solve(m, fs, cfg=cfg)
+        cold_project = lambda v, fs, nu0=0.0: projection.project_feasible(v, fs)
+        monkeypatch.setattr(solver, "project_feasible", cold_project)
+        simplex_calls.append(0)
+        cold = solve(m, fs, cfg=cfg)
+        assert warm.termination == cold.termination == "tolerance"
+        assert warm.iterations == cold.iterations
+        np.testing.assert_allclose(warm.x, cold.x, rtol=0, atol=1e-12)
+        assert fs.mu @ warm.x >= fs.R_target - 1e-12  # the target binds
+        assert simplex_calls[0] < simplex_calls[1]
+
     def test_residual_trace_terminates_below_tol(self):
         m = build_baseline(factor_of(np.diag([1.0, 2.0])))
         fs = FeasibleSet(mu=np.array([1.0, 1.0]), R_target=0.5)
