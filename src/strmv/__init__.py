@@ -19,7 +19,6 @@ from .errors import (
 )
 from .metrics import (
     INTERVALS_PER_YEAR,
-    GapReport,
     PortfolioStats,
     annualize,
     conditioning_report,

@@ -25,6 +25,7 @@ from .errors import ArgumentError, DimensionError
 from .metrics import annualize, objective_gap, relative_spectral_error
 from .models import (
     DEFAULT_KAPPA_TARGET,
+    MODEL_KINDS,
     FactorModel,
     RidgePolicy,
     build_baseline,
@@ -92,9 +93,6 @@ def environment_metadata(threads: Optional[int] = None) -> dict:
         "platform": platform.platform(),
         "threads": threads if threads is not None else os.environ.get("OMP_NUM_THREADS"),
     }
-
-
-MODEL_KINDS = ("baseline", "sketch", "str")
 
 
 @dataclass
@@ -261,6 +259,8 @@ def rows_to_csv(rows: list[dict], path) -> None:
 
 def feasible_from_factor(factor: CovarianceFactor, percentile: float) -> FeasibleSet:
     """Expected returns from the raw sample means; target at their percentile."""
+    if not 0.0 <= percentile <= 100.0:
+        raise ArgumentError(f"r_target_percentile must be in [0, 100], got {percentile}")
     mu = factor.mean
     target = float(np.percentile(mu, percentile))
     return FeasibleSet(mu=mu, R_target=target)

@@ -142,7 +142,7 @@ def _cmd_spectrum(args) -> int:
 def _cmd_project(args) -> int:
     import csv as _csv
 
-    from .errors import ArgumentError
+    from .errors import ArgumentError, DataFormatError
     from .projection import FeasibleSet, project_feasible
 
     if args.from_csv:
@@ -152,8 +152,16 @@ def _cmd_project(args) -> int:
             rows = list(_csv.DictReader(fh))
         if not rows or "v" not in rows[0] or "mu" not in rows[0]:
             raise ArgumentError(f"{args.from_csv} needs columns v,mu")
-        v = np.array([float(r["v"]) for r in rows])
-        mu = np.array([float(r["mu"]) for r in rows])
+        pairs = []
+        for file_row, r in enumerate(rows, start=2):  # 1-based, counting the header
+            try:
+                pairs.append((float(r["v"]), float(r["mu"])))
+            except (TypeError, ValueError):  # a short row reads None
+                raise DataFormatError(
+                    f"{args.from_csv}: row {file_row} needs numeric v and mu, "
+                    f"got {r['v']!r}, {r['mu']!r}"
+                ) from None
+        v, mu = np.array(pairs).T
     elif args.v and args.mu:
         v = _parse_vector(args.v)
         mu = _parse_vector(args.mu)
@@ -166,8 +174,7 @@ def _cmd_project(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    import numpy as np
-
+    from .bench import feasible_from_factor
     from .models import RidgePolicy, build_baseline, build_sketch, build_str
     from .panel import center_and_factor, load_panel
     from .projection import FeasibleSet
@@ -175,17 +182,15 @@ def _cmd_solve(args) -> int:
     from .solver import SolverConfig, solve
 
     factor = center_and_factor(load_panel(args.panel))
-    mu = factor.mean
-    r_target = (
-        args.r_target
-        if args.r_target is not None
-        else float(np.percentile(mu, args.r_target_percentile))
-    )
-    fs = FeasibleSet(mu=mu, R_target=r_target)
+    if args.r_target is not None:
+        fs = FeasibleSet(mu=factor.mean, R_target=args.r_target)
+    else:
+        fs = feasible_from_factor(factor, args.r_target_percentile)
+    r_target = fs.R_target
     if args.model == "baseline":
         model = build_baseline(factor)
     else:
-        s = args.s or min(
+        s = args.s if args.s is not None else min(
             factor.columns, recommended_sketch_size(min(factor.n, 50), 0.5, 0.05)
         )
         cfg = SketchConfig(kind=args.sketch, s=s, seed=args.seed)

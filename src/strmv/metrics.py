@@ -20,12 +20,6 @@ _DENSE_NORM_LIMIT = 1000
 
 
 @dataclass
-class GapReport:
-    model_gap: float
-    full_model_gap: float
-
-
-@dataclass
 class PortfolioStats:
     annualized_return: float  # percent
     annualized_vol: float  # percent

@@ -42,10 +42,10 @@ class RidgePolicy:
         if self.mode == "target_kappa":
             if self.kappa_target is None or self.gamma_explicit is not None:
                 raise ArgumentError("target_kappa mode takes kappa_target only")
-            if self.kappa_target <= 1.0:
+            if not self.kappa_target > 1.0:
                 raise ArgumentError(f"kappa_target must exceed 1, got {self.kappa_target}")
         else:
-            if self.gamma_explicit is None or self.gamma_explicit <= 0.0:
+            if self.gamma_explicit is None or not self.gamma_explicit > 0.0:
                 raise ArgumentError("explicit mode requires a positive gamma_explicit")
 
 

@@ -25,6 +25,7 @@ logger = logging.getLogger(__name__)
 MAX_ORACLE_DIM = 14
 
 _FEAS_TOL = 1e-9
+_RETURN_TOL = 1e-12
 _DUAL_TOL = 1e-9
 _RESIDUAL_TOL = 1e-8
 _TIE_TOL = 1e-12
@@ -73,8 +74,9 @@ def _candidate(
 ) -> tuple[np.ndarray, float, float] | None:
     """Solve the equality-constrained KKT system for one active-set guess.
 
-    Returns (x, nu, kkt_residual) or None when the system has no usable
-    least-squares solution.
+    Returns (x, nu, scale) or None when the system has no usable
+    least-squares solution; scale is the magnitude the solve's roundoff is
+    relative to.
     """
     n = Q.shape[0]
     free = [i for i in range(n) if i not in zero_set]
@@ -107,7 +109,7 @@ def _candidate(
     eta = Q @ x + c - lam - nu * mu
     if zero_set and float(eta[list(zero_set)].min()) < -_DUAL_TOL * scale:
         return None
-    return x, nu, resid
+    return x, nu, scale
 
 
 def solve_exact(inst: QPInstance) -> OracleSolution:
@@ -119,7 +121,6 @@ def solve_exact(inst: QPInstance) -> OracleSolution:
     Q, c, fs = inst.Q, inst.c, inst.fs
     mu, R = fs.mu, fs.R_target
     n = fs.n
-    rtol = _FEAS_TOL * max(1.0, abs(R))
     best: OracleSolution | None = None
     visited = 0
     skipped = 0
@@ -131,15 +132,16 @@ def solve_exact(inst: QPInstance) -> OracleSolution:
                 if got is None:
                     skipped += 1
                     continue
-                x, nu, _ = got
-                if float(x.min()) < -_FEAS_TOL:
+                x, nu, scale = got
+                # The return target must hold to the solve's roundoff on both
+                # branches: lstsq meets the active branch's return equation only
+                # to _RESIDUAL_TOL, and a looser check admits points ~1e-8 from
+                # the optimum near a degenerate target.
+                short = R - float(mu @ x) > _RETURN_TOL * max(scale, abs(R))
+                if float(x.min()) < -_FEAS_TOL or short:
                     continue
-                if return_active:
-                    if nu < -_DUAL_TOL:
-                        continue
-                else:
-                    if float(mu @ x) < R - rtol:
-                        continue
+                if return_active and nu < -_DUAL_TOL:
+                    continue
                 value = 0.5 * float(x @ (Q @ x)) + float(c @ x)
                 key = (tuple(zero_set), return_active)
                 if (

@@ -104,13 +104,7 @@ def project_simplex(v: np.ndarray) -> np.ndarray:
     cand = np.nonzero(u - cssv / j > 0.0)[0]
     rho = cand[-1]
     tau = cssv[rho] / (rho + 1.0)
-    x = np.maximum(v - tau, 0.0)
-    # Roundoff guard: renormalize only on violations beyond 1e-14 to keep the
-    # exact threshold construction untouched in the common case.
-    if x.min() < -1e-14:
-        x = np.maximum(x, 0.0)
-        x /= x.sum()
-    return x
+    return np.maximum(v - tau, 0.0)
 
 
 def project_halfspace(y: np.ndarray, fs: FeasibleSet) -> np.ndarray:
@@ -209,7 +203,8 @@ def project_feasible(
         support = x > 0.0
         mu_s = mu[support]
         d = mu_s - mu_s[0]  # shifted so a tied support has slope exactly 0
-        slope = float(d @ d) - float(d.sum()) ** 2 / d.size
+        total = float(d.sum())  # squared by a product: ** raises on overflow
+        slope = float(d @ d) - total * total / d.size
         if slope == 0.0 and mu_s[0] == R:
             break
         trial = nu + (R - phi) / slope if slope > 0.0 else np.nan

@@ -3,9 +3,11 @@
 Each iteration takes a gradient at the extrapolated point, a projected step
 onto the feasible set, and a momentum update: the standard t_k sequence in
 the convex regime, or a constant momentum built from the curvature bound in
-the strongly convex regime. Termination uses the projected-gradient
-residual ||P_F(x - alpha*grad f(x)) - x||, which vanishes exactly at KKT
-points.
+the strongly convex regime. A backtracking step is accepted when the exact
+curvature of the quadratic along the step is at most 1/(2*alpha), a test
+with no objective evaluation and no slack. Termination uses the
+projected-gradient residual ||P_F(x - alpha*grad f(x)) - x||, which vanishes
+exactly at KKT points.
 
 Gradients use only matrix-vector products with the factor, never the dense
 covariance.
@@ -20,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ArgumentError, DimensionError, InfeasibleTargetError, NumericError
+from .errors import ArgumentError, DimensionError, NumericError
 from .models import FactorModel
 from .projection import FeasibleSet, project_feasible
 from .spectrum import power_sequence
@@ -42,8 +44,6 @@ _BACKTRACK_FLOOR = 1e-18
 class SolverConfig:
     step_mode: str = "fixed_auto"
     alpha: Optional[float] = None  # fixed_explicit step
-    alpha0: Optional[float] = None  # backtracking initial trial
-    shrink: float = 0.5  # backtracking shrink factor
     momentum_mode: str = "fista"
     tol: float = 1e-8
     max_iters: int = 10_000
@@ -58,12 +58,8 @@ class SolverConfig:
             raise ArgumentError(f"unknown momentum mode {self.momentum_mode!r}")
         if not self.tol > 0:
             raise ArgumentError("tol must be positive")
-        if not 0.0 < self.shrink < 1.0:
-            raise ArgumentError("shrink must be in (0,1)")
-        for name in ("alpha", "alpha0"):
-            step = getattr(self, name)
-            if step is not None and not 0.0 < step < math.inf:
-                raise ArgumentError(f"{name} must be positive and finite, got {step}")
+        if self.alpha is not None and not 0.0 < self.alpha < math.inf:
+            raise ArgumentError(f"alpha must be positive and finite, got {self.alpha}")
         if self.step_mode == "fixed_explicit" and self.alpha is None:
             raise ArgumentError("fixed_explicit requires alpha > 0")
         if self.momentum_mode == "strongly_convex" and self.step_mode == "backtracking":
@@ -181,8 +177,6 @@ def solve(
         raise DimensionError(f"model has {model.n} assets, feasible set {n}")
     consts = curvature_constants(model, sigma_min_hint=sigma_min_hint, seed=cfg.seed)
     L_f, m_f = consts.L_f, consts.m_f
-    if fs.R_target > fs.mu.max():
-        raise InfeasibleTargetError("feasible set is empty: R_target > max(mu)")
 
     nu = 0.0  # nu* of the latest projection, the warm start of the next one
 
@@ -201,7 +195,7 @@ def solve(
     elif cfg.step_mode == "fixed_auto":
         alpha = 1.0 / L_f if L_f > 0 else 1.0
     else:
-        alpha = cfg.alpha0 if cfg.alpha0 else (2.0 / L_f if L_f > 0 else 1.0)
+        alpha = 2.0 / L_f if L_f > 0 else 1.0
 
     if cfg.momentum_mode == "strongly_convex":
         if m_f <= 0:
@@ -240,16 +234,17 @@ def solve(
         g = gradient(model, y)
         if cfg.step_mode == "backtracking":
             alpha = 2.0 * alpha  # retry upward from the last accepted step
-            f_y = objective(model, y)
             while True:
                 x_new = project(y - alpha * g)
                 d = x_new - y
-                model_val = f_y + float(g @ d) + float(d @ d) / (2.0 * alpha)
-                f_new = objective(model, x_new)
-                if f_new <= model_val + 1e-15 * max(1.0, abs(f_new)):
+                # f is quadratic, so f(y + d) <= f(y) + g.d + |d|^2/(2 alpha)
+                # holds exactly when the curvature along d is at most 1/(2 alpha).
+                z = model.L_eff.T @ d
+                dd = float(d @ d)
+                if 2.0 * alpha * (float(z @ z) + model.gamma * dd) <= dd:
                     break
-                alpha *= cfg.shrink
-                if alpha < _BACKTRACK_FLOOR:
+                alpha *= 0.5
+                if alpha < _BACKTRACK_FLOOR:  # a NaN curvature never passes the test
                     raise NumericError("backtracking step underflow")
         else:
             x_new = project(y - alpha * g)

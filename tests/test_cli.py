@@ -1,9 +1,13 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from strmv.bench import strip_timings
 from strmv.cli import main
@@ -213,6 +217,8 @@ class TestExitCodes:
         {"solver": {"power_iters": 10}},
         {"models": [{"bogus": 1}]},
         {"synthetic": {"n": 6, "T": 24, "bogus": 2}},
+        {"solver": {"step_mode": "backtracking", "shrink": 0.5}},
+        {"solver": {"step_mode": "backtracking", "alpha0": 1.0}},
     ])
     def test_unknown_nested_config_key_is_1(self, tmp_path, cfg):
         cfg_path = tmp_path / "cfg.json"
@@ -261,6 +267,58 @@ class TestExitCodes:
                        "--r-target", "999.0")
         assert proc.returncode == 2
 
+    @pytest.mark.parametrize("body,row", [
+        ("v,mu\n0.5,1\nabc,0\n", "row 3"),  # non-numeric cell
+        ("v,mu\n0.5,1\n0.5\n", "row 3"),  # short row
+    ])
+    def test_project_bad_csv_row_is_2(self, tmp_path, body, row):
+        path = tmp_path / "vm.csv"
+        path.write_text(body)
+        proc = run_cli("project", "--from-csv", str(path), "--r-target", "0.5")
+        assert proc.returncode == 2
+        assert "data error" in proc.stderr and row in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_solve_percentile_out_of_range_is_1(self, panel_csv):
+        proc = run_cli("solve", "--panel", str(panel_csv), "--model", "baseline",
+                       "--r-target-percentile", "150")
+        assert proc.returncode == 1
+        assert "r_target_percentile must be in [0, 100]" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_config_percentile_out_of_range_is_1(self, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({
+            "models": [{"kind": "baseline"}],
+            "synthetic": {"n": 6, "T": 24},
+            "repetitions": 1,
+            "r_target_percentile": 150,
+        }))
+        proc = run_cli("bench", "approx", "--config", str(cfg_path))
+        assert proc.returncode == 1
+        assert "r_target_percentile must be in [0, 100]" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_solve_zero_sketch_width_is_not_replaced(self, panel_csv):
+        proc = run_cli("solve", "--panel", str(panel_csv), "--model", "sketch",
+                       "--s", "0")
+        assert proc.returncode == 2
+        assert "sketch size must be >= 1, got 0" in proc.stderr
+
+    def test_solve_nan_kappa_target_is_1(self, panel_csv):
+        proc = run_cli("solve", "--panel", str(panel_csv), "--kappa-target", "nan")
+        assert proc.returncode == 1
+        assert "kappa_target must exceed 1, got nan" in proc.stderr
+
+    def test_config_nan_gamma_is_1(self, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text('{"models": [{"kind": "str", "s": 12, "gamma": NaN}], '
+                            '"sizes": [8], "repetitions": 1, "warmup": 0}')
+        proc = run_cli("bench", "solver", "--config", str(cfg_path))
+        assert proc.returncode == 1
+        assert "positive gamma_explicit" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
 
 class TestDeterminism:
     def test_identical_reports_across_runs(self, tmp_path):
@@ -286,3 +344,20 @@ class TestDeterminism:
             assert proc.returncode == 0, proc.stderr
             payloads.append(strip_timings(json.loads(out.read_text())))
         assert payloads[0] == payloads[1]
+
+
+_TOKENS = st.one_of(
+    st.sampled_from(["", " ", "nan", "inf", "-inf", "abc", "0", "1", "-1", "1e17", "1e308"]),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+)
+_VECTORS = st.lists(_TOKENS, max_size=6).map(",".join)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_VECTORS, _VECTORS, st.floats(allow_nan=True, allow_infinity=True))
+def test_project_fuzz_exits_with_a_documented_code(v, mu, r_target):
+    # The --flag=value form keeps argparse from reading "-1,..." as an option.
+    argv = ["project", f"--v={v}", f"--mu={mu}", f"--r-target={r_target!r}"]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    assert code in (0, 1, 2, 3)

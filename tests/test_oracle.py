@@ -26,6 +26,15 @@ class TestSolveExact:
         with pytest.raises(InfeasibleTargetError):
             solve_exact(QPInstance(Q=np.eye(2), c=np.zeros(2), fs=fs))
 
+    def test_return_target_met_to_roundoff(self):
+        # lstsq meets the active branch's return equation only to 1e-8; the
+        # vertex [0, 0, 1] misses this target by 1.2e-8 and must lose.
+        fs = FeasibleSet(mu=np.array([0.8, -0.3, -0.35]), R_target=-0.349999988)
+        v = np.array([0.0, 0.0, 1.0])
+        x = project_exact(v, fs)
+        assert fs.mu @ x >= fs.R_target - 1e-12
+        np.testing.assert_allclose(x, project_feasible(v, fs)[0], rtol=0, atol=1e-14)
+
     def test_enumeration_is_exhaustive(self):
         n = 4
         fs = FeasibleSet(mu=np.linspace(0, 1, n), R_target=0.3)

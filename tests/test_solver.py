@@ -212,6 +212,35 @@ class TestSolve:
                                            max_iters=20000))
         assert bt.objective == pytest.approx(fixed.objective, abs=1e-9)
 
+    @pytest.mark.parametrize("n", [20, 30, 40])
+    def test_backtracking_stops_on_tolerance_near_the_optimum(self, n):
+        # Near the optimum an Armijo test with an absolute slack passed steps
+        # that were too long, and these instances ran all 20,000 iterations.
+        spec = SyntheticSpec(n=n, T=4 * n, singular_decay=0.9, noise_floor=0.03, seed=1)
+        factor = center_and_factor(generate_synthetic(spec))
+        m = build_baseline(factor)
+        fs = FeasibleSet(mu=factor.mean, R_target=float(np.percentile(factor.mean, 85)))
+        fixed = solve(m, fs, cfg=SolverConfig(tol=1e-9, max_iters=20000))
+        bt = solve(m, fs, cfg=SolverConfig(step_mode="backtracking", tol=1e-9,
+                                           max_iters=20000))
+        assert bt.termination == fixed.termination == "tolerance"
+        assert bt.objective == pytest.approx(fixed.objective, abs=1e-9)
+
+    def test_backtracking_evaluates_the_objective_once(self, monkeypatch):
+        import strmv.solver as solver
+
+        calls = []
+        original = solver.objective
+        monkeypatch.setattr(solver, "objective",
+                            lambda model, x: calls.append(1) or original(model, x))
+        spec = SyntheticSpec(n=5, T=30, singular_decay=0.8, seed=9)
+        m = build_baseline(center_and_factor(generate_synthetic(spec)))
+        fs = FeasibleSet(mu=np.linspace(-1, 1, 5), R_target=0.0)
+        res = solve(m, fs, cfg=SolverConfig(step_mode="backtracking", tol=1e-11,
+                                            max_iters=20000))
+        assert res.iterations > 0
+        assert len(calls) == 1  # the final result's objective only
+
     def test_strongly_convex_needs_curvature(self):
         m = build_baseline(factor_of(np.random.default_rng(0).standard_normal((4, 8))))
         fs = FeasibleSet(mu=np.linspace(0, 1, 4), R_target=0.2)
@@ -275,10 +304,6 @@ def test_objective_two_evaluations_agree(seed, gamma):
 
 class TestSolverConfig:
     @pytest.mark.parametrize("kwargs", [
-        {"step_mode": "backtracking", "alpha0": -1.0},
-        {"step_mode": "backtracking", "alpha0": 0.0},
-        {"step_mode": "backtracking", "alpha0": float("nan")},
-        {"step_mode": "backtracking", "alpha0": float("inf")},
         {"step_mode": "fixed_explicit", "alpha": float("nan")},
         {"step_mode": "fixed_explicit", "alpha": float("inf")},
         {"step_mode": "fixed_explicit", "alpha": -0.5},
