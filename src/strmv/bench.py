@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ArgumentError, DimensionError
+from .errors import ArgumentError, DimensionError, StrmvError
 from .metrics import annualize, objective_gap, relative_spectral_error
 from .models import (
     DEFAULT_KAPPA_TARGET,
@@ -43,7 +43,7 @@ from .panel import (
 )
 from .projection import FeasibleSet
 from .sketch import SketchConfig, _splitmix64
-from .solver import SolverConfig, gradient, objective, solve
+from .solver import SolverConfig, curvature_constants, gradient, objective, solve
 from .spectrum import TruncationRule, cumulative_energy, energy_rank
 
 #: Report fields that are wall-clock measurements and therefore not part of
@@ -394,7 +394,9 @@ def run_approximation_sweep(cfg: ExperimentConfig) -> BenchReport:
                         spec_err = relative_spectral_error(model.covariance(), Sigma)
                         res, solve_time = _timed_solve(model, fs, cfg.solver, 0, 1)
                         gap = objective_gap(objective(baseline, res.x), f_full_star)
-                    except Exception as exc:  # a failed row is recorded, not fatal
+                    except ArgumentError:  # a config error fails the run
+                        raise
+                    except StrmvError as exc:  # a failed row is recorded, not fatal
                         failures.append(
                             {**key, "seed": sketch_seed, "error": f"{type(exc).__name__}: {exc}"}
                         )
@@ -411,6 +413,8 @@ def run_approximation_sweep(cfg: ExperimentConfig) -> BenchReport:
                             "rel_spectral_error": spec_err,
                             "full_model_gap": gap,
                             "iterations": res.iterations,
+                            "momentum": res.momentum,
+                            "restarts": res.restarts,
                             "build_time_s": build_time,
                             "solve_time_s": solve_time,
                         }
@@ -508,9 +512,9 @@ def run_rate_experiment(cfg: ExperimentConfig, trace_path=None) -> BenchReport:
     model, _ = _model_from_spec(
         factor, str_spec, derive_seed(cfg.seed, 202), dense_singvals
     )
-    m_f = 2.0 * model.gamma
-    alpha = 1.0 / (2.0 * (float(model.singular_values[0]) ** 2 + model.gamma))
-    theta = 1.0 - math.sqrt(alpha * m_f)
+    consts = curvature_constants(model)  # exact for a str model
+    alpha = 1.0 / consts.L_f
+    theta = 1.0 - math.sqrt(alpha * consts.m_f)
     res, gaps = _gap_trace(model, fs, cfg, alpha, "strongly_convex")
     k_fit = 5
     envelope_ok = True
@@ -591,6 +595,8 @@ def run_solver_benchmark(cfg: ExperimentConfig) -> BenchReport:
                     ),
                     "full_model_gap": objective_gap(objective(baseline, result.x), f_full_star),
                     "iterations": result.iterations,
+                    "momentum": result.momentum,
+                    "restarts": result.restarts,
                     "build_time_s": build_time,
                     "solve_time_s": solve_time,
                     "total_time_s": build_time + solve_time,
@@ -664,6 +670,8 @@ def run_real_panel(cfg: ExperimentConfig) -> BenchReport:
                 "r_target_percentile": cfg.r_target_percentile,
                 "full_model_gap": objective_gap(objective(baseline, result.x), f_full_star),
                 "iterations": result.iterations,
+                "momentum": result.momentum,
+                "restarts": result.restarts,
                 "portfolio": annualize(result.x @ test).to_dict(),
                 "build_time_s": build_time,
                 "solve_time_s": solve_time,

@@ -40,7 +40,7 @@ class SketchConfig:
         if self.kind not in SKETCH_KINDS:
             raise ArgumentError(f"unknown sketch kind {self.kind!r}")
         if self.s < 1:
-            raise DimensionError(f"sketch size must be >= 1, got {self.s}")
+            raise ArgumentError(f"sketch size must be >= 1, got {self.s}")
 
 
 @dataclass

@@ -3,9 +3,13 @@
 Each iteration takes a gradient at the extrapolated point, a projected step
 onto the feasible set, and a momentum update: the standard t_k sequence in
 the convex regime, or a constant momentum built from the curvature bound in
-the strongly convex regime. A backtracking step is accepted when the exact
-curvature of the quadratic along the step is at most 1/(2*alpha), a test
-with no objective evaluation and no slack. Termination uses the
+the strongly convex regime. The default ("auto") picks the regime from m_f:
+constant momentum when m_f > 0 and the step is fixed, otherwise the t_k
+sequence with gradient restart (O'Donoghue & Candes 2015), which resets the
+momentum whenever the step and the last move point against each other.
+A backtracking step is accepted when the exact curvature of the quadratic
+along the step is at most 1/(2*alpha), a test with no objective evaluation
+and no slack. Termination uses the
 projected-gradient residual ||P_F(x - alpha*grad f(x)) - x||, which vanishes
 exactly at KKT points.
 
@@ -28,13 +32,14 @@ from .projection import FeasibleSet, project_feasible
 from .spectrum import power_sequence
 
 STEP_MODES = ("fixed_auto", "fixed_explicit", "backtracking")
-MOMENTUM_MODES = ("fista", "strongly_convex")
+MOMENTUM_MODES = ("auto", "fista", "strongly_convex")
 
 #: Inflation applied to the power-method norm estimate when deriving the
 #: automatic fixed step; the estimate is a lower bound on the true norm.
 STEP_SAFETY = 1.05
 
-#: Power iterations behind the curvature estimate of every solve.
+#: Power iterations behind the curvature estimate of models without a
+#: stored spectrum (baseline and sketch).
 POWER_ITERS = 10
 
 _BACKTRACK_FLOOR = 1e-18
@@ -44,7 +49,7 @@ _BACKTRACK_FLOOR = 1e-18
 class SolverConfig:
     step_mode: str = "fixed_auto"
     alpha: Optional[float] = None  # fixed_explicit step
-    momentum_mode: str = "fista"
+    momentum_mode: str = "auto"
     tol: float = 1e-8
     max_iters: int = 10_000
     residual_check_stride: int = 1
@@ -85,6 +90,8 @@ class SolveResult:
     m_f: float
     wall_time: float
     termination: str  # "tolerance" | "max_iters"
+    momentum: str  # "strongly_convex" | "fista" | "fista_restart"
+    restarts: int
     objective_trace: Optional[np.ndarray] = None
 
     def to_dict(self) -> dict:
@@ -98,6 +105,8 @@ class SolveResult:
             "m_f": self.m_f,
             "wall_time_s": self.wall_time,
             "termination": self.termination,
+            "momentum": self.momentum,
+            "restarts": self.restarts,
         }
         if self.objective_trace is not None:
             d["objective_trace"] = self.objective_trace.tolist()
@@ -142,14 +151,19 @@ def curvature_constants(
 ) -> CurvatureConstants:
     """Smoothness and strong-convexity constants from the factor spectrum.
 
-    L_f = 2*(||L_eff||^2 + gamma), inflated by the safety factor because the
-    power estimate is a lower bound. m_f defaults to 2*gamma: any factor
-    with fewer columns than rows has a zero smallest covariance eigenvalue,
-    and for the full baseline computing it is as hard as the problem itself.
-    A known smallest singular value can be passed as a hint.
+    L_f = 2*(||L_eff||^2 + gamma). A str model stores L_eff = U_ell * S_ell,
+    so its norm is exactly the first stored singular value; other models get
+    a power estimate, inflated by the safety factor because it is a lower
+    bound. m_f defaults to 2*gamma: any factor with fewer columns than rows
+    has a zero smallest covariance eigenvalue, and for the full baseline
+    computing it is as hard as the problem itself. A known smallest singular
+    value can be passed as a hint.
     """
-    est = estimate_spectral_norm(model, seed=seed)
-    L_f = STEP_SAFETY * 2.0 * (est**2 + model.gamma)
+    if model.singular_values is not None:
+        L_f = 2.0 * (float(model.singular_values[0]) ** 2 + model.gamma)
+    else:
+        est = estimate_spectral_norm(model, seed=seed)
+        L_f = STEP_SAFETY * 2.0 * (est**2 + model.gamma)
     if sigma_min_hint is not None:
         m_f = 2.0 * (sigma_min_hint**2 + model.gamma)
     else:
@@ -197,7 +211,11 @@ def solve(
     else:
         alpha = 2.0 / L_f if L_f > 0 else 1.0
 
-    if cfg.momentum_mode == "strongly_convex":
+    momentum = cfg.momentum_mode
+    if momentum == "auto":
+        fixed = cfg.step_mode != "backtracking"
+        momentum = "strongly_convex" if m_f > 0 and fixed else "fista_restart"
+    if momentum == "strongly_convex":
         if m_f <= 0:
             raise ArgumentError(
                 "strongly_convex momentum requires m_f > 0 (ridge or a spectrum hint)"
@@ -206,6 +224,7 @@ def solve(
         beta_const = (1.0 - root) / (1.0 + root)
 
     start = time.perf_counter()
+    restarts = 0
     residuals: list[float] = []
     obj_trace = [objective(model, x)] if cfg.record_objective else None
 
@@ -218,7 +237,7 @@ def solve(
             x=x, objective=objective(model, x), iterations=iterations,
             residual_trace=np.asarray(residuals), step_used=alpha,
             L_f_estimate=L_f, m_f=m_f, wall_time=time.perf_counter() - start,
-            termination=termination,
+            termination=termination, momentum=momentum, restarts=restarts,
             objective_trace=np.asarray(obj_trace) if obj_trace is not None else None,
         )
 
@@ -249,12 +268,15 @@ def solve(
         else:
             x_new = project(y - alpha * g)
 
-        if cfg.momentum_mode == "fista":
+        if momentum == "strongly_convex":
+            beta = beta_const
+        elif momentum == "fista_restart" and float((y - x_new) @ (x_new - x)) > 0.0:
+            t_k, beta = 1.0, 0.0  # the step opposes the last move: restart
+            restarts += 1
+        else:
             t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_k * t_k))
             beta = (t_k - 1.0) / t_next
             t_k = t_next
-        else:
-            beta = beta_const
         y = x_new + beta * (x_new - x)
         x = x_new
 

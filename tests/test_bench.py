@@ -58,6 +58,25 @@ class TestApproximationSweep:
         for row in report.rows:
             assert row["s"] == 48
 
+    def test_row_failures(self, monkeypatch):
+        # A StrmvError fails only its row; any other exception fails the run.
+        import strmv.bench as bench
+        from strmv.errors import NumericError
+
+        def numeric_failure(*args):
+            raise NumericError("injected")
+
+        monkeypatch.setattr(bench, "relative_spectral_error", numeric_failure)
+        report = run_approximation_sweep(small_cfg(repetitions=1))
+        assert [r["error"] for r in report.rows] == ["NumericError: injected"] * 4
+
+        def bug(*args):
+            raise RuntimeError("injected")
+
+        monkeypatch.setattr(bench, "relative_spectral_error", bug)
+        with pytest.raises(RuntimeError):
+            run_approximation_sweep(small_cfg(repetitions=1))
+
     def test_identity_sketch_has_no_spectral_error(self):
         # the debug identity injection reproduces the covariance exactly
         from strmv.bench import _model_from_spec
@@ -139,6 +158,9 @@ class TestSolverBenchmark:
         assert all(r["full_model_gap"] >= 0 for r in report.rows)
         for r in report.rows:
             assert {"build_time_s", "solve_time_s", "total_time_s"} <= set(r)
+            assert r["momentum"] == {"baseline": "fista_restart",
+                                     "str-gaussian_jl": "strongly_convex"}[r["model"]]
+            assert r["restarts"] >= 0
 
 
 class TestRealPanel:

@@ -84,6 +84,9 @@ class TestSubcommands:
         assert "sigma1" not in payload["provenance"]
         assert "singular_values" not in payload["provenance"]
         sv = payload["singular_values"]
+        assert payload["momentum"] == ("strongly_convex" if model == "str"
+                                       else "fista_restart")
+        assert payload["restarts"] >= 0
         if model == "str":
             assert len(sv) == payload["provenance"]["ell"]
             assert sv == sorted(sv, reverse=True) and sv[-1] > 0
@@ -302,7 +305,7 @@ class TestExitCodes:
     def test_solve_zero_sketch_width_is_not_replaced(self, panel_csv):
         proc = run_cli("solve", "--panel", str(panel_csv), "--model", "sketch",
                        "--s", "0")
-        assert proc.returncode == 2
+        assert proc.returncode == 1
         assert "sketch size must be >= 1, got 0" in proc.stderr
 
     def test_solve_nan_kappa_target_is_1(self, panel_csv):
@@ -318,6 +321,17 @@ class TestExitCodes:
         assert proc.returncode == 1
         assert "positive gamma_explicit" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    def test_approx_config_error_is_1_not_an_error_row(self, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        out = tmp_path / "report.json"
+        cfg_path.write_text('{"models": [{"kind": "str", "gamma": NaN}], '
+                            '"synthetic": {"n": 6, "T": 24}, "repetitions": 1}')
+        proc = run_cli("bench", "approx", "--config", str(cfg_path), "--out", str(out))
+        assert proc.returncode == 1
+        assert "positive gamma_explicit" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not out.exists()
 
 
 class TestDeterminism:

@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from strmv.errors import ArgumentError, DimensionError, InfeasibleTargetError
-from strmv.models import FactorModel, RidgePolicy, build_baseline, build_str
+from strmv.metrics import objective_gap
+from strmv.models import FactorModel, RidgePolicy, build_baseline, build_sketch, build_str
 from strmv.oracle import QPInstance, solve_exact
 from strmv.panel import CovarianceFactor, SyntheticSpec, center_and_factor, generate_synthetic
 from strmv.projection import FeasibleSet
@@ -212,8 +213,8 @@ class TestSolve:
                                            max_iters=20000))
         assert bt.objective == pytest.approx(fixed.objective, abs=1e-9)
 
-    @pytest.mark.parametrize("n", [20, 30, 40])
-    def test_backtracking_stops_on_tolerance_near_the_optimum(self, n):
+    @staticmethod
+    def _backtracking_against_fixed(n, momentum_mode):
         # Near the optimum an Armijo test with an absolute slack passed steps
         # that were too long, and these instances ran all 20,000 iterations.
         spec = SyntheticSpec(n=n, T=4 * n, singular_decay=0.9, noise_floor=0.03, seed=1)
@@ -222,9 +223,18 @@ class TestSolve:
         fs = FeasibleSet(mu=factor.mean, R_target=float(np.percentile(factor.mean, 85)))
         fixed = solve(m, fs, cfg=SolverConfig(tol=1e-9, max_iters=20000))
         bt = solve(m, fs, cfg=SolverConfig(step_mode="backtracking", tol=1e-9,
-                                           max_iters=20000))
+                                           momentum_mode=momentum_mode, max_iters=20000))
         assert bt.termination == fixed.termination == "tolerance"
         assert bt.objective == pytest.approx(fixed.objective, abs=1e-9)
+        return bt
+
+    @pytest.mark.parametrize("n", [20, 30, 40])
+    def test_backtracking_stops_on_tolerance_near_the_optimum(self, n):
+        assert self._backtracking_against_fixed(n, "auto").momentum == "fista_restart"
+
+    @pytest.mark.parametrize("n", [20, 30, 40])
+    def test_backtracking_without_restart_stops_on_tolerance(self, n):
+        assert self._backtracking_against_fixed(n, "fista").momentum == "fista"
 
     def test_backtracking_evaluates_the_objective_once(self, monkeypatch):
         import strmv.solver as solver
@@ -266,6 +276,81 @@ class TestSolve:
                                             record_objective=True))
         assert res.objective_trace is not None
         assert len(res.objective_trace) == res.iterations + 1
+
+
+def _str_desk_model(n, seed):
+    spec = SyntheticSpec(n=n, T=4 * n, singular_decay=0.9, noise_floor=0.03, seed=seed)
+    factor = center_and_factor(generate_synthetic(spec))
+    m = build_str(factor, SketchConfig(kind="gaussian_jl", s=2 * n, seed=seed), ell=n // 4)
+    fs = FeasibleSet(mu=factor.mean, R_target=float(np.percentile(factor.mean, 85)))
+    return m, fs
+
+
+class TestMomentumRegime:
+    def test_default_str_solve_is_constant_momentum(self):
+        m, fs = _str_desk_model(60, seed=3)
+        default = solve(m, fs, cfg=SolverConfig(tol=1e-9))
+        pinned = solve(m, fs, cfg=SolverConfig(momentum_mode="strongly_convex", tol=1e-9))
+        assert default.termination == "tolerance"
+        assert default.momentum == pinned.momentum == "strongly_convex"
+        assert default.restarts == 0
+        assert default.iterations == pinned.iterations
+        np.testing.assert_array_equal(default.x, pinned.x)
+
+    def test_str_curvature_is_exact_without_power_method(self, monkeypatch):
+        import strmv.solver as solver
+
+        def no_power(*args, **kwargs):
+            raise AssertionError("str curvature needs no power method")
+
+        monkeypatch.setattr(solver, "estimate_spectral_norm", no_power)
+        m, fs = _str_desk_model(40, seed=4)
+        consts = curvature_constants(m)
+        assert consts.L_f == 2.0 * (m.singular_values[0] ** 2 + m.gamma)
+        assert consts.m_f == 2.0 * m.gamma
+        assert solve(m, fs, cfg=SolverConfig(tol=1e-8)).L_f_estimate == consts.L_f
+
+    def test_restart_beats_plain_fista_on_a_binding_baseline(self):
+        spec = SyntheticSpec(n=200, T=800, singular_decay=0.9, noise_floor=0.03, seed=0)
+        factor = center_and_factor(generate_synthetic(spec))
+        m = build_baseline(factor)
+        fs = FeasibleSet(mu=factor.mean, R_target=float(np.percentile(factor.mean, 85)))
+        cfg = SolverConfig(tol=1e-8, max_iters=20000)
+        default = solve(m, fs, cfg=cfg)
+        fista = solve(m, fs, cfg=SolverConfig(momentum_mode="fista", tol=1e-8,
+                                              max_iters=20000))
+        assert fs.mu @ default.x == pytest.approx(fs.R_target, abs=1e-10)  # binding
+        assert default.termination == fista.termination == "tolerance"
+        assert default.iterations < fista.iterations
+        assert (default.momentum, fista.momentum) == ("fista_restart", "fista")
+        assert default.restarts > 0 and fista.restarts == 0
+        assert default.objective == pytest.approx(fista.objective, rel=1e-7)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**31 - 1), st.sampled_from(["baseline", "sketch", "str"]))
+def test_default_solve_matches_oracle(seed, kind):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 11))
+    T = int(rng.integers(4 * n, 6 * n + 1))
+    spec = SyntheticSpec(n=n, T=T, singular_decay=float(rng.uniform(0.75, 0.95)), seed=seed)
+    factor = center_and_factor(generate_synthetic(spec))
+    if kind == "baseline":
+        model = build_baseline(factor)
+    elif kind == "sketch":
+        model = build_sketch(factor, SketchConfig(kind="countsketch",
+                                                  s=int(rng.integers(n, T + 1)), seed=seed))
+    else:
+        model = build_str(factor, SketchConfig(kind="gaussian_jl", s=T, seed=seed),
+                          ridge=RidgePolicy(kappa_target=100.0))
+    mu = rng.standard_normal(n)
+    fs = FeasibleSet(mu=mu, R_target=float(np.quantile(mu, rng.uniform(0.2, 0.8))))
+    res = solve(model, fs, cfg=SolverConfig(tol=5e-10, max_iters=20000,
+                                            residual_check_stride=5))
+    oracle = solve_exact(QPInstance(Q=2.0 * model.covariance(), c=np.zeros(n), fs=fs))
+    assert res.termination == "tolerance"
+    assert res.momentum == ("strongly_convex" if kind == "str" else "fista_restart")
+    assert objective_gap(res.objective, oracle.value) <= 1e-8
 
 
 class TestAgainstOracle:
