@@ -27,7 +27,6 @@ from .metrics import (
 )
 from .models import (
     FactorModel,
-    RidgePolicy,
     build_baseline,
     build_sketch,
     build_str,

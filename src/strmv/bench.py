@@ -27,7 +27,6 @@ from .models import (
     DEFAULT_KAPPA_TARGET,
     MODEL_KINDS,
     FactorModel,
-    RidgePolicy,
     build_baseline,
     build_sketch,
     build_str,
@@ -86,12 +85,12 @@ def derive_seed(master: int, *parts: int) -> int:
     return int(state[0] & 0x7FFFFFFFFFFFFFFF)
 
 
-def environment_metadata(threads: Optional[int] = None) -> dict:
+def environment_metadata() -> dict:
     return {
         "python": sys.version.split()[0],
         "numpy": np.__version__,
         "platform": platform.platform(),
-        "threads": threads if threads is not None else os.environ.get("OMP_NUM_THREADS"),
+        "threads": os.environ.get("OMP_NUM_THREADS"),
     }
 
 
@@ -106,7 +105,7 @@ class ModelSpec:
     eta: Optional[float] = None  # energy level mapped to ell on the dense spectrum
     tau: float = 1e-3
     rho: float = 0.9
-    kappa_target: Optional[float] = DEFAULT_KAPPA_TARGET
+    kappa_target: float = DEFAULT_KAPPA_TARGET
     gamma: Optional[float] = None  # explicit ridge, overrides kappa_target
 
     def __post_init__(self):
@@ -117,11 +116,6 @@ class ModelSpec:
         if self.kind == "baseline":
             return "baseline"
         return f"{self.kind}-{self.sketch_kind}"
-
-    def ridge_policy(self) -> RidgePolicy:
-        if self.gamma is not None:
-            return RidgePolicy(mode="explicit", kappa_target=None, gamma_explicit=self.gamma)
-        return RidgePolicy(mode="target_kappa", kappa_target=self.kappa_target)
 
 
 @dataclass
@@ -275,8 +269,9 @@ def _model_from_spec(
     """Construct the model a ModelSpec describes; returns (model, metadata).
 
     For sketch/str models the sketch width comes from, in order: the explicit
-    ``s``; or ``s_over_ell`` applied to the eta-mapped truncation level of the
-    dense spectrum (requires ``dense_singvals``).
+    ``s``, used as given; or ``s_over_ell`` applied to the eta-mapped
+    truncation level of the dense spectrum (requires ``dense_singvals``),
+    clipped into [1, T].
     """
     T = factor.columns
     if mspec.kind == "baseline":
@@ -292,12 +287,11 @@ def _model_from_spec(
     if mspec.s is not None:
         s = mspec.s
     elif mspec.s_over_ell is not None and ell_from_eta is not None:
-        s = math.ceil(mspec.s_over_ell * ell_from_eta)
+        s = min(max(math.ceil(mspec.s_over_ell * ell_from_eta), 1), T)
     else:
         raise ArgumentError(
             f"model {mspec.label()} needs either s or (s_over_ell and eta)"
         )
-    s = min(max(s, 1), T)
     cfg = SketchConfig(kind=mspec.sketch_kind, s=s, seed=seed)
 
     if mspec.kind == "sketch":
@@ -307,8 +301,9 @@ def _model_from_spec(
         factor,
         cfg,
         rule=TruncationRule(tau=mspec.tau, rho=mspec.rho),
-        ridge=mspec.ridge_policy(),
         ell=ell_from_eta,
+        kappa_target=mspec.kappa_target,
+        gamma=mspec.gamma,
     )
     meta = {"s": s, "ell": model.provenance["ell"], "gamma": model.gamma}
     return model, meta
@@ -330,7 +325,7 @@ def _timed_solve(model, fs, cfg, warmup: int, repeats: int):
         solve(model, fs, cfg=cfg)
     times = []
     result = None
-    for _ in range(max(repeats, 1)):
+    for _ in range(repeats):
         t0 = time.perf_counter()
         result = solve(model, fs, cfg=cfg)
         times.append(time.perf_counter() - t0)
@@ -458,7 +453,7 @@ def _gap_trace(model, fs, cfg: ExperimentConfig, alpha: float, momentum_mode: st
     the oracle optimum, floored at 1e-18 for the log fits."""
     run_cfg = replace(
         cfg.solver,
-        step_mode="fixed_explicit",
+        step_mode="fixed",
         alpha=alpha,
         momentum_mode=momentum_mode,
         max_iters=cfg.rate_iters,
@@ -490,6 +485,11 @@ def run_rate_experiment(cfg: ExperimentConfig, trace_path=None) -> BenchReport:
     alpha = 1.0 / (2.0 * s1**2)
     res, convex_gaps = _gap_trace(build_baseline(factor), fs, cfg, alpha, "fista")
     ks = np.arange(10, min(200, convex_gaps.size - 1) + 1)
+    if ks.size < 2:
+        raise ArgumentError(
+            f"the log-log fit over k = 10..200 needs a trace of at least 11 iterations, "
+            f"got {convex_gaps.size - 1} (rate_iters={cfg.rate_iters})"
+        )
     slope = float(np.polyfit(np.log(ks), np.log(convex_gaps[ks]), 1)[0])
     rows = [
         {
@@ -515,7 +515,7 @@ def run_rate_experiment(cfg: ExperimentConfig, trace_path=None) -> BenchReport:
     consts = curvature_constants(model)  # exact for a str model
     alpha = 1.0 / consts.L_f
     theta = 1.0 - math.sqrt(alpha * consts.m_f)
-    res, gaps = _gap_trace(model, fs, cfg, alpha, "strongly_convex")
+    res, gaps = _gap_trace(model, fs, cfg, alpha, "auto")  # constant momentum
     k_fit = 5
     envelope_ok = True
     if gaps.size > k_fit:

@@ -175,7 +175,7 @@ def _cmd_project(args) -> int:
 
 def _cmd_solve(args) -> int:
     from .bench import feasible_from_factor
-    from .models import RidgePolicy, build_baseline, build_sketch, build_str
+    from .models import build_baseline, build_sketch, build_str
     from .panel import center_and_factor, load_panel
     from .projection import FeasibleSet
     from .sketch import SketchConfig, recommended_sketch_size
@@ -197,10 +197,8 @@ def _cmd_solve(args) -> int:
         if args.model == "sketch":
             model = build_sketch(factor, cfg)
         else:
-            model = build_str(
-                factor, cfg, ridge=RidgePolicy(kappa_target=args.kappa_target)
-            )
-    scfg = SolverConfig(tol=args.tol, max_iters=args.max_iters, seed=args.seed)
+            model = build_str(factor, cfg, kappa_target=args.kappa_target)
+    scfg = SolverConfig(tol=args.tol, max_iters=args.max_iters)
     result = solve(model, fs, cfg=scfg)
     if result.termination == "max_iters":
         print(

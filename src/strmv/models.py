@@ -18,7 +18,7 @@ import numpy as np
 from .errors import ArgumentError, DegenerateSpectrumError, DimensionError
 from .panel import CovarianceFactor
 from .sketch import SketchConfig, apply_sketch
-from .spectrum import DEFAULT_RANK_TOL, TruncationRule, select_truncation_level, thin_svd
+from .spectrum import TruncationRule, select_truncation_level, thin_svd
 
 MODEL_KINDS = ("baseline", "sketch", "str")
 
@@ -26,27 +26,6 @@ MODEL_KINDS = ("baseline", "sketch", "str")
 DEFAULT_KAPPA_TARGET = 1e3
 
 logger = logging.getLogger(__name__)
-
-
-@dataclass
-class RidgePolicy:
-    """Either a target condition number or an explicit ridge value."""
-
-    mode: str = "target_kappa"
-    kappa_target: Optional[float] = DEFAULT_KAPPA_TARGET
-    gamma_explicit: Optional[float] = None
-
-    def __post_init__(self):
-        if self.mode not in ("target_kappa", "explicit"):
-            raise ArgumentError(f"unknown ridge mode {self.mode!r}")
-        if self.mode == "target_kappa":
-            if self.kappa_target is None or self.gamma_explicit is not None:
-                raise ArgumentError("target_kappa mode takes kappa_target only")
-            if not self.kappa_target > 1.0:
-                raise ArgumentError(f"kappa_target must exceed 1, got {self.kappa_target}")
-        else:
-            if self.gamma_explicit is None or not self.gamma_explicit > 0.0:
-                raise ArgumentError("explicit mode requires a positive gamma_explicit")
 
 
 @dataclass
@@ -71,8 +50,8 @@ class FactorModel:
         if self.L_eff.ndim != 2:
             raise DimensionError("L_eff must be a matrix")
         if self.kind == "str":
-            if self.gamma <= 0.0:
-                raise ArgumentError("str models require gamma > 0")
+            if not self.gamma > 0.0:
+                raise ArgumentError(f"str models require gamma > 0, got {self.gamma}")
             if self.singular_values is None:
                 raise ArgumentError("str models require singular_values")
             self.singular_values = np.asarray(self.singular_values, dtype=np.float64)
@@ -126,7 +105,7 @@ def build_sketch(factor: CovarianceFactor, cfg: SketchConfig) -> FactorModel:
 def ridge_for_target_kappa(sigma1: float, kappa_target: float) -> float:
     """gamma = sigma_1^2 / (kappa_target - 1), so kappa of the lifted covariance
     is exactly kappa_target."""
-    if kappa_target <= 1.0:
+    if not kappa_target > 1.0:
         raise ArgumentError(f"kappa_target must exceed 1, got {kappa_target}")
     if sigma1 <= 0.0:
         raise DegenerateSpectrumError("sigma1 must be positive to place a ridge")
@@ -154,9 +133,9 @@ def build_str(
     factor: CovarianceFactor,
     cfg: SketchConfig,
     rule: Optional[TruncationRule] = None,
-    ridge: Optional[RidgePolicy] = None,
     ell: Optional[int] = None,
-    rank_tol: float = DEFAULT_RANK_TOL,
+    kappa_target: float = DEFAULT_KAPPA_TARGET,
+    gamma: Optional[float] = None,
 ) -> FactorModel:
     """Sketch, truncate, and ridge-lift the factor.
 
@@ -164,11 +143,12 @@ def build_str(
     eigenvalues) unless ``ell`` pins it directly, which is how energy-mapped
     sweeps parameterize the pipeline. A level outside [1, rank] is clamped
     into it; the model then records the requested value as
-    ``provenance["ell_requested"]`` and one warning is logged.
+    ``provenance["ell_requested"]`` and one warning is logged. The ridge is
+    ``gamma`` when given, else the one that puts the lifted condition number
+    at ``kappa_target``.
     """
-    ridge = ridge or RidgePolicy()
     sk = apply_sketch(factor, cfg)
-    svd = thin_svd(sk.Ltilde, rank_tol=rank_tol)
+    svd = thin_svd(sk.Ltilde)
     if svd.rank == 0:
         raise DegenerateSpectrumError("sketched factor is numerically zero")
     if ell is None:
@@ -176,10 +156,10 @@ def build_str(
         ell = select_truncation_level(svd.S, rule)
     ell_requested = int(ell)
     ell = min(max(ell_requested, 1), svd.rank)
-    if ridge.mode == "target_kappa":
-        gamma = ridge_for_target_kappa(float(svd.S[0]), ridge.kappa_target)
+    if gamma is None:
+        gamma = ridge_for_target_kappa(float(svd.S[0]), kappa_target)
     else:
-        gamma = float(ridge.gamma_explicit)
+        gamma, kappa_target = float(gamma), None
     model = FactorModel(
         L_eff=svd.U[:, :ell] * svd.S[:ell],
         gamma=gamma,
@@ -187,9 +167,8 @@ def build_str(
         provenance={
             "sketch": {"kind": cfg.kind, "s": cfg.s, "seed": cfg.seed},
             "ell": int(ell),
-            "gamma": float(gamma),
-            "ridge_mode": ridge.mode,
-            "kappa_target": ridge.kappa_target if ridge.mode == "target_kappa" else None,
+            "gamma": gamma,
+            "kappa_target": kappa_target,
         },
         singular_values=svd.S[:ell],
     )

@@ -9,7 +9,6 @@ to validate pipelines without distortion.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -25,8 +24,8 @@ SKETCH_KINDS = ("gaussian_jl", "countsketch", "identity")
 #: once against the measured-distortion Monte Carlo in the test suite.
 DEFAULT_SIZE_CONSTANT = 4.0
 
-#: Above this many Phi entries the Gaussian sketch streams over column blocks
-#: of L instead of materializing the full T x s projection.
+#: The Gaussian sketch draws Phi in row blocks of at most this many entries,
+#: so the full T x s projection is never held when it is larger.
 DENSE_PHI_ENTRY_CAP = 2**24
 
 
@@ -128,33 +127,24 @@ def countsketch_sketch(factor: CovarianceFactor, s: int, seed: int) -> SketchedF
     return SketchedFactor(Ltilde=Ltilde, config=cfg, apply_ops=L.shape[0] * L.shape[1])
 
 
-def gaussian_jl_sketch(
-    factor: CovarianceFactor,
-    s: int,
-    seed: int,
-    entry_cap: int = DENSE_PHI_ENTRY_CAP,
-) -> SketchedFactor:
+def gaussian_jl_sketch(factor: CovarianceFactor, s: int, seed: int) -> SketchedFactor:
     """Apply a dense Gaussian projection with Phi_ij ~ N(0, 1/s).
 
-    When T*s exceeds ``entry_cap`` the projection is streamed over column
-    blocks of L; the generator fills Phi row-major, so the streamed blocks
-    use exactly the same Phi entries as the dense path.
+    Phi is drawn in row blocks of at most ``DENSE_PHI_ENTRY_CAP`` entries, one
+    block of columns of L at a time; the generator fills Phi row-major, so the
+    blocks hold exactly the entries of the full draw, and a Phi under the cap
+    is one block.
     """
     L = factor.L
     n, T = L.shape
     _check_size(s, T)
     rng = np.random.default_rng(seed)
     scale = 1.0 / math.sqrt(s)
-    if T * s <= entry_cap:
-        phi = rng.standard_normal((T, s)) * scale
-        Ltilde = L @ phi
-    else:
-        block = max(1, entry_cap // s)
-        Ltilde = np.zeros((n, s))
-        for start in range(0, T, block):
-            stop = min(start + block, T)
-            phi_block = rng.standard_normal((stop - start, s)) * scale
-            Ltilde += L[:, start:stop] @ phi_block
+    block = max(1, DENSE_PHI_ENTRY_CAP // s)
+    for start in range(0, T, block):
+        stop = min(start + block, T)
+        part = L[:, start:stop] @ (rng.standard_normal((stop - start, s)) * scale)
+        Ltilde = part if start == 0 else Ltilde + part
     cfg = SketchConfig(kind="gaussian_jl", s=s, seed=seed)
     return SketchedFactor(Ltilde=Ltilde, config=cfg, apply_ops=n * T * s)
 
@@ -207,12 +197,3 @@ def materialize_sketch_matrix(cfg: SketchConfig, T: int) -> np.ndarray:
     if cfg.s != T:
         raise DimensionError("identity sketch requires s == T")
     return np.eye(T)
-
-
-def dump_sketch_matrix(cfg: SketchConfig, T: int, path) -> None:
-    """Write the materialized Phi as CSV (debug aid, same size limit)."""
-    phi = materialize_sketch_matrix(cfg, T)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        for row in phi:
-            writer.writerow([repr(float(v)) for v in row])

@@ -6,12 +6,13 @@ the convex regime, or a constant momentum built from the curvature bound in
 the strongly convex regime. The default ("auto") picks the regime from m_f:
 constant momentum when m_f > 0 and the step is fixed, otherwise the t_k
 sequence with gradient restart (O'Donoghue & Candes 2015), which resets the
-momentum whenever the step and the last move point against each other.
-A backtracking step is accepted when the exact curvature of the quadratic
-along the step is at most 1/(2*alpha), a test with no objective evaluation
-and no slack. Termination uses the
-projected-gradient residual ||P_F(x - alpha*grad f(x)) - x||, which vanishes
-exactly at KKT points.
+momentum whenever the step and the last move point against each other;
+"fista" runs the t_k sequence without restart. The fixed step is a given
+alpha or 1/L_f. A backtracking step is accepted when the exact curvature of
+the quadratic along the step is at most 1/(2*alpha), a test with no
+objective evaluation and no slack. Termination uses the projected-gradient
+residual ||P_F(x - alpha*grad f(x)) - x||, which vanishes exactly at KKT
+points.
 
 Gradients use only matrix-vector products with the factor, never the dense
 covariance.
@@ -31,8 +32,8 @@ from .models import FactorModel
 from .projection import FeasibleSet, project_feasible
 from .spectrum import power_sequence
 
-STEP_MODES = ("fixed_auto", "fixed_explicit", "backtracking")
-MOMENTUM_MODES = ("auto", "fista", "strongly_convex")
+STEP_MODES = ("fixed", "backtracking")
+MOMENTUM_MODES = ("auto", "fista")
 
 #: Inflation applied to the power-method norm estimate when deriving the
 #: automatic fixed step; the estimate is a lower bound on the true norm.
@@ -47,13 +48,12 @@ _BACKTRACK_FLOOR = 1e-18
 
 @dataclass
 class SolverConfig:
-    step_mode: str = "fixed_auto"
-    alpha: Optional[float] = None  # fixed_explicit step
+    step_mode: str = "fixed"
+    alpha: Optional[float] = None  # the fixed step; None takes 1/L_f
     momentum_mode: str = "auto"
     tol: float = 1e-8
     max_iters: int = 10_000
     residual_check_stride: int = 1
-    seed: int = 0
     record_objective: bool = False
 
     def __post_init__(self):
@@ -65,10 +65,8 @@ class SolverConfig:
             raise ArgumentError("tol must be positive")
         if self.alpha is not None and not 0.0 < self.alpha < math.inf:
             raise ArgumentError(f"alpha must be positive and finite, got {self.alpha}")
-        if self.step_mode == "fixed_explicit" and self.alpha is None:
-            raise ArgumentError("fixed_explicit requires alpha > 0")
-        if self.momentum_mode == "strongly_convex" and self.step_mode == "backtracking":
-            raise ArgumentError("constant momentum requires a fixed step")
+        if self.alpha is not None and self.step_mode == "backtracking":
+            raise ArgumentError("alpha sets a fixed step; backtracking searches its own")
         if self.max_iters < 1 or self.residual_check_stride < 1:
             raise ArgumentError("iteration counts must be positive")
 
@@ -145,9 +143,7 @@ def estimate_spectral_norm(model: FactorModel, iters: int = POWER_ITERS, seed: i
 
 
 def curvature_constants(
-    model: FactorModel,
-    sigma_min_hint: Optional[float] = None,
-    seed: int = 0,
+    model: FactorModel, sigma_min_hint: Optional[float] = None
 ) -> CurvatureConstants:
     """Smoothness and strong-convexity constants from the factor spectrum.
 
@@ -162,7 +158,7 @@ def curvature_constants(
     if model.singular_values is not None:
         L_f = 2.0 * (float(model.singular_values[0]) ** 2 + model.gamma)
     else:
-        est = estimate_spectral_norm(model, seed=seed)
+        est = estimate_spectral_norm(model)
         L_f = STEP_SAFETY * 2.0 * (est**2 + model.gamma)
     if sigma_min_hint is not None:
         m_f = 2.0 * (sigma_min_hint**2 + model.gamma)
@@ -189,7 +185,7 @@ def solve(
     n = fs.n
     if model.n != n:
         raise DimensionError(f"model has {model.n} assets, feasible set {n}")
-    consts = curvature_constants(model, sigma_min_hint=sigma_min_hint, seed=cfg.seed)
+    consts = curvature_constants(model, sigma_min_hint=sigma_min_hint)
     L_f, m_f = consts.L_f, consts.m_f
 
     nu = 0.0  # nu* of the latest projection, the warm start of the next one
@@ -204,22 +200,16 @@ def solve(
         x0 = np.full(n, 1.0 / n)
     x = project(np.asarray(x0, dtype=np.float64))
 
-    if cfg.step_mode == "fixed_explicit":
+    backtracking = cfg.step_mode == "backtracking"
+    if cfg.alpha is not None:
         alpha = float(cfg.alpha)
-    elif cfg.step_mode == "fixed_auto":
-        alpha = 1.0 / L_f if L_f > 0 else 1.0
     else:
-        alpha = 2.0 / L_f if L_f > 0 else 1.0
+        alpha = (2.0 if backtracking else 1.0) / L_f if L_f > 0 else 1.0
 
     momentum = cfg.momentum_mode
     if momentum == "auto":
-        fixed = cfg.step_mode != "backtracking"
-        momentum = "strongly_convex" if m_f > 0 and fixed else "fista_restart"
+        momentum = "strongly_convex" if m_f > 0 and not backtracking else "fista_restart"
     if momentum == "strongly_convex":
-        if m_f <= 0:
-            raise ArgumentError(
-                "strongly_convex momentum requires m_f > 0 (ridge or a spectrum hint)"
-            )
         root = math.sqrt(alpha * m_f)
         beta_const = (1.0 - root) / (1.0 + root)
 
@@ -247,11 +237,11 @@ def solve(
 
     y = x.copy()
     t_k = 1.0
-    if cfg.step_mode == "backtracking":
+    if backtracking:
         alpha *= 0.5  # so the first upward retry lands on the initial trial
     for k in range(1, cfg.max_iters + 1):
         g = gradient(model, y)
-        if cfg.step_mode == "backtracking":
+        if backtracking:
             alpha = 2.0 * alpha  # retry upward from the last accepted step
             while True:
                 x_new = project(y - alpha * g)

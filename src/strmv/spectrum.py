@@ -19,7 +19,8 @@ import numpy as np
 
 from .errors import ArgumentError, DegenerateSpectrumError, NumericError
 
-DEFAULT_RANK_TOL = 1e-12
+#: Singular values below this fraction of sigma_1 count as numerically zero.
+RANK_TOL = 1e-12
 
 
 @dataclass
@@ -65,8 +66,8 @@ class SpectrumReport:
         }
 
 
-def thin_svd(A: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL) -> ThinSVD:
-    """Thin SVD keeping singular values >= rank_tol * sigma_1."""
+def thin_svd(A: np.ndarray) -> ThinSVD:
+    """Thin SVD keeping singular values >= RANK_TOL * sigma_1."""
     A = np.asarray(A, dtype=np.float64)
     if not np.all(np.isfinite(A)):
         raise NumericError("matrix has non-finite entries")
@@ -74,7 +75,7 @@ def thin_svd(A: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL) -> ThinSVD:
     if S.size == 0 or S[0] <= 0.0:
         r = 0
     else:
-        r = int(np.count_nonzero(S >= rank_tol * S[0]))
+        r = int(np.count_nonzero(S >= RANK_TOL * S[0]))
     return ThinSVD(U=U[:, :r], S=S[:r], V=Vt[:r].T)
 
 
@@ -129,9 +130,7 @@ def energy_rank(energy: np.ndarray, eta: float) -> int:
     return int(hits[0]) + 1
 
 
-def report_from_singular_values(
-    singular_values: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL
-) -> SpectrumReport:
+def report_from_singular_values(singular_values: np.ndarray) -> SpectrumReport:
     s = np.asarray(singular_values, dtype=np.float64)
     lam = s**2
     energy = cumulative_energy(lam)
@@ -139,7 +138,7 @@ def report_from_singular_values(
     if degenerate:
         rank = 0
     else:
-        rank = int(np.count_nonzero(s >= rank_tol * s[0]))
+        rank = int(np.count_nonzero(s >= RANK_TOL * s[0]))
     return SpectrumReport(
         singular_values=s,
         eigenvalues=lam,

@@ -16,7 +16,6 @@ import pytest
 from strmv.bench import strip_timings
 from strmv.metrics import objective_gap, relative_spectral_error
 from strmv.models import (
-    RidgePolicy,
     build_baseline,
     build_sketch,
     build_str,
@@ -74,12 +73,12 @@ def test_criterion_1_oracle_equivalence():
                 kind=["gaussian_jl", "countsketch"][i % 2], s=s, seed=i))
         else:
             model = build_str(factor, SketchConfig(kind="gaussian_jl", s=T, seed=i),
-                              ridge=RidgePolicy(kappa_target=100.0))
+                              kappa_target=100.0)
         mu = rng.standard_normal(n)
         fs = FeasibleSet(mu=mu, R_target=float(np.quantile(mu, rng.uniform(0.2, 0.8))))
         smin = (float(np.linalg.svd(model.L_eff, compute_uv=False).min())
                 if model.columns >= n else 0.0)
-        mode = "strongly_convex" if (model.gamma > 0 or smin > 0) else "fista"
+        mode = "auto" if (model.gamma > 0 or smin > 0) else "fista"
         cfg = SolverConfig(momentum_mode=mode, tol=5e-10, max_iters=20_000,
                            residual_check_stride=5)
         res = solve(model, fs, cfg=cfg,
@@ -128,7 +127,7 @@ def test_criterion_3_convex_rate():
         alpha = 1.0 / L_f
         x0 = np.zeros(n)
         x0[0] = 1.0
-        cfg = SolverConfig(step_mode="fixed_explicit", alpha=alpha, momentum_mode="fista",
+        cfg = SolverConfig(alpha=alpha, momentum_mode="fista",
                            tol=1e-300, max_iters=500, record_objective=True)
         res = solve(model, fs, x0=x0, cfg=cfg)
         oracle = solve_exact(QPInstance(Q=2.0 * model.covariance(), c=np.zeros(n), fs=fs))
@@ -158,15 +157,13 @@ def test_criterion_4_linear_rate():
         factor = center_and_factor(generate_synthetic(spec))
         probe = build_str(factor, SketchConfig(kind="gaussian_jl", s=T, seed=trial),
                           ell=n - 2,
-                          ridge=RidgePolicy(mode="explicit", kappa_target=None,
-                                            gamma_explicit=1e-9))
+                          gamma=1e-9)
         sig1 = float(np.linalg.svd(probe.L_eff, compute_uv=False)[0])
         t2 = 0.1**2  # target sqrt(alpha m_f) = 0.1 >= 0.05
         gamma = t2 / (1.0 - t2) * sig1**2
         model = build_str(factor, SketchConfig(kind="gaussian_jl", s=T, seed=trial),
                           ell=n - 2,
-                          ridge=RidgePolicy(mode="explicit", kappa_target=None,
-                                            gamma_explicit=gamma))
+                          gamma=gamma)
         L_f = 2.0 * (sig1**2 + gamma)
         m_f = 2.0 * gamma  # exact: the truncated factor has fewer columns than n
         alpha = 1.0 / L_f
@@ -175,8 +172,7 @@ def test_criterion_4_linear_rate():
         theta = 1.0 - root
         mu = rng.standard_normal(n)
         fs = FeasibleSet(mu=mu, R_target=float(np.quantile(mu, rng.uniform(0.2, 0.8))))
-        cfg = SolverConfig(step_mode="fixed_explicit", alpha=alpha,
-                           momentum_mode="strongly_convex", tol=1e-300,
+        cfg = SolverConfig(alpha=alpha, tol=1e-300,
                            max_iters=200, record_objective=True)
         res = solve(model, fs, cfg=cfg)
         fstar = solve_exact(QPInstance(Q=2.0 * model.covariance(), c=np.zeros(n), fs=fs)).value
@@ -232,15 +228,14 @@ def test_criterion_6_conditioning_identities():
         factor = CovarianceFactor(L=L, mean=np.zeros(n))
         lam = np.linalg.eigvalsh(L @ L.T)
         cfg = SketchConfig(kind=kind, s=s, seed=seed)
-        m = build_str(factor, cfg, ell=ell, ridge=RidgePolicy(kappa_target=100.0))
+        m = build_str(factor, cfg, ell=ell, kappa_target=100.0)
         eig = np.linalg.eigvalsh(m.covariance())
         closed = (m.singular_values[0] ** 2 + m.gamma) / m.gamma
         worst_rel = max(worst_rel, abs(eig[-1] / eig[0] - closed) / closed)
         eps = measured_distortion(L, materialize_sketch_matrix(cfg, T))
         thr = kappa_improvement_threshold(lam[0], lam[-1], eps)
         m2 = build_str(factor, cfg, ell=ell,
-                       ridge=RidgePolicy(mode="explicit", kappa_target=None,
-                                         gamma_explicit=thr * 1.0001))
+                       gamma=thr * 1.0001)
         e2 = np.linalg.eigvalsh(m2.covariance())
         improved += e2[-1] / e2[0] < lam[-1] / lam[0]
     report(6, worst_rel <= 1e-10 and improved == trials,
@@ -262,7 +257,7 @@ def test_criterion_7_stability_bound():
         eps = measured_distortion(factor.L, phi)
         if eps >= 1.0:
             continue
-        m = build_str(factor, cfg, ell=ell, ridge=RidgePolicy(kappa_target=1000.0))
+        m = build_str(factor, cfg, ell=ell, kappa_target=1000.0)
         Sigma = factor.L @ factor.L.T
         lam_sketched = np.linalg.svd(factor.L @ phi, compute_uv=False) ** 2
         lhs = np.linalg.norm(m.covariance() - Sigma, 2)

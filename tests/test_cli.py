@@ -319,7 +319,7 @@ class TestExitCodes:
                             '"sizes": [8], "repetitions": 1, "warmup": 0}')
         proc = run_cli("bench", "solver", "--config", str(cfg_path))
         assert proc.returncode == 1
-        assert "positive gamma_explicit" in proc.stderr
+        assert "str models require gamma > 0, got nan" in proc.stderr
         assert "Traceback" not in proc.stderr
 
     def test_approx_config_error_is_1_not_an_error_row(self, tmp_path):
@@ -329,9 +329,31 @@ class TestExitCodes:
                             '"synthetic": {"n": 6, "T": 24}, "repetitions": 1}')
         proc = run_cli("bench", "approx", "--config", str(cfg_path), "--out", str(out))
         assert proc.returncode == 1
-        assert "positive gamma_explicit" in proc.stderr
+        assert "str models require gamma > 0, got nan" in proc.stderr
         assert "Traceback" not in proc.stderr
         assert not out.exists()
+
+
+    @pytest.mark.parametrize("experiment,cfg,code,message", [
+        ("rate", {"rate_iters": 5}, 1, "needs a trace of at least 11 iterations, got 5"),
+        ("rate", {"rate_iters": 10}, 1, "needs a trace of at least 11 iterations, got 10"),
+        ("solver", {"models": [{"kind": "str", "s": 0}]}, 1, "sketch size must be >= 1, got 0"),
+        ("solver", {"models": [{"kind": "str", "s": 100000}]}, 2,
+         "1 <= s <= T=32, got s=100000"),
+        ("solver", {"models": [{"kind": "str", "s": 12, "kappa_target": None}]}, 1,
+         "models[0].kappa_target must be float"),
+        ("solver", {"models": [{"kind": "str", "s": 12, "kappa_target": 1}]}, 1,
+         "kappa_target must exceed 1, got 1"),
+        ("solver", {"solver": {"step_mode": "fixed_auto"}}, 1, "unknown step mode 'fixed_auto'"),
+        ("solver", {"solver": {"seed": 3}}, 1, "unknown config keys in solver: ['seed']"),
+        ("solver", {"solver": {"alpha": 0.1, "step_mode": "backtracking"}}, 1,
+         "alpha sets a fixed step"),
+    ])
+    def test_config_error_exit_code(self, tmp_path, capsys, experiment, cfg, code, message):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"sizes": [8], "repetitions": 1, "warmup": 0, **cfg}))
+        assert main(["bench", experiment, "--config", str(cfg_path)]) == code
+        assert message in capsys.readouterr().err
 
 
 class TestDeterminism:
@@ -374,4 +396,34 @@ def test_project_fuzz_exits_with_a_documented_code(v, mu, r_target):
     argv = ["project", f"--v={v}", f"--mu={mu}", f"--r-target={r_target!r}"]
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = main(argv)
+    assert code in (0, 1, 2, 3)
+
+
+_BENCH_MODELS = st.fixed_dictionaries(
+    {"kind": st.sampled_from(["baseline", "sketch", "str"])},
+    optional={"s": st.one_of(st.integers(1, 24), st.integers(-1, 40))},
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(["rate", "solver"]),
+    st.fixed_dictionaries({
+        "synthetic": st.fixed_dictionaries({
+            "n": st.integers(2, 6), "T": st.integers(8, 24),
+            "singular_decay": st.floats(0.5, 0.9),
+        }),
+        # Mostly valid values, so that most examples run an experiment.
+        "rate_iters": st.one_of(st.integers(1, 40), st.integers(-1, 0)),
+        "sizes": st.lists(st.one_of(st.integers(2, 6), st.just(1)), min_size=1, max_size=2),
+        "models": st.lists(_BENCH_MODELS, min_size=1, max_size=1),
+        "repetitions": st.one_of(st.integers(1, 2), st.just(0)),
+        "warmup": st.one_of(st.integers(0, 1), st.just(-1)),
+    }),
+)
+def test_bench_config_fuzz_exits_with_a_documented_code(tmp_path_factory, experiment, cfg):
+    path = tmp_path_factory.mktemp("fuzz") / "cfg.json"
+    path.write_text(json.dumps({**cfg, "solver": {"max_iters": 2000}}))
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(["bench", experiment, "--config", str(path)])
     assert code in (0, 1, 2, 3)

@@ -13,7 +13,7 @@ from strmv.metrics import (
     objective_gap,
     relative_spectral_error,
 )
-from strmv.models import FactorModel, RidgePolicy, build_str
+from strmv.models import FactorModel, build_str
 from strmv.oracle import QPInstance, solve_exact
 from strmv.panel import CovarianceFactor
 from strmv.projection import FeasibleSet
@@ -91,9 +91,7 @@ class TestConditioningReport:
         rng = np.random.default_rng(3)
         L = rng.standard_normal((6, 12))
         f = factor_of(L)
-        m = build_str(f, SketchConfig(kind="identity", s=12, seed=0), ell=3,
-                      ridge=RidgePolicy(mode="explicit", kappa_target=None,
-                                        gamma_explicit=1.0))
+        m = build_str(f, SketchConfig(kind="identity", s=12, seed=0), ell=3, gamma=1.0)
         rep = conditioning_report(m)
         sigma1 = m.singular_values[0]
         assert rep.kappa == pytest.approx(sigma1**2 + 1.0)
@@ -104,7 +102,7 @@ class TestConditioningReport:
         rng = np.random.default_rng(4)
         f = factor_of(rng.standard_normal((5, 20)))
         m = build_str(f, SketchConfig(kind="identity", s=20, seed=0), ell=3,
-                      ridge=RidgePolicy(kappa_target=100.0))
+                      kappa_target=100.0)
         assert conditioning_report(m).kappa == pytest.approx(100.0)
 
     def test_rank_deficient_flags_infinite(self):
@@ -146,7 +144,7 @@ class TestValueAndSolutionSensitivity:
             A = rng.standard_normal((n, T)) / np.sqrt(T)
             f = factor_of(A)
             m = build_str(f, SketchConfig(kind="gaussian_jl", s=40, seed=trial),
-                          ell=4, ridge=RidgePolicy(kappa_target=200.0))
+                          ell=4, kappa_target=200.0)
             Sigma = A @ A.T
             mu = rng.standard_normal(n)
             fs = FeasibleSet(mu=mu, R_target=float(np.quantile(mu, 0.4)))

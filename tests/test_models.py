@@ -4,7 +4,6 @@ import pytest
 from strmv.errors import ArgumentError, DegenerateSpectrumError, DimensionError
 from strmv.models import (
     FactorModel,
-    RidgePolicy,
     build_baseline,
     build_sketch,
     build_str,
@@ -92,11 +91,17 @@ class TestRidgeFormulas:
         with pytest.raises(ArgumentError):
             kappa_improvement_threshold(1.0, 1.1, 0.1)  # lam_max = (1+eps)lam_min
 
+    def test_nan_kappa_target_rejected(self):
+        with pytest.raises(ArgumentError, match="kappa_target must exceed 1, got nan"):
+            ridge_for_target_kappa(1.0, float("nan"))
+
     def test_policy_validation(self):
+        L = random_low_rank(6, 10, 2, seed=0)
+        cfg = SketchConfig(kind="identity", s=10, seed=0)
         with pytest.raises(ArgumentError):
-            RidgePolicy(mode="explicit", kappa_target=None, gamma_explicit=0.0)
+            build_str(factor_of(L), cfg, gamma=0.0)
         with pytest.raises(ArgumentError):
-            RidgePolicy(mode="target_kappa", kappa_target=0.5)
+            build_str(factor_of(L), cfg, kappa_target=0.5)
 
 
 class TestBuildStr:
@@ -106,7 +111,7 @@ class TestBuildStr:
         m = build_str(
             f,
             SketchConfig(kind="identity", s=10, seed=0),
-            ridge=RidgePolicy(mode="explicit", kappa_target=None, gamma_explicit=0.1),
+            gamma=0.1,
         )
         assert m.provenance["ell"] == 2
         sigma1 = np.linalg.norm(L, 2)
@@ -117,7 +122,7 @@ class TestBuildStr:
         m = build_str(
             factor_of(L),
             SketchConfig(kind="identity", s=10, seed=0),
-            ridge=RidgePolicy(mode="explicit", kappa_target=None, gamma_explicit=0.1),
+            gamma=0.1,
         )
         eig = np.linalg.eigvalsh(m.covariance())
         expected = np.sort(np.r_[np.full(4, 0.1), 1.5**2 + 0.1, 3.0**2 + 0.1])
@@ -135,6 +140,13 @@ class TestBuildStr:
         with pytest.raises(ArgumentError):
             FactorModel(L_eff=np.eye(2), gamma=0.0, kind="str")
 
+    def test_nan_gamma_rejected(self):
+        with pytest.raises(ArgumentError, match="gamma > 0, got nan"):
+            FactorModel(L_eff=np.eye(2), gamma=float("nan"), kind="str",
+                        singular_values=[1.0, 1.0])
+        with pytest.raises(ArgumentError):
+            FactorModel(L_eff=np.eye(2), gamma=float("nan"), kind="baseline")
+
     def test_singular_values_validated(self):
         with pytest.raises(ArgumentError):
             FactorModel(L_eff=np.eye(2), gamma=0.1, kind="str")
@@ -150,9 +162,11 @@ class TestBuildStr:
         np.testing.assert_allclose(m.singular_values,
                                    np.linalg.svd(L, compute_uv=False)[:3], rtol=1e-12)
         assert not m.singular_values.flags.writeable
-        assert set(m.provenance) == {
-            "sketch", "ell", "gamma", "ridge_mode", "kappa_target"
-        }
+        assert set(m.provenance) == {"sketch", "ell", "gamma", "kappa_target"}
+        assert m.provenance["kappa_target"] == 1e3
+        pinned = build_str(factor_of(L), SketchConfig(kind="identity", s=20, seed=0),
+                           ell=3, gamma=0.5)
+        assert (pinned.provenance["gamma"], pinned.provenance["kappa_target"]) == (0.5, None)
 
     def test_degenerate_spectrum(self):
         with pytest.raises(DegenerateSpectrumError):
@@ -205,8 +219,7 @@ class TestFactorEquivalence:
         svd = thin_svd(L @ phi)
         ell, gamma = 3, 0.2
         m = build_str(
-            factor_of(L), cfg, ell=ell,
-            ridge=RidgePolicy(mode="explicit", kappa_target=None, gamma_explicit=gamma),
+            factor_of(L), cfg, ell=ell, gamma=gamma,
         )
         Lhat = np.hstack([L @ phi @ svd.V[:, :ell], np.sqrt(gamma) * np.eye(6)])
         np.testing.assert_allclose(Lhat @ Lhat.T, m.covariance(), atol=1e-10)
@@ -264,8 +277,7 @@ class TestStrBounds:
                 continue
             thr = kappa_improvement_threshold(lam[0], lam[-1], eps)
             m = build_str(
-                factor_of(L), cfg, ell=n - 4,
-                ridge=RidgePolicy(mode="explicit", kappa_target=None, gamma_explicit=thr * 1.001),
+                factor_of(L), cfg, ell=n - 4, gamma=thr * 1.001,
             )
             lifted = np.linalg.eigvalsh(m.covariance())
             assert lifted[-1] / lifted[0] < lam[-1] / lam[0]

@@ -8,7 +8,6 @@ from strmv.sketch import (
     _apply_countsketch,
     countsketch_arrays,
     countsketch_sketch,
-    dump_sketch_matrix,
     gaussian_jl_sketch,
     materialize_sketch_matrix,
     recommended_sketch_size,
@@ -53,12 +52,15 @@ class TestGaussianJL:
         phi = materialize_sketch_matrix(SketchConfig(kind="gaussian_jl", s=5, seed=9), 10)
         np.testing.assert_allclose(sk.Ltilde, f.L @ phi, atol=1e-14)
 
-    def test_streaming_equals_dense(self):
+    def test_streaming_equals_dense(self, monkeypatch):
+        import strmv.sketch as sketch
+
         f = factor_of(np.random.default_rng(3).standard_normal((4, 64)))
         dense = gaussian_jl_sketch(f, s=8, seed=5)
-        streamed = gaussian_jl_sketch(f, s=8, seed=5, entry_cap=100)
+        monkeypatch.setattr(sketch, "DENSE_PHI_ENTRY_CAP", 100)  # 12-row blocks of Phi
+        streamed = gaussian_jl_sketch(f, s=8, seed=5)
         np.testing.assert_allclose(streamed.Ltilde, dense.Ltilde, atol=1e-12)
-        again = gaussian_jl_sketch(f, s=8, seed=5, entry_cap=100)
+        again = gaussian_jl_sketch(f, s=8, seed=5)
         np.testing.assert_array_equal(streamed.Ltilde, again.Ltilde)
 
     def test_size_bounds(self):
@@ -173,13 +175,8 @@ class TestRecommendedSize:
         assert sizes == sorted(sizes)
 
 
-class TestDebugDump:
-    def test_dump_and_size_cap(self, tmp_path):
-        cfg = SketchConfig(kind="countsketch", s=3, seed=0)
-        path = tmp_path / "phi.csv"
-        dump_sketch_matrix(cfg, 10, path)
-        rows = path.read_text().strip().splitlines()
-        assert len(rows) == 10
+class TestMaterialize:
+    def test_size_cap(self):
         with pytest.raises(ArgumentError):
             materialize_sketch_matrix(SketchConfig(kind="gaussian_jl", s=2000, seed=0), 10**4)
 

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from strmv.errors import ArgumentError, DimensionError, InfeasibleTargetError
 from strmv.metrics import objective_gap
-from strmv.models import FactorModel, RidgePolicy, build_baseline, build_sketch, build_str
+from strmv.models import FactorModel, build_baseline, build_sketch, build_str
 from strmv.oracle import QPInstance, solve_exact
 from strmv.panel import CovarianceFactor, SyntheticSpec, center_and_factor, generate_synthetic
 from strmv.projection import FeasibleSet
@@ -166,7 +166,7 @@ class TestSolve:
         assert x.min() >= -1e-12 and abs(x.sum() - 1) <= 1e-10
         assert fs.mu @ x >= fs.R_target - 1e-9
 
-    @pytest.mark.parametrize("step_mode", ["fixed_auto", "backtracking"])
+    @pytest.mark.parametrize("step_mode", ["fixed", "backtracking"])
     def test_warm_started_projection_matches_cold(self, monkeypatch, step_mode):
         import strmv.projection as projection
         import strmv.solver as solver
@@ -251,11 +251,11 @@ class TestSolve:
         assert res.iterations > 0
         assert len(calls) == 1  # the final result's objective only
 
-    def test_strongly_convex_needs_curvature(self):
-        m = build_baseline(factor_of(np.random.default_rng(0).standard_normal((4, 8))))
-        fs = FeasibleSet(mu=np.linspace(0, 1, 4), R_target=0.2)
-        with pytest.raises(ArgumentError):
-            solve(m, fs, cfg=SolverConfig(momentum_mode="strongly_convex"))
+    def test_constant_momentum_is_not_a_mode(self):
+        # Constant momentum follows from the curvature (m_f > 0, fixed step);
+        # it cannot be pinned, so a model without curvature cannot ask for it.
+        with pytest.raises(ArgumentError, match="unknown momentum mode 'strongly_convex'"):
+            SolverConfig(momentum_mode="strongly_convex")
 
     def test_zero_factor_stops_immediately(self):
         m = build_baseline(factor_of(np.zeros((2, 3))))
@@ -290,12 +290,19 @@ class TestMomentumRegime:
     def test_default_str_solve_is_constant_momentum(self):
         m, fs = _str_desk_model(60, seed=3)
         default = solve(m, fs, cfg=SolverConfig(tol=1e-9))
-        pinned = solve(m, fs, cfg=SolverConfig(momentum_mode="strongly_convex", tol=1e-9))
+        given = solve(m, fs, cfg=SolverConfig(alpha=default.step_used, tol=1e-9))
         assert default.termination == "tolerance"
-        assert default.momentum == pinned.momentum == "strongly_convex"
+        assert default.momentum == given.momentum == "strongly_convex"
+        assert default.step_used == 1.0 / default.L_f_estimate
         assert default.restarts == 0
-        assert default.iterations == pinned.iterations
-        np.testing.assert_array_equal(default.x, pinned.x)
+        assert default.iterations == given.iterations
+        np.testing.assert_array_equal(default.x, given.x)
+
+    def test_backtracking_str_solve_restarts(self):
+        m, fs = _str_desk_model(40, seed=4)
+        res = solve(m, fs, cfg=SolverConfig(step_mode="backtracking", tol=1e-8))
+        assert res.termination == "tolerance"
+        assert res.momentum == "fista_restart"
 
     def test_str_curvature_is_exact_without_power_method(self, monkeypatch):
         import strmv.solver as solver
@@ -342,7 +349,7 @@ def test_default_solve_matches_oracle(seed, kind):
                                                   s=int(rng.integers(n, T + 1)), seed=seed))
     else:
         model = build_str(factor, SketchConfig(kind="gaussian_jl", s=T, seed=seed),
-                          ridge=RidgePolicy(kappa_target=100.0))
+                          kappa_target=100.0)
     mu = rng.standard_normal(n)
     fs = FeasibleSet(mu=mu, R_target=float(np.quantile(mu, rng.uniform(0.2, 0.8))))
     res = solve(model, fs, cfg=SolverConfig(tol=5e-10, max_iters=20000,
@@ -361,11 +368,11 @@ class TestAgainstOracle:
         spec = SyntheticSpec(n=n, T=T, singular_decay=0.85, seed=seed)
         factor = center_and_factor(generate_synthetic(spec))
         m = build_str(factor, SketchConfig(kind="gaussian_jl", s=T, seed=seed),
-                      ell=n - 2, ridge=RidgePolicy(kappa_target=50.0))
+                      ell=n - 2, kappa_target=50.0)
         mu = rng.standard_normal(n)
         fs = FeasibleSet(mu=mu, R_target=float(np.quantile(mu, 0.5)))
-        res = solve(m, fs, cfg=SolverConfig(momentum_mode="strongly_convex",
-                                            tol=1e-10, max_iters=20000))
+        res = solve(m, fs, cfg=SolverConfig(tol=1e-10, max_iters=20000))
+        assert res.momentum == "strongly_convex"
         oracle = solve_exact(QPInstance(Q=2 * m.covariance(), c=np.zeros(n), fs=fs))
         assert res.objective - oracle.value <= 1e-8 * max(abs(oracle.value), 1e-12)
 
@@ -389,9 +396,11 @@ def test_objective_two_evaluations_agree(seed, gamma):
 
 class TestSolverConfig:
     @pytest.mark.parametrize("kwargs", [
-        {"step_mode": "fixed_explicit", "alpha": float("nan")},
-        {"step_mode": "fixed_explicit", "alpha": float("inf")},
-        {"step_mode": "fixed_explicit", "alpha": -0.5},
+        {"alpha": float("nan")},
+        {"alpha": float("inf")},
+        {"alpha": -0.5},
+        {"alpha": 0.1, "step_mode": "backtracking"},
+        {"step_mode": "fixed_auto"},
         {"tol": float("nan")},
         {"tol": 0.0},
     ])

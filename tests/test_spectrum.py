@@ -40,7 +40,7 @@ class TestThinSVD:
 
     def test_rank_tolerance_discards(self):
         A = np.diag([1.0, 1e-14])
-        out = thin_svd(A, rank_tol=1e-10)
+        out = thin_svd(A)  # 1e-14 is below the 1e-12 relative rank tolerance
         assert out.rank == 1
 
     def test_non_finite_rejected(self):
