@@ -364,6 +364,13 @@ def run_approximation_sweep(cfg: ExperimentConfig) -> BenchReport:
     """
     if cfg.synthetic is None:
         raise ArgumentError("approximation sweep needs a synthetic instance")
+    for mi, mspec in enumerate(cfg.models):
+        pinned = [k for k in ("s", "eta", "s_over_ell") if getattr(mspec, k) is not None]
+        if mspec.kind != "baseline" and pinned:
+            raise ArgumentError(
+                f"models[{mi}] sets {', '.join(pinned)}: the approximation sweep takes "
+                "eta from eta_grid and s from s_over_ell_grid"
+            )
     rows: list[dict] = []
     failures: list[dict] = []
     for rep in range(cfg.repetitions):

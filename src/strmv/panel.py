@@ -101,20 +101,50 @@ def load_panel(path) -> ReturnPanel:
     """Parse a return panel from CSV.
 
     Layout: one header row (content ignored), first column asset id, remaining
-    columns per-period returns. Empty cells are filled with 0.0; any other
-    unparseable cell is an error (silent coercion hides data problems).
+    columns per-period returns. Asset ids may be quoted as ``csv.writer``
+    quotes them; ``#`` is not a comment character, and blank lines are
+    skipped. Empty cells are filled with 0.0; any other unparseable cell is an
+    error (silent coercion hides data problems).
+
+    One ``np.loadtxt`` call parses a well-formed file. When it rejects the
+    file (an empty cell, a bad cell, a ragged row), the per-cell parse reads
+    it again to fill empty cells or to name the offending row and column.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        rows = list(reader)
-    if len(rows) < 2:
-        raise DataFormatError(f"{path}: expected a header row plus data rows")
-    data_rows = rows[1:]
-    width = len(data_rows[0])
+        next(reader, None)  # the header
+        header_lines = reader.line_num
+        first = next((row for row in reader if row), None)
+        if first is None:
+            raise DataFormatError(f"{path}: expected a header row plus data rows")
+        width = len(first)
+        fh.seek(0)
+        try:
+            table = np.loadtxt(
+                fh, delimiter=",", skiprows=header_lines, quotechar='"',
+                comments=None, ndmin=1,
+                dtype=[("id", object), ("r", np.float64, (width - 1,))],
+            )
+        except ValueError:
+            fh.seek(0)
+            asset_ids, returns = _parse_cells(path, csv.reader(fh), width)
+        else:
+            asset_ids, returns = table["id"].tolist(), np.ascontiguousarray(table["r"])
+    if returns.shape[0] < 2 or returns.shape[1] < 2:
+        raise DimensionError(
+            f"{path}: panel must be at least 2x2, got {returns.shape[0]}x{returns.shape[1]}"
+        )
+    return ReturnPanel(asset_ids=asset_ids, returns=returns)
+
+
+def _parse_cells(path, reader, width: int) -> tuple[list[str], np.ndarray]:
+    """Parse the rows after the header cell by cell, naming any bad cell."""
+    next(reader)  # the header
     asset_ids: list[str] = []
     values: list[list[float]] = []
-    for i, row in enumerate(data_rows):
-        file_row = i + 2  # 1-based, counting the header
+    for file_row, row in enumerate(reader, start=2):  # 1-based, counting the header
+        if not row:
+            continue
         if len(row) != width:
             raise DataFormatError(
                 f"{path}: row {file_row} has {len(row)} columns, expected {width}"
@@ -133,21 +163,27 @@ def load_panel(path) -> ReturnPanel:
                     f"{path}: non-numeric cell {cell!r} at row {file_row}, column {j}"
                 ) from None
         values.append(parsed)
-    returns = np.asarray(values, dtype=np.float64)
-    if returns.shape[0] < 2 or returns.shape[1] < 2:
-        raise DimensionError(
-            f"{path}: panel must be at least 2x2, got {returns.shape[0]}x{returns.shape[1]}"
-        )
-    return ReturnPanel(asset_ids=asset_ids, returns=returns)
+    return asset_ids, np.asarray(values, dtype=np.float64)
+
+
+def _csv_field(text: str) -> str:
+    """``text`` as ``csv.writer`` writes a field: quoted when it holds ``,``,
+    ``"``, CR or LF, with inner quotes doubled."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def save_panel(panel: ReturnPanel, path) -> None:
-    """Write a panel in the CSV layout that ``load_panel`` reads."""
+    """Write a panel in the CSV layout that ``load_panel`` reads.
+
+    Byte for byte what ``csv.writer`` writes for the header plus one
+    ``[asset_id, repr(value), ...]`` row per asset.
+    """
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["asset"] + [f"p{t + 1}" for t in range(panel.T)])
+        csv.writer(fh).writerow(["asset"] + [f"p{t + 1}" for t in range(panel.T)])
         for aid, row in zip(panel.asset_ids, panel.returns):
-            writer.writerow([aid] + [repr(float(v)) for v in row])
+            fh.write(",".join([_csv_field(aid), *map(repr, row.tolist())]) + "\r\n")
 
 
 def center_and_factor(panel: ReturnPanel) -> CovarianceFactor:

@@ -333,6 +333,24 @@ class TestExitCodes:
         assert "Traceback" not in proc.stderr
         assert not out.exists()
 
+    @pytest.mark.parametrize("model,pinned", [
+        ({"kind": "str", "s": 0, "eta": 0.5}, "s, eta"),
+        ({"kind": "sketch", "s_over_ell": 3.0}, "s_over_ell"),
+    ])
+    def test_approx_model_pinning_a_grid_value_is_1(self, tmp_path, model, pinned):
+        # The sweep sets s, eta and s/ell from its grids; a model that pins one
+        # would otherwise run at a grid point and exit 0.
+        cfg_path = tmp_path / "cfg.json"
+        out = tmp_path / "report.json"
+        cfg_path.write_text(json.dumps({"models": [model], "synthetic": {"n": 6, "T": 24},
+                                        "repetitions": 1}))
+        proc = run_cli("bench", "approx", "--config", str(cfg_path), "--out", str(out))
+        assert proc.returncode == 1
+        assert f"models[0] sets {pinned}" in proc.stderr
+        assert "eta_grid" in proc.stderr and "s_over_ell_grid" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not out.exists()
+
 
     @pytest.mark.parametrize("experiment,cfg,code,message", [
         ("rate", {"rate_iters": 5}, 1, "needs a trace of at least 11 iterations, got 5"),

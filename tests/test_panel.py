@@ -1,6 +1,8 @@
+import csv
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from strmv.errors import DataFormatError, DimensionError, NumericError
@@ -62,6 +64,107 @@ class TestLoadPanel:
         again = load_panel(path)
         np.testing.assert_array_equal(again.returns, panel.returns)
         assert again.asset_ids == panel.asset_ids
+
+
+def edit_csv(path, file_row, change):
+    """Replace line ``file_row`` (1-based, the header is 1) of a CRLF file by
+    ``change(cells)``, where ``cells`` is the line split at commas."""
+    lines = path.read_bytes().decode().split("\r\n")
+    lines[file_row - 1] = change(lines[file_row - 1].split(","))
+    path.write_bytes("\r\n".join(lines).encode())
+
+
+def set_cell(path, file_row, column, text):
+    def change(cells):
+        cells[column - 1] = text
+        return ",".join(cells)
+
+    edit_csv(path, file_row, change)
+
+
+class TestCsvErrorContract:
+    """The load contract on a 50x300 file written by ``save_panel``, then edited.
+
+    File rows count the header as row 1 and columns count the asset id as
+    column 1, so cell (row r, column c) is ``returns[r - 2, c - 2]``.
+    """
+
+    @pytest.fixture
+    def saved(self, tmp_path):
+        panel = generate_synthetic(SyntheticSpec(n=50, T=300, seed=4))
+        path = tmp_path / "big.csv"
+        save_panel(panel, path)
+        return panel, path
+
+    def test_clean_file_skips_the_per_cell_parse(self, saved, monkeypatch):
+        import strmv.panel
+
+        def per_cell(*args):
+            raise AssertionError("per-cell parse ran on a well-formed file")
+
+        monkeypatch.setattr(strmv.panel, "_parse_cells", per_cell)
+        panel, path = saved
+        again = load_panel(path)
+        assert again.asset_ids == panel.asset_ids
+        np.testing.assert_array_equal(again.returns, panel.returns)
+
+    def test_empty_cell_deep_in_file_is_zero(self, saved):
+        panel, path = saved
+        set_cell(path, 40, 250, "")
+        expected = panel.returns.copy()
+        expected[38, 248] = 0.0
+        again = load_panel(path)
+        assert again.asset_ids == panel.asset_ids
+        np.testing.assert_array_equal(again.returns, expected)
+
+    def test_bad_cell_named_by_row_and_column(self, saved):
+        _, path = saved
+        set_cell(path, 37, 120, "oops")
+        with pytest.raises(DataFormatError, match="'oops' at row 37, column 120"):
+            load_panel(path)
+
+    def test_row_one_cell_long(self, saved):
+        _, path = saved
+        edit_csv(path, 20, lambda cells: ",".join(cells + ["0.5"]))
+        with pytest.raises(DataFormatError, match="row 20 has 302 columns, expected 301"):
+            load_panel(path)
+
+    def test_row_one_cell_short(self, saved):
+        _, path = saved
+        edit_csv(path, 45, lambda cells: ",".join(cells[:-1]))
+        with pytest.raises(DataFormatError, match="row 45 has 300 columns, expected 301"):
+            load_panel(path)
+
+    @pytest.mark.parametrize("after_header", [b"\r\n", b"\r\n\r\n\r\n"],
+                             ids=["header_only", "then_blank_lines"])
+    def test_no_data_rows(self, saved, after_header):
+        _, path = saved
+        path.write_bytes(path.read_bytes().split(b"\r\n")[0] + after_header)
+        with pytest.raises(DataFormatError, match="header row plus data rows"):
+            load_panel(path)
+
+    @pytest.mark.parametrize("text", ["inf", "-inf", "nan"])
+    def test_non_finite_rejected(self, saved, text):
+        _, path = saved
+        set_cell(path, 30, 200, text)
+        with pytest.raises(NumericError):
+            load_panel(path)
+
+    def test_blank_lines_are_skipped(self, saved):
+        panel, path = saved
+        edit_csv(path, 11, lambda cells: "\r\n" + ",".join(cells))  # before row 11
+        edit_csv(path, 2, lambda cells: "\n" + ",".join(cells))  # LF only, before row 2
+        path.write_bytes(path.read_bytes() + b"\r\n\r\n")
+        again = load_panel(path)
+        assert again.asset_ids == panel.asset_ids
+        np.testing.assert_array_equal(again.returns, panel.returns)
+
+    def test_rows_after_a_blank_line_are_numbered_as_file_lines(self, saved):
+        _, path = saved
+        edit_csv(path, 11, lambda cells: "\r\n" + ",".join(cells))
+        set_cell(path, 38, 120, "oops")  # row 37 of the unedited file
+        with pytest.raises(DataFormatError, match="row 38, column 120"):
+            load_panel(path)
 
 
 class TestCenterAndFactor:
@@ -157,3 +260,91 @@ def test_centering_identity_property(rows):
     f = center_and_factor(panel)
     np.testing.assert_allclose(f.mean, np.asarray(rows).mean(axis=1), atol=1e-12)
     assert np.abs(f.L.sum(axis=1)).max() <= 1e-9 * (1 + np.abs(f.L).max())
+
+
+EXTREME_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1.7e308, -1.7e308]
+ID_CHARS = st.one_of(
+    st.sampled_from(list('#,"\r\n ') + ["é", "Ω", "中", "\u00a0"]),
+    st.characters(codec="utf-8", exclude_categories=("Cs",)),
+)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    n=st.integers(2, 4),
+    T=st.integers(2, 5),
+    data=st.data(),
+)
+def test_csv_round_trip_property(tmp_path, n, T, data):
+    values = data.draw(
+        st.lists(
+            st.one_of(st.sampled_from(EXTREME_FLOATS),
+                      st.floats(allow_nan=False, allow_infinity=False)),
+            min_size=n * T, max_size=n * T,
+        )
+    )
+    ids = data.draw(st.lists(st.text(ID_CHARS, max_size=6), min_size=n, max_size=n))
+    ids[0] = "#" + ids[0]  # a leading '#' is data, not a comment
+    panel = ReturnPanel(asset_ids=ids, returns=np.reshape(values, (n, T)))
+
+    path = tmp_path / "panel.csv"
+    save_panel(panel, path)
+    # The layout csv.writer writes: header, then one row per asset.
+    reference = tmp_path / "reference.csv"
+    with open(reference, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["asset"] + [f"p{t + 1}" for t in range(T)])
+        for aid, row in zip(ids, panel.returns):
+            writer.writerow([aid] + [repr(float(v)) for v in row])
+    assert path.read_bytes() == reference.read_bytes()
+
+    again = load_panel(path)
+    assert again.asset_ids == ids
+    assert again.asset_ids[0].startswith("#")
+    assert np.array_equal(again.returns, panel.returns)
+    assert np.array_equal(np.signbit(again.returns), np.signbit(panel.returns))
+
+
+CELLS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.sampled_from(["", " 1 ", '"2"', '"3"x', "1_0", "+1", ".5", "0x1", "\xa02", "inf",
+                     "nan", "oops", "#", '"a,b"', '"a""b"', '"a\r\nb"', '"', " "]),
+)
+
+
+@st.composite
+def csv_texts(draw):
+    """Short CSV texts near the panel layout: mostly numeric cells, some odd
+    ones, an occasional ragged row, mixed line ends, no blank lines."""
+    width = draw(st.integers(2, 4))
+    rows = []
+    for _ in range(draw(st.integers(1, 4))):
+        w = width if draw(st.integers(0, 5)) else draw(st.integers(1, 5))
+        rows.append(",".join(draw(st.lists(CELLS, min_size=w, max_size=w))))
+    eol = draw(st.sampled_from(["\r\n", "\n", "\r"]))
+    return "asset,p1" + eol + eol.join(rows) + draw(st.sampled_from(["", eol]))
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=csv_texts())
+def test_loadtxt_path_matches_per_cell_parse(tmp_path, monkeypatch, text):
+    # The per-cell parse is the reference: whatever the one-call path accepts
+    # it must read the same, and whatever it rejects goes to the reference.
+    path = tmp_path / "panel.csv"
+    path.write_bytes(text.encode())
+
+    def outcome():
+        try:
+            panel = load_panel(path)
+        except Exception as exc:  # the reference fixes the exception class and text
+            return type(exc), str(exc)
+        return panel.asset_ids, panel.returns.tolist()
+
+    fast = outcome()
+
+    def reject(*args, **kwargs):
+        raise ValueError("forced per-cell parse")
+
+    with monkeypatch.context() as m:
+        m.setattr(np, "loadtxt", reject)
+        assert outcome() == fast
