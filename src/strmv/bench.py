@@ -129,7 +129,6 @@ class ExperimentConfig:
     T_over_n: int = 4
     solver: SolverConfig = field(default_factory=SolverConfig)
     repetitions: int = 3
-    warmup: int = 1
     seed: int = 0
     r_target_percentile: float = 60.0
     split_fraction: float = 2.0 / 3.0
@@ -138,8 +137,6 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.repetitions < 1:
             raise ArgumentError("repetitions must be >= 1")
-        if self.warmup < 0:
-            raise ArgumentError("warmup must be >= 0")
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
@@ -316,13 +313,12 @@ def _timed_build(factor, mspec, seed, dense_singvals=None):
     return model, meta, time.perf_counter() - t0
 
 
-def _timed_solve(model, fs, cfg, warmup: int, repeats: int):
-    """Warmup solves are discarded; the median of repeated timings is kept.
+def _timed_solve(model, fs, cfg, repeats: int):
+    """One warm-up solve is discarded; the median of repeated timings is kept.
 
     The solve itself is deterministic, so metrics come from the last run.
     """
-    for _ in range(warmup):
-        solve(model, fs, cfg=cfg)
+    solve(model, fs, cfg=cfg)
     times = []
     result = None
     for _ in range(repeats):
@@ -394,7 +390,9 @@ def run_approximation_sweep(cfg: ExperimentConfig) -> BenchReport:
                             factor, point, sketch_seed, dense_singvals
                         )
                         spec_err = relative_spectral_error(model.covariance(), Sigma)
-                        res, solve_time = _timed_solve(model, fs, cfg.solver, 0, 1)
+                        t0 = time.perf_counter()
+                        res = solve(model, fs, cfg=cfg.solver)
+                        solve_time = time.perf_counter() - t0
                         gap = objective_gap(objective(baseline, res.x), f_full_star)
                     except ArgumentError:  # a config error fails the run
                         raise
@@ -585,9 +583,7 @@ def run_solver_benchmark(cfg: ExperimentConfig) -> BenchReport:
         for mi, mspec in enumerate(cfg.models):
             model_seed = derive_seed(cfg.seed, 302, n, mi)
             model, _, build_time = _timed_build(factor, mspec, model_seed, dense_singvals)
-            result, solve_time = _timed_solve(
-                model, fs, cfg.solver, cfg.warmup, cfg.repetitions
-            )
+            result, solve_time = _timed_solve(model, fs, cfg.solver, cfg.repetitions)
             rows.append(
                 {
                     "model": mspec.label(),
@@ -613,10 +609,10 @@ def run_solver_benchmark(cfg: ExperimentConfig) -> BenchReport:
     return _report("solver", cfg, rows)
 
 
-def _median_gradient_time(model: FactorModel, x: np.ndarray, reps: int = 100) -> float:
-    """Median microseconds per gradient evaluation."""
-    times = np.empty(reps)
-    for i in range(reps):
+def _median_gradient_time(model: FactorModel, x: np.ndarray) -> float:
+    """Median microseconds per gradient evaluation over 100 calls."""
+    times = np.empty(100)
+    for i in range(times.size):
         t0 = time.perf_counter_ns()
         gradient(model, x)
         times[i] = time.perf_counter_ns() - t0
@@ -649,7 +645,7 @@ def run_real_panel(cfg: ExperimentConfig) -> BenchReport:
     factor = center_and_factor(ReturnPanel(asset_ids=panel.asset_ids, returns=train))
     fs = feasible_from_factor(factor, cfg.r_target_percentile)
     baseline = build_baseline(factor)
-    ref = _timed_solve(baseline, fs, cfg.solver, cfg.warmup, cfg.repetitions)
+    ref = _timed_solve(baseline, fs, cfg.solver, cfg.repetitions)
     f_full_star = ref[0].objective
     dense_singvals = np.linalg.svd(factor.L, compute_uv=False) if any(
         m.eta is not None for m in cfg.models
@@ -662,9 +658,7 @@ def run_real_panel(cfg: ExperimentConfig) -> BenchReport:
             result, solve_time = ref
         else:
             model, _, build_time = _timed_build(factor, mspec, model_seed, dense_singvals)
-            result, solve_time = _timed_solve(
-                model, fs, cfg.solver, cfg.warmup, cfg.repetitions
-            )
+            result, solve_time = _timed_solve(model, fs, cfg.solver, cfg.repetitions)
         rows.append(
             {
                 "model": mspec.label(),

@@ -2,6 +2,8 @@
 
 Subcommands: synth, spectrum, project, solve, bench {approx,rate,solver,real}.
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric failure.
+A reader that closes stdout early (``| head``) cuts the report short; the
+command still exits 0, quietly.
 
 numpy is imported lazily so that --threads can pin the BLAS thread count
 before any linear algebra library initializes.
@@ -98,7 +100,7 @@ def _emit(payload: dict, out_path) -> None:
         with open(out_path, "w") as fh:
             fh.write(text + "\n")
     else:
-        print(text)
+        print(text, flush=True)  # a closed pipe raises here, inside main's handlers
 
 
 def _parse_vector(text: str):
@@ -280,6 +282,17 @@ def main(argv=None) -> int:
     except NumericError as exc:
         print(f"strmv: numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    except BrokenPipeError:
+        # The reader is gone. Point stdout's descriptor at devnull so that
+        # the interpreter's flush at exit cannot raise a second time.
+        try:
+            fd = sys.stdout.fileno()
+        except (AttributeError, OSError, ValueError):  # not a real file
+            return EXIT_OK
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, fd)
+        os.close(devnull)
+        return EXIT_OK
 
 
 if __name__ == "__main__":

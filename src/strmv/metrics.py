@@ -10,13 +10,12 @@ import numpy as np
 
 from .errors import ArgumentError, DimensionError, NumericError
 from .models import FactorModel
-from .spectrum import power_sequence
 
 #: 5-minute intervals per trading year: 48 per day times 244 trading days.
 INTERVALS_PER_YEAR = 48 * 244
 
-#: Dense spectral norms up to this dimension; power iteration above.
-_DENSE_NORM_LIMIT = 1000
+#: Largest dimension at which conditioning_report runs a dense eigensolve.
+_DENSE_EIG_LIMIT = 1000
 
 
 @dataclass
@@ -49,25 +48,16 @@ class ConditioningReport:
         }
 
 
-def spectral_norm(A: np.ndarray) -> float:
-    """Spectral norm of a symmetric matrix; dense at small n, power method above."""
-    A = np.asarray(A, dtype=np.float64)
-    if A.shape[0] <= _DENSE_NORM_LIMIT:
-        return float(np.linalg.norm(A, 2))
-    # sqrt(u.T A^2 u) = ||A u||: 25 Rayleigh steps on A^2 are 50 products with A.
-    return float(power_sequence(lambda u: A @ (A @ u), A.shape[0], 25, 0)[-1])
-
-
 def relative_spectral_error(Sigma_hat: np.ndarray, Sigma: np.ndarray) -> float:
-    """||Sigma_hat - Sigma||_2 / ||Sigma||_2."""
+    """||Sigma_hat - Sigma||_2 / ||Sigma||_2, both norms exact at every size."""
     Sigma_hat = np.asarray(Sigma_hat, dtype=np.float64)
     Sigma = np.asarray(Sigma, dtype=np.float64)
     if Sigma_hat.shape != Sigma.shape:
         raise DimensionError("matrices must share a shape")
-    denom = spectral_norm(Sigma)
+    denom = float(np.linalg.norm(Sigma, 2))
     if denom <= 0.0:
         raise NumericError("reference covariance has zero spectral norm")
-    return spectral_norm(Sigma_hat - Sigma) / denom
+    return float(np.linalg.norm(Sigma_hat - Sigma, 2)) / denom
 
 
 def objective_gap(f_hat: float, f_ref: float) -> float:
@@ -118,7 +108,7 @@ def conditioning_report(model: FactorModel) -> ConditioningReport:
         return ConditioningReport(
             lambda_min=0.0, lambda_max=s1**2, kappa=math.inf, finite=False
         )
-    if model.n > _DENSE_NORM_LIMIT:
+    if model.n > _DENSE_EIG_LIMIT:
         raise ArgumentError("dense conditioning report is limited to test scale")
     lam = np.linalg.eigvalsh(model.covariance())
     lam_min, lam_max = float(lam[0]), float(lam[-1])

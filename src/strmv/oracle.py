@@ -105,9 +105,21 @@ def _candidate(
     x[free] = sol[:f]
     nu = float(sol[f + 1]) if return_active else 0.0
     lam = float(sol[f])
-    # Dual feasibility on the pinned bounds: eta_i >= 0.
     eta = Q @ x + c - lam - nu * mu
-    if zero_set and float(eta[list(zero_set)].min()) < -_DUAL_TOL * scale:
+    zeros = list(zero_set)
+    m = mu[free[0]]
+    if return_active and np.all(mu[free] == m):
+        # The return row repeats the budget row, so (lam - m*t, nu + t) solves
+        # the system for every t; lstsq returns only t = 0, the min-norm point.
+        # The smallest t with nu >= 0 and eta >= 0 on every bound that rises
+        # in t is valid whenever any t is.
+        rate = m - mu[zeros]  # d eta_i / dt
+        rising = rate > 0.0
+        t = max([-nu, *(-eta[zeros][rising] / rate[rising])])
+        nu += t
+        eta += t * (m - mu)
+    # Dual feasibility on the pinned bounds: eta_i >= 0.
+    if zeros and float(eta[zeros].min()) < -_DUAL_TOL * scale:
         return None
     return x, nu, scale
 

@@ -16,7 +16,6 @@ projections remain as an independent reference.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,7 +34,11 @@ DYKSTRA_TOL = 1e-10
 
 @dataclass
 class FeasibleSet:
-    """Simplex plus return constraint mu.T @ x >= R_target."""
+    """Simplex plus return constraint mu.T @ x >= R_target; never empty.
+
+    A target above max(mu), which no portfolio attains, raises
+    InfeasibleTargetError here, before any solve.
+    """
 
     mu: np.ndarray
     R_target: float
@@ -47,10 +50,9 @@ class FeasibleSet:
         if not np.all(np.isfinite(self.mu)) or not np.isfinite(self.R_target):
             raise NumericError("feasible set parameters must be finite")
         if self.R_target > self.mu.max():
-            warnings.warn(
-                f"R_target={self.R_target} exceeds max(mu)={self.mu.max()}; "
-                "the feasible set is empty",
-                stacklevel=2,
+            raise InfeasibleTargetError(
+                f"R_target={self.R_target} exceeds max(mu)={self.mu.max()}: "
+                "no feasible portfolio"
             )
         self.mu.setflags(write=False)
 
@@ -111,15 +113,10 @@ def project_halfspace(y: np.ndarray, fs: FeasibleSet) -> np.ndarray:
     """Closed-form projection onto the return halfspace."""
     y = np.asarray(y, dtype=np.float64)
     mu = fs.mu
-    norm2 = float(mu @ mu)
-    if norm2 == 0.0:
-        if fs.R_target > 0.0:
-            raise InfeasibleTargetError("mu = 0 with a positive return target")
-        return y.copy()
     gap = fs.R_target - float(mu @ y)
-    if gap <= 0.0:
+    if gap <= 0.0:  # always so when mu = 0, since then R_target <= 0
         return y.copy()
-    return y + (gap / norm2) * mu
+    return y + (gap / float(mu @ mu)) * mu
 
 
 def _flat_nu(v: np.ndarray, mu: np.ndarray) -> float:
@@ -175,10 +172,6 @@ def project_feasible(
     R = fs.R_target
     if v.shape != mu.shape:
         raise ArgumentError(f"point has shape {v.shape}, mu has shape {mu.shape}")
-    if R > mu.max():
-        raise InfeasibleTargetError(
-            f"R_target={R} exceeds max(mu)={mu.max()}: no feasible portfolio"
-        )
     if not 0.0 <= nu0 < math.inf:
         raise ArgumentError(f"nu0 must be nonnegative and finite, got {nu0}")
     diag = ProjectionDiagnostics()

@@ -160,13 +160,8 @@ def apply_sketch(factor: CovarianceFactor, cfg: SketchConfig) -> SketchedFactor:
     return SketchedFactor(Ltilde=factor.L.copy(), config=cfg, apply_ops=0)
 
 
-def recommended_sketch_size(
-    r_effective: int,
-    epsilon: float,
-    delta: float,
-    c: float = DEFAULT_SIZE_CONSTANT,
-) -> int:
-    """Sketch size ceil(c * (r + ln(1/delta)) / eps^2).
+def recommended_sketch_size(r_effective: int, epsilon: float, delta: float) -> int:
+    """Sketch size ceil(c * (r + ln(1/delta)) / eps^2), c = DEFAULT_SIZE_CONSTANT.
 
     The caller clips the result to [1, T]; the rule itself only encodes the
     effective-rank and failure-probability dependence.
@@ -175,11 +170,9 @@ def recommended_sketch_size(
         raise ArgumentError(f"epsilon must be in (0,1), got {epsilon}")
     if not 0.0 < delta < 1.0:
         raise ArgumentError(f"delta must be in (0,1), got {delta}")
-    if c <= 0:
-        raise ArgumentError(f"c must be positive, got {c}")
     if r_effective < 0:
         raise ArgumentError(f"r_effective must be nonnegative, got {r_effective}")
-    return math.ceil(c * (r_effective + math.log(1.0 / delta)) / epsilon**2)
+    return math.ceil(DEFAULT_SIZE_CONSTANT * (r_effective + math.log(1.0 / delta)) / epsilon**2)
 
 
 def materialize_sketch_matrix(cfg: SketchConfig, T: int) -> np.ndarray:

@@ -134,37 +134,29 @@ def objective(model: FactorModel, x: np.ndarray) -> float:
     return val
 
 
-def estimate_spectral_norm(model: FactorModel, iters: int = POWER_ITERS, seed: int = 0) -> float:
-    """Power-method estimate of ||L_eff||_2 (a lower bound on the true norm)."""
-    if iters < 1:
-        raise ArgumentError("iters must be >= 1")
+def estimate_spectral_norm(model: FactorModel) -> float:
+    """Power-method estimate of ||L_eff||_2 (a lower bound on the true norm):
+    ``POWER_ITERS`` steps from the start vector seeded with 0."""
     matvec = lambda u: model.L_eff @ (model.L_eff.T @ u)
-    return float(power_sequence(matvec, model.n, iters, seed)[-1])
+    return float(power_sequence(matvec, model.n, POWER_ITERS, 0)[-1])
 
 
-def curvature_constants(
-    model: FactorModel, sigma_min_hint: Optional[float] = None
-) -> CurvatureConstants:
+def curvature_constants(model: FactorModel) -> CurvatureConstants:
     """Smoothness and strong-convexity constants from the factor spectrum.
 
     L_f = 2*(||L_eff||^2 + gamma). A str model stores L_eff = U_ell * S_ell,
     so its norm is exactly the first stored singular value; other models get
     a power estimate, inflated by the safety factor because it is a lower
-    bound. m_f defaults to 2*gamma: any factor with fewer columns than rows
-    has a zero smallest covariance eigenvalue, and for the full baseline
-    computing it is as hard as the problem itself. A known smallest singular
-    value can be passed as a hint.
+    bound. m_f = 2*gamma: any factor with fewer columns than rows has a zero
+    smallest covariance eigenvalue, and for the full baseline computing it is
+    as hard as the problem itself.
     """
     if model.singular_values is not None:
         L_f = 2.0 * (float(model.singular_values[0]) ** 2 + model.gamma)
     else:
         est = estimate_spectral_norm(model)
         L_f = STEP_SAFETY * 2.0 * (est**2 + model.gamma)
-    if sigma_min_hint is not None:
-        m_f = 2.0 * (sigma_min_hint**2 + model.gamma)
-    else:
-        m_f = 2.0 * model.gamma
-    return CurvatureConstants(L_f=L_f, m_f=m_f)
+    return CurvatureConstants(L_f=L_f, m_f=2.0 * model.gamma)
 
 
 def solve(
@@ -172,7 +164,6 @@ def solve(
     fs: FeasibleSet,
     x0: Optional[np.ndarray] = None,
     cfg: Optional[SolverConfig] = None,
-    sigma_min_hint: Optional[float] = None,
 ) -> SolveResult:
     """Run the accelerated projected-gradient loop on a factor model.
 
@@ -185,7 +176,7 @@ def solve(
     n = fs.n
     if model.n != n:
         raise DimensionError(f"model has {model.n} assets, feasible set {n}")
-    consts = curvature_constants(model, sigma_min_hint=sigma_min_hint)
+    consts = curvature_constants(model)
     L_f, m_f = consts.L_f, consts.m_f
 
     nu = 0.0  # nu* of the latest projection, the warm start of the next one

@@ -41,7 +41,6 @@ class TruncationRule:
 class ThinSVD:
     U: np.ndarray  # (n, r), orthonormal columns
     S: np.ndarray  # (r,), descending positive
-    V: np.ndarray  # (cols, r), orthonormal columns
 
     @property
     def rank(self) -> int:
@@ -67,25 +66,24 @@ class SpectrumReport:
 
 
 def thin_svd(A: np.ndarray) -> ThinSVD:
-    """Thin SVD keeping singular values >= RANK_TOL * sigma_1."""
+    """Left singular vectors and values of A, kept where S >= RANK_TOL * sigma_1."""
     A = np.asarray(A, dtype=np.float64)
     if not np.all(np.isfinite(A)):
         raise NumericError("matrix has non-finite entries")
-    U, S, Vt = np.linalg.svd(A, full_matrices=False)
+    U, S, _ = np.linalg.svd(A, full_matrices=False)
     if S.size == 0 or S[0] <= 0.0:
         r = 0
     else:
         r = int(np.count_nonzero(S >= RANK_TOL * S[0]))
-    return ThinSVD(U=U[:, :r], S=S[:r], V=Vt[:r].T)
+    return ThinSVD(U=U[:, :r], S=S[:r])
 
 
 def power_sequence(matvec: Callable[[np.ndarray], np.ndarray], n: int,
                    iters: int, seed: int) -> np.ndarray:
     """Rayleigh-quotient sequence sqrt(u.T M u) for the PSD operator M.
 
-    The sequence is nondecreasing and converges to sqrt(||M||_2): the top
-    singular value of L when M = L @ L.T, and ||A||_2 when M = A @ A for a
-    symmetric A.
+    The sequence is nondecreasing and converges to sqrt(||M||_2), the top
+    singular value of L when M = L @ L.T.
     """
     rng = np.random.default_rng(seed)
     u = rng.standard_normal(n)

@@ -76,13 +76,10 @@ def test_criterion_1_oracle_equivalence():
                               kappa_target=100.0)
         mu = rng.standard_normal(n)
         fs = FeasibleSet(mu=mu, R_target=float(np.quantile(mu, rng.uniform(0.2, 0.8))))
-        smin = (float(np.linalg.svd(model.L_eff, compute_uv=False).min())
-                if model.columns >= n else 0.0)
-        mode = "auto" if (model.gamma > 0 or smin > 0) else "fista"
+        mode = "auto" if model.gamma > 0 else "fista"
         cfg = SolverConfig(momentum_mode=mode, tol=5e-10, max_iters=20_000,
                            residual_check_stride=5)
-        res = solve(model, fs, cfg=cfg,
-                    sigma_min_hint=smin if smin > 0 else None)
+        res = solve(model, fs, cfg=cfg)
         oracle = solve_exact(QPInstance(Q=2.0 * model.covariance(), c=np.zeros(n), fs=fs))
         worst = max(worst, objective_gap(res.objective, oracle.value))
     elapsed = time.time() - t0

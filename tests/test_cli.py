@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import os
 import subprocess
 import sys
 
@@ -152,7 +153,6 @@ class TestSubcommands:
             "sizes": [6],
             "solver": {"tol": 1e-7, "max_iters": 2000},
             "repetitions": 1,
-            "warmup": 0,
         }
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(cfg))
@@ -214,6 +214,29 @@ class TestExitCodes:
                        "--mu=-0.73,-0.54,-0.32,0.41,1.04", "--r-target", "0.16")
         assert proc.returncode == 3
         assert "misses R_target" in proc.stderr
+
+    def test_closed_stdout_pipe_is_0_without_traceback(self, panel_csv):
+        # The reader closed the pipe before the report was written.
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "strmv.cli", "spectrum", "--panel", str(panel_csv)],
+                stdout=write_end, stderr=subprocess.PIPE, text=True,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+
+    def test_broken_pipe_in_process(self, monkeypatch, capsys):
+        class ClosedPipe(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        assert main(["project", "--v", "0.5,0.5", "--mu", "1,0", "--r-target", "0.9"]) == 0
+        assert capsys.readouterr().err == ""
 
     @pytest.mark.parametrize("cfg", [
         {"solver": {"bogus": 1}},
@@ -316,7 +339,7 @@ class TestExitCodes:
     def test_config_nan_gamma_is_1(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text('{"models": [{"kind": "str", "s": 12, "gamma": NaN}], '
-                            '"sizes": [8], "repetitions": 1, "warmup": 0}')
+                            '"sizes": [8], "repetitions": 1}')
         proc = run_cli("bench", "solver", "--config", str(cfg_path))
         assert proc.returncode == 1
         assert "str models require gamma > 0, got nan" in proc.stderr
@@ -366,10 +389,11 @@ class TestExitCodes:
         ("solver", {"solver": {"seed": 3}}, 1, "unknown config keys in solver: ['seed']"),
         ("solver", {"solver": {"alpha": 0.1, "step_mode": "backtracking"}}, 1,
          "alpha sets a fixed step"),
+        ("solver", {"warmup": 0}, 1, "unknown config keys in top-level: ['warmup']"),
     ])
     def test_config_error_exit_code(self, tmp_path, capsys, experiment, cfg, code, message):
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps({"sizes": [8], "repetitions": 1, "warmup": 0, **cfg}))
+        cfg_path.write_text(json.dumps({"sizes": [8], "repetitions": 1, **cfg}))
         assert main(["bench", experiment, "--config", str(cfg_path)]) == code
         assert message in capsys.readouterr().err
 
@@ -436,7 +460,6 @@ _BENCH_MODELS = st.fixed_dictionaries(
         "sizes": st.lists(st.one_of(st.integers(2, 6), st.just(1)), min_size=1, max_size=2),
         "models": st.lists(_BENCH_MODELS, min_size=1, max_size=1),
         "repetitions": st.one_of(st.integers(1, 2), st.just(0)),
-        "warmup": st.one_of(st.integers(0, 1), st.just(-1)),
     }),
 )
 def test_bench_config_fuzz_exits_with_a_documented_code(tmp_path_factory, experiment, cfg):
@@ -444,4 +467,49 @@ def test_bench_config_fuzz_exits_with_a_documented_code(tmp_path_factory, experi
     path.write_text(json.dumps({**cfg, "solver": {"max_iters": 2000}}))
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = main(["bench", experiment, "--config", str(path)])
+    assert code in (0, 1, 2, 3)
+
+
+@pytest.fixture(scope="module")
+def tiny_panel(tmp_path_factory):
+    path = tmp_path_factory.mktemp("tiny") / "panel.csv"
+    assert main(["synth", "--n", "6", "--T", "24", "--decay", "0.7", "--seed", "1",
+                 "--out", str(path)]) == 0
+    return path
+
+
+_SOLVE_FLAGS = {
+    "--model": st.sampled_from(["baseline", "sketch", "str"]),
+    "--sketch": st.sampled_from(["gaussian_jl", "countsketch"]),
+    "--s": st.integers(1, 24).map(str),
+    "--kappa-target": st.floats(1.01, 1e8).map(repr),
+    "--r-target-percentile": st.floats(0, 100).map(repr),
+    "--r-target": st.floats(-0.5, 0.5).map(repr),
+    "--tol": st.floats(1e-12, 1.0).map(repr),
+    # Small, so that a tiny --tol cannot make an example run long.
+    "--max-iters": st.integers(1, 300).map(str),
+}
+_BAD_NUMBERS = st.one_of(
+    st.sampled_from(["0", "-1", "25", "nan", "inf", "-inf", "1e300", "-1e300"]),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.fixed_dictionaries(_SOLVE_FLAGS),
+    # Mostly valid flags, so that most examples run a solve.
+    st.dictionaries(st.sampled_from(sorted(set(_SOLVE_FLAGS) - {"--model", "--sketch"})),
+                    _BAD_NUMBERS, max_size=2),
+    st.sampled_from(["--r-target", "--r-target-percentile"]),
+)
+def test_solve_fuzz_exits_with_a_documented_code(tiny_panel, flags, bad, unused_target):
+    flags = {k: v for k, v in flags.items() if k != unused_target}
+    argv = ["solve", f"--panel={tiny_panel}",
+            *(f"{flag}={value}" for flag, value in {**flags, **bad}.items())]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects a flag value with exit 1
+            code = exc.code
     assert code in (0, 1, 2, 3)

@@ -36,13 +36,14 @@ class TestSpectralError:
         with pytest.raises(NumericError):
             relative_spectral_error(np.eye(2), np.zeros((2, 2)))
 
-    def test_large_scale_power_path(self):
+    def test_exact_at_every_size(self):
+        # No cutoff where the norm turns into a power-method lower bound.
         rng = np.random.default_rng(0)
-        n = 1100  # above the dense cutoff
+        n = 1001
         d = rng.uniform(0.5, 2.0, n)
         S = np.diag(d)
         S2 = np.diag(d * 1.25)
-        assert relative_spectral_error(S2, S) == pytest.approx(0.25, rel=1e-3)
+        assert relative_spectral_error(S2, S) == pytest.approx(0.25, rel=1e-12)
 
 
 class TestObjectiveGap:

@@ -198,7 +198,8 @@ class TestFactorEquivalence:
         ell = 3
         thin = FactorModel(L_eff=svd.U[:, :ell] * svd.S[:ell], gamma=0.05, kind="str",
                            provenance={"ell": ell}, singular_values=svd.S[:ell])
-        wide_L = (svd.U[:, :ell] * svd.S[:ell]) @ svd.V[:, :ell].T
+        V = sk.T @ svd.U[:, :ell] / svd.S[:ell]  # right singular vectors
+        wide_L = (svd.U[:, :ell] * svd.S[:ell]) @ V.T
         wide = FactorModel(
             L_eff=wide_L,
             gamma=0.05,
@@ -221,7 +222,8 @@ class TestFactorEquivalence:
         m = build_str(
             factor_of(L), cfg, ell=ell, gamma=gamma,
         )
-        Lhat = np.hstack([L @ phi @ svd.V[:, :ell], np.sqrt(gamma) * np.eye(6)])
+        V = (L @ phi).T @ svd.U[:, :ell] / svd.S[:ell]  # right singular vectors
+        Lhat = np.hstack([L @ phi @ V, np.sqrt(gamma) * np.eye(6)])
         np.testing.assert_allclose(Lhat @ Lhat.T, m.covariance(), atol=1e-10)
 
 

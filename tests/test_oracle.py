@@ -21,10 +21,17 @@ class TestSolveExact:
         assert out.value == pytest.approx(0.8)
 
     def test_infeasible_target(self):
-        with pytest.warns(UserWarning):
-            fs = FeasibleSet(mu=np.array([0.1, 0.2]), R_target=0.9)
         with pytest.raises(InfeasibleTargetError):
-            solve_exact(QPInstance(Q=np.eye(2), c=np.zeros(2), fs=fs))
+            FeasibleSet(mu=np.array([0.1, 0.2]), R_target=0.9)
+
+    def test_vertex_at_the_top_return(self):
+        # R_target = max(mu) with the return row active: the vertex's KKT
+        # system is singular, and its min-norm multipliers fail the dual
+        # sign check although valid ones exist on the multiplier line.
+        fs = FeasibleSet(mu=np.array([1.65, 1.55]), R_target=1.65)
+        v = np.array([0.0, 5.0])
+        np.testing.assert_array_equal(project_exact(v, fs), [1.0, 0.0])
+        np.testing.assert_array_equal(project_feasible(v, fs)[0], [1.0, 0.0])
 
     def test_return_target_met_to_roundoff(self):
         # lstsq meets the active branch's return equation only to 1e-8; the

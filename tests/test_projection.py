@@ -66,9 +66,11 @@ class TestHalfspace:
             project_halfspace(np.array([0.6, 0.4]), fs), [0.6, 0.4]
         )
         np.testing.assert_allclose(project_halfspace(np.zeros(2), fs), [0.5, 0.0])
-        with pytest.warns(UserWarning):  # halfspace target above max(mu)
-            fs2 = FeasibleSet(mu=np.array([1.0, 1.0]), R_target=2.0)
-        np.testing.assert_allclose(project_halfspace(np.zeros(2), fs2), [1.0, 1.0])
+        # The halfspace leaves the simplex: its projection need not sum to 1.
+        fs2 = FeasibleSet(mu=np.array([1.0, 1.0]), R_target=0.8)
+        np.testing.assert_allclose(project_halfspace(np.zeros(2), fs2), [0.4, 0.4])
+        fs3 = FeasibleSet(mu=np.zeros(2), R_target=0.0)  # every point is inside
+        np.testing.assert_array_equal(project_halfspace(np.ones(2), fs3), [1.0, 1.0])
 
     def test_shifted_point_on_boundary(self):
         rng = np.random.default_rng(0)
@@ -94,10 +96,10 @@ class TestProjectFeasible:
         assert diag.nu_star == pytest.approx(0.8, abs=1e-6)
 
     def test_infeasible_target(self):
-        with pytest.warns(UserWarning):
-            fs = FeasibleSet(mu=np.array([0.1, 0.2]), R_target=0.5)
         with pytest.raises(InfeasibleTargetError):
-            project_feasible(np.array([0.5, 0.5]), fs)
+            FeasibleSet(mu=np.array([0.1, 0.2]), R_target=0.5)
+        with pytest.raises(InfeasibleTargetError):
+            FeasibleSet(mu=np.zeros(2), R_target=1e-300)
 
     def test_oracle_agreement(self):
         rng = np.random.default_rng(10)

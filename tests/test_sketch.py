@@ -159,12 +159,13 @@ class TestCountSketch:
 
 class TestRecommendedSize:
     def test_arithmetic_cases(self):
-        assert recommended_sketch_size(1, 0.5, float(np.exp(-1.0)), c=1.0) == 8
-        assert recommended_sketch_size(10, 0.5, 0.01, c=1.0) == 59
+        # c = 4: ceil(4 * 2 / 0.25) and ceil(4 * (10 + ln 100) / 0.25).
+        assert recommended_sketch_size(1, 0.5, float(np.exp(-1.0))) == 32
+        assert recommended_sketch_size(10, 0.5, 0.01) == 234
 
     def test_bad_arguments(self):
         with pytest.raises(ArgumentError):
-            recommended_sketch_size(5, 0.25, 0.05, c=0.0)
+            recommended_sketch_size(-1, 0.25, 0.05)
         with pytest.raises(ArgumentError):
             recommended_sketch_size(5, 1.5, 0.05)
         with pytest.raises(ArgumentError):
