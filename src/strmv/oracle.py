@@ -127,8 +127,9 @@ def _candidate(
 def solve_exact(inst: QPInstance) -> OracleSolution:
     """Enumerate all active sets and return the best feasible KKT point.
 
-    Ties within 1e-12 in value resolve to the lexicographically smallest
-    (active bound set, return-active flag) pair so fixtures stay stable.
+    Ties within 1e-12 in value resolve to a candidate with no negative entry
+    first, then to the lexicographically smallest (active bound set,
+    return-active flag) pair so fixtures stay stable.
     """
     Q, c, fs = inst.Q, inst.c, inst.fs
     mu, R = fs.mu, fs.R_target
@@ -155,13 +156,14 @@ def solve_exact(inst: QPInstance) -> OracleSolution:
                 if return_active and nu < -_DUAL_TOL:
                     continue
                 value = 0.5 * float(x @ (Q @ x)) + float(c @ x)
-                key = (tuple(zero_set), return_active)
+                key = (bool(x.min() < 0.0), tuple(zero_set), return_active)
                 if (
                     best is None
                     or value < best.value - _TIE_TOL
                     or (
                         abs(value - best.value) <= _TIE_TOL
-                        and key < (best.active_bounds, best.return_active)
+                        and key < (bool(best.x.min() < 0.0), best.active_bounds,
+                                   best.return_active)
                     )
                 ):
                     best = OracleSolution(

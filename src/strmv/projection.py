@@ -48,7 +48,9 @@ class FeasibleSet:
         if self.mu.ndim != 1 or self.mu.size < 2:
             raise ArgumentError("mu must be a vector of length >= 2")
         if not np.all(np.isfinite(self.mu)) or not np.isfinite(self.R_target):
-            raise NumericError("feasible set parameters must be finite")
+            raise ArgumentError(
+                f"mu and R_target must be finite, got R_target={self.R_target}"
+            )
         if self.R_target > self.mu.max():
             raise InfeasibleTargetError(
                 f"R_target={self.R_target} exceeds max(mu)={self.mu.max()}: "

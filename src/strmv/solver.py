@@ -15,14 +15,17 @@ residual ||P_F(x - alpha*grad f(x)) - x||, which vanishes exactly at KKT
 points.
 
 Gradients use only matrix-vector products with the factor, never the dense
-covariance.
+covariance. A factor wider than tall is first replaced by the n x n factor
+R.T of its QR factorization L_eff.T = QR, once per solve: L_eff @ L_eff.T =
+R.T @ R, so the objective and gradient are unchanged and each product costs
+n/columns as much.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -159,6 +162,21 @@ def curvature_constants(model: FactorModel) -> CurvatureConstants:
     return CurvatureConstants(L_f=L_f, m_f=2.0 * model.gamma)
 
 
+def compact_factor(model: FactorModel) -> FactorModel:
+    """The same model on the n x n factor R.T when L_eff has more columns than
+    rows, where L_eff.T = QR; any other model comes back as it is.
+
+    R.T @ R = L_eff @ L_eff.T, so the objective, gradient and spectrum are
+    unchanged. A stored spectrum keeps its first n values, the only nonzero
+    ones of a wide factor.
+    """
+    if model.columns <= model.n:
+        return model
+    R = np.linalg.qr(model.L_eff.T, mode="r")
+    sv = model.singular_values
+    return replace(model, L_eff=R.T, singular_values=None if sv is None else sv[: model.n])
+
+
 def solve(
     model: FactorModel,
     fs: FeasibleSet,
@@ -170,12 +188,13 @@ def solve(
     The default start is the uniform portfolio projected onto the feasible
     set; any supplied x0 is projected as well. Each projection starts its
     search from the previous projection's nu*, which moves little between
-    iterates.
+    iterates. The loop runs on ``compact_factor(model)``.
     """
     cfg = cfg or SolverConfig()
     n = fs.n
     if model.n != n:
         raise DimensionError(f"model has {model.n} assets, feasible set {n}")
+    model = compact_factor(model)
     consts = curvature_constants(model)
     L_f, m_f = consts.L_f, consts.m_f
 

@@ -336,6 +336,16 @@ class TestExitCodes:
         assert proc.returncode == 1
         assert "kappa_target must exceed 1, got nan" in proc.stderr
 
+    def test_solve_nan_r_target_is_1(self, panel_csv):
+        proc = run_cli("solve", "--panel", str(panel_csv), "--r-target", "nan")
+        assert proc.returncode == 1
+        assert "R_target=nan" in proc.stderr
+
+    def test_project_non_finite_r_target_is_1(self):
+        proc = run_cli("project", "--v", "0.5,0.5", "--mu", "1,0", "--r-target", "inf")
+        assert proc.returncode == 1
+        assert "R_target=inf" in proc.stderr
+
     def test_config_nan_gamma_is_1(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text('{"models": [{"kind": "str", "s": 12, "gamma": NaN}], '

@@ -125,3 +125,22 @@ class TestProjectExact:
         b = solve_exact(QPInstance(Q=2 * np.eye(2), c=np.zeros(2), fs=fs))
         assert a.active_bounds == b.active_bounds
         assert a.return_active == b.return_active
+
+    def test_tie_break_prefers_the_feasible_vertex(self):
+        # At R_target = max(mu) a full-support candidate with an entry of
+        # about -1e-15 ties the vertex [0, 1] within the tie tolerance.
+        fs = FeasibleSet(mu=np.array([-1.5, 1.6]), R_target=1.6)
+        x = project_exact(np.array([2.75, 3.20]), fs)
+        assert x.min() >= 0.0
+        np.testing.assert_allclose(x, [0.0, 1.0], atol=1e-12)
+
+    def test_target_at_max_mu_has_no_negative_entry(self):
+        rng = np.random.default_rng(0)
+        for _ in range(300):
+            n = int(rng.integers(2, 6))
+            mu = np.round(rng.uniform(-2.0, 2.0, n), 1)
+            if mu.min() == mu.max():
+                continue
+            v = np.round(rng.uniform(-4.0, 4.0, n), 2)
+            x = project_exact(v, FeasibleSet(mu=mu, R_target=float(mu.max())))
+            assert x.min() >= 0.0, (mu, v, x)

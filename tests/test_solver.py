@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from strmv.errors import ArgumentError, DimensionError, InfeasibleTargetError
+from strmv.errors import ArgumentError, DimensionError, InfeasibleTargetError, NumericError
 from strmv.metrics import objective_gap
 from strmv.models import FactorModel, build_baseline, build_sketch, build_str
 from strmv.oracle import QPInstance, solve_exact
@@ -13,6 +13,7 @@ from strmv.sketch import SketchConfig
 from strmv.solver import (
     POWER_ITERS,
     SolverConfig,
+    compact_factor,
     curvature_constants,
     estimate_spectral_norm,
     gradient,
@@ -335,6 +336,91 @@ class TestMomentumRegime:
         assert (default.momentum, fista.momentum) == ("fista_restart", "fista")
         assert default.restarts > 0 and fista.restarts == 0
         assert default.objective == pytest.approx(fista.objective, rel=1e-7)
+
+
+def _wide_instance(n, seed):
+    spec = SyntheticSpec(n=n, T=4 * n, singular_decay=0.9, noise_floor=0.03, seed=seed)
+    factor = center_and_factor(generate_synthetic(spec))
+    fs = FeasibleSet(mu=factor.mean, R_target=float(np.percentile(factor.mean, 85)))
+    return factor, fs
+
+
+class TestCompactFactor:
+    @pytest.mark.parametrize("step_mode", ["fixed", "backtracking"])
+    @pytest.mark.parametrize("kind", ["baseline", "sketch"])
+    def test_wide_solve_matches_the_compacted_model(self, kind, step_mode):
+        factor, fs = _wide_instance(30, seed=2)
+        if kind == "baseline":
+            wide = build_baseline(factor)
+        else:
+            wide = build_sketch(factor, SketchConfig(kind="gaussian_jl", s=80, seed=5))
+        assert wide.columns > wide.n
+        compact = FactorModel(L_eff=np.linalg.qr(wide.L_eff.T, mode="r").T,
+                              gamma=0.0, kind=kind)
+        cfg = SolverConfig(step_mode=step_mode, tol=1e-10, max_iters=20_000)
+        a, b = solve(wide, fs, cfg=cfg), solve(compact, fs, cfg=cfg)
+        assert a.termination == b.termination == "tolerance"
+        assert a.iterations == b.iterations
+        np.testing.assert_allclose(a.x, b.x, rtol=0.0, atol=1e-12)
+        assert a.objective == pytest.approx(b.objective, rel=1e-12)
+        # The reported objective is the wide model's own at the solution.
+        assert a.objective == pytest.approx(objective(wide, a.x), rel=1e-12)
+
+    def test_wide_solve_iterates_on_the_square_factor(self, monkeypatch):
+        import strmv.solver as solver
+
+        shapes = []
+        for name in ("gradient", "estimate_spectral_norm"):
+            original = getattr(solver, name)
+
+            def recording(model, *args, _original=original):
+                shapes.append(model.L_eff.shape)
+                return _original(model, *args)
+
+            monkeypatch.setattr(solver, name, recording)
+        factor, fs = _wide_instance(30, seed=2)
+        solve(build_baseline(factor), fs, cfg=SolverConfig(tol=1e-8))
+        assert len(shapes) > 2 and set(shapes) == {(30, 30)}
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_compact_covariance_is_exact(self, data):
+        n = data.draw(st.integers(1, 12))
+        T = data.draw(st.integers(n + 1, 8 * n))
+        rank = data.draw(st.integers(0, n))  # below n: rank-deficient
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**31 - 1)))
+        L = rng.standard_normal((n, rank)) @ rng.standard_normal((rank, T))
+        m = compact_factor(FactorModel(L_eff=L, gamma=0.0, kind="baseline"))
+        assert m.L_eff.shape == (n, n)
+        cov = L @ L.T
+        assert np.abs(m.L_eff @ m.L_eff.T - cov).max() <= 1e-12 * np.abs(cov).max()
+
+    def test_wide_str_keeps_its_leading_spectrum(self):
+        m = str_model(np.random.default_rng(0).standard_normal((4, 9)), gamma=0.1)
+        c = compact_factor(m)
+        assert c.L_eff.shape == (4, 4)
+        np.testing.assert_array_equal(c.singular_values, m.singular_values[:4])
+        assert curvature_constants(c).L_f == curvature_constants(m).L_f
+
+    def test_str_and_square_factors_take_no_qr(self, monkeypatch):
+        m, fs = _str_desk_model(40, seed=4)
+        factor, _ = _wide_instance(40, seed=4)
+        square = FactorModel(L_eff=factor.L[:, :40], gamma=0.0, kind="baseline")
+
+        def no_qr(*args, **kwargs):
+            raise AssertionError("a factor with at most n columns needs no QR")
+
+        monkeypatch.setattr(np.linalg, "qr", no_qr)
+        assert compact_factor(m) is m and compact_factor(square) is square
+        assert solve(m, fs, cfg=SolverConfig(tol=1e-8)).termination == "tolerance"
+        assert solve(square, fs, cfg=SolverConfig(tol=1e-8)).termination == "tolerance"
+
+    def test_nan_in_a_wide_factor_raises(self):
+        factor, fs = _wide_instance(6, seed=1)
+        L = factor.L.copy()
+        L[2, 7] = np.nan
+        with pytest.raises(NumericError):
+            solve(FactorModel(L_eff=L, gamma=0.0, kind="baseline"), fs)
 
 
 @settings(max_examples=30, deadline=None)
