@@ -21,16 +21,10 @@ from typing import Optional
 
 import numpy as np
 
+from . import models
 from .errors import ArgumentError, DimensionError, StrmvError
 from .metrics import annualize, objective_gap, relative_spectral_error
-from .models import (
-    DEFAULT_KAPPA_TARGET,
-    MODEL_KINDS,
-    FactorModel,
-    build_baseline,
-    build_sketch,
-    build_str,
-)
+from .models import DEFAULT_KAPPA_TARGET, MODEL_KINDS, FactorModel
 from .oracle import MAX_ORACLE_DIM, QPInstance, solve_exact
 from .panel import (
     CovarianceFactor,
@@ -41,7 +35,7 @@ from .panel import (
     load_panel,
 )
 from .projection import FeasibleSet
-from .sketch import SketchConfig, _splitmix64
+from .sketch import SketchConfig, _splitmix64, recommended_sketch_size
 from .solver import SolverConfig, compact_factor, curvature_constants, gradient, objective, solve
 from .spectrum import TruncationRule, cumulative_energy, energy_rank
 
@@ -111,6 +105,8 @@ class ModelSpec:
     def __post_init__(self):
         if self.kind not in MODEL_KINDS:
             raise ArgumentError(f"unknown model kind {self.kind!r}; expected one of {MODEL_KINDS}")
+        if self.s_over_ell is not None and not self.s_over_ell > 0.0:
+            raise ArgumentError(f"s_over_ell must be > 0, got {self.s_over_ell}")
 
     def label(self) -> str:
         if self.kind == "baseline":
@@ -137,6 +133,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.repetitions < 1:
             raise ArgumentError("repetitions must be >= 1")
+        if not all(ratio > 0.0 for ratio in self.s_over_ell_grid):
+            raise ArgumentError(f"s_over_ell_grid values must be > 0, got {self.s_over_ell_grid}")
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
@@ -262,70 +260,92 @@ def _model_from_spec(
     mspec: ModelSpec,
     seed: int,
     dense_singvals: Optional[np.ndarray] = None,
-) -> tuple[FactorModel, dict]:
-    """Construct the model a ModelSpec describes; returns (model, metadata).
+) -> FactorModel:
+    """Construct the model a ModelSpec describes.
 
     For sketch/str models the sketch width comes from, in order: the explicit
-    ``s``, used as given; or ``s_over_ell`` applied to the eta-mapped
-    truncation level of the dense spectrum (requires ``dense_singvals``),
-    clipped into [1, T].
+    ``s``, used as given; ``s_over_ell`` times the eta-mapped truncation level
+    of the dense spectrum (requires ``dense_singvals``), clipped into [1, T];
+    otherwise the rule-sized width min(T, recommended_sketch_size(min(n, 50),
+    0.5, 0.05)). A sketch model sized from eta records that level as
+    ``provenance["ell"]``. The builders are looked up on ``strmv.models`` at
+    call time, so a tracer that wraps them sees every build.
     """
-    T = factor.columns
     if mspec.kind == "baseline":
-        return build_baseline(factor), {"columns": T}
+        return models.build_baseline(factor)
 
-    ell_from_eta = None
+    ell = None
     if mspec.eta is not None:
         if dense_singvals is None:
             raise ArgumentError("eta-mapped sizing needs the dense spectrum")
-        energy = cumulative_energy(dense_singvals**2)
-        ell_from_eta = energy_rank(energy, mspec.eta)
+        ell = energy_rank(cumulative_energy(dense_singvals**2), mspec.eta)
 
+    T = factor.columns
     if mspec.s is not None:
         s = mspec.s
-    elif mspec.s_over_ell is not None and ell_from_eta is not None:
-        s = min(max(math.ceil(mspec.s_over_ell * ell_from_eta), 1), T)
+    elif mspec.s_over_ell is not None:
+        if ell is None:
+            raise ArgumentError(f"model {mspec.label()} sets s_over_ell without eta")
+        s = min(max(math.ceil(mspec.s_over_ell * ell), 1), T)
     else:
-        raise ArgumentError(
-            f"model {mspec.label()} needs either s or (s_over_ell and eta)"
-        )
+        s = min(T, recommended_sketch_size(min(factor.n, 50), 0.5, 0.05))
     cfg = SketchConfig(kind=mspec.sketch_kind, s=s, seed=seed)
 
     if mspec.kind == "sketch":
-        return build_sketch(factor, cfg), {"s": s, "ell": ell_from_eta}
-
-    model = build_str(
+        model = models.build_sketch(factor, cfg)
+        if ell is not None:
+            model.provenance["ell"] = ell
+        return model
+    return models.build_str(
         factor,
         cfg,
         rule=TruncationRule(tau=mspec.tau, rho=mspec.rho),
-        ell=ell_from_eta,
+        ell=ell,
         kappa_target=mspec.kappa_target,
         gamma=mspec.gamma,
     )
-    meta = {"s": s, "ell": model.provenance["ell"], "gamma": model.gamma}
-    return model, meta
 
 
-def _timed_build(factor, mspec, seed, dense_singvals=None):
-    """``_model_from_spec`` plus its wall time: (model, metadata, seconds)."""
-    t0 = time.perf_counter()
-    model, meta = _model_from_spec(factor, mspec, seed, dense_singvals)
-    return model, meta, time.perf_counter() - t0
-
-
-def _timed_solve(model, fs, cfg, repeats: int):
-    """One warm-up solve is discarded; the median of repeated timings is kept.
+def _timed_solve(model, fs, cfg, repeats: Optional[int] = None):
+    """Times one solve; with ``repeats``, one warm-up solve is discarded first
+    and the median of ``repeats`` timed solves is kept.
 
     The solve itself is deterministic, so metrics come from the last run.
     """
-    solve(model, fs, cfg=cfg)
+    if repeats is not None:
+        solve(model, fs, cfg=cfg)
     times = []
-    result = None
-    for _ in range(repeats):
+    for _ in range(repeats or 1):
         t0 = time.perf_counter()
         result = solve(model, fs, cfg=cfg)
         times.append(time.perf_counter() - t0)
     return result, float(np.median(times))
+
+
+def _run_model(factor, mspec, seed, dense_singvals, fs, baseline, f_ref, cfg, repeats=None):
+    """Build ``mspec``'s model, time its solve (``_timed_solve``) and score the
+    solution on the unreduced objective against the reference optimum
+    ``f_ref``.
+
+    Returns (model, result, score, times): ``score`` holds the gap, iteration
+    count and momentum fields of a row, ``times`` its wall-clock fields.
+    """
+    t0 = time.perf_counter()
+    model = _model_from_spec(factor, mspec, seed, dense_singvals)
+    build_time = time.perf_counter() - t0
+    result, solve_time = _timed_solve(model, fs, cfg, repeats)
+    score = {
+        "full_model_gap": objective_gap(objective(baseline, result.x), f_ref),
+        "iterations": result.iterations,
+        "momentum": result.momentum,
+        "restarts": result.restarts,
+    }
+    times = {
+        "build_time_s": build_time,
+        "solve_time_s": solve_time,
+        "total_time_s": build_time + solve_time,
+    }
+    return model, result, score, times
 
 
 def _oracle_value(model: FactorModel, fs: FeasibleSet) -> float:
@@ -375,7 +395,7 @@ def run_approximation_sweep(cfg: ExperimentConfig) -> BenchReport:
         dense_singvals = np.linalg.svd(factor.L, compute_uv=False)
         Sigma = factor.L @ factor.L.T
         fs = feasible_from_factor(factor, cfg.r_target_percentile)
-        baseline = build_baseline(factor)
+        baseline = models.build_baseline(factor)
         f_full_star = solve(baseline, fs, cfg=cfg.solver).objective
         for mi, mspec in enumerate(cfg.models):
             if mspec.kind == "baseline":
@@ -386,14 +406,11 @@ def run_approximation_sweep(cfg: ExperimentConfig) -> BenchReport:
                     sketch_seed = derive_seed(cfg.seed, 102, rep, mi, ei, ri)
                     key = {"model": point.label(), "eta": eta, "s_over_ell": ratio}
                     try:
-                        model, meta, build_time = _timed_build(
-                            factor, point, sketch_seed, dense_singvals
+                        model, _, score, times = _run_model(
+                            factor, point, sketch_seed, dense_singvals,
+                            fs, baseline, f_full_star, cfg.solver,
                         )
                         spec_err = relative_spectral_error(model.covariance(), Sigma)
-                        t0 = time.perf_counter()
-                        res = solve(model, fs, cfg=cfg.solver)
-                        solve_time = time.perf_counter() - t0
-                        gap = objective_gap(objective(baseline, res.x), f_full_star)
                     except ArgumentError:  # a config error fails the run
                         raise
                     except StrmvError as exc:  # a failed row is recorded, not fatal
@@ -404,19 +421,15 @@ def run_approximation_sweep(cfg: ExperimentConfig) -> BenchReport:
                     rows.append(
                         {
                             **key,
-                            "s": meta.get("s"),
-                            "ell": meta.get("ell"),
-                            "gamma": meta.get("gamma", 0.0),
+                            "s": model.provenance["sketch"]["s"],
+                            "ell": model.provenance.get("ell"),
+                            "gamma": model.gamma,
                             "rep": rep,
                             "panel_seed": panel_seed,
                             "seed": sketch_seed,
                             "rel_spectral_error": spec_err,
-                            "full_model_gap": gap,
-                            "iterations": res.iterations,
-                            "momentum": res.momentum,
-                            "restarts": res.restarts,
-                            "build_time_s": build_time,
-                            "solve_time_s": solve_time,
+                            **score,
+                            **times,
                         }
                     )
     return _report("approx", cfg, rows + failures, _summarize_sweep(rows))
@@ -488,7 +501,7 @@ def run_rate_experiment(cfg: ExperimentConfig, trace_path=None) -> BenchReport:
 
     # Convex case: exact smoothness constant from the dense spectrum.
     alpha = 1.0 / (2.0 * s1**2)
-    res, convex_gaps = _gap_trace(build_baseline(factor), fs, cfg, alpha, "fista")
+    res, convex_gaps = _gap_trace(models.build_baseline(factor), fs, cfg, alpha, "fista")
     ks = np.arange(10, min(200, convex_gaps.size - 1) + 1)
     if ks.size < 2:
         raise ArgumentError(
@@ -514,9 +527,7 @@ def run_rate_experiment(cfg: ExperimentConfig, trace_path=None) -> BenchReport:
         kind="str", sketch_kind="gaussian_jl", s=factor.columns, eta=0.95,
         gamma=0.005 * s1**2,
     )
-    model, _ = _model_from_spec(
-        factor, str_spec, derive_seed(cfg.seed, 202), dense_singvals
-    )
+    model = _model_from_spec(factor, str_spec, derive_seed(cfg.seed, 202), dense_singvals)
     consts = curvature_constants(model)  # exact for a str model
     alpha = 1.0 / consts.L_f
     theta = 1.0 - math.sqrt(alpha * consts.m_f)
@@ -574,7 +585,7 @@ def run_solver_benchmark(cfg: ExperimentConfig) -> BenchReport:
         )
         dense_singvals = np.linalg.svd(factor.L, compute_uv=False)
         fs = feasible_from_factor(factor, cfg.r_target_percentile)
-        baseline = build_baseline(factor)
+        baseline = models.build_baseline(factor)
         oracle = n <= MAX_ORACLE_DIM
         f_full_star = (
             _oracle_value(baseline, fs) if oracle
@@ -582,8 +593,10 @@ def run_solver_benchmark(cfg: ExperimentConfig) -> BenchReport:
         )
         for mi, mspec in enumerate(cfg.models):
             model_seed = derive_seed(cfg.seed, 302, n, mi)
-            model, _, build_time = _timed_build(factor, mspec, model_seed, dense_singvals)
-            result, solve_time = _timed_solve(model, fs, cfg.solver, cfg.repetitions)
+            model, result, score, times = _run_model(
+                factor, mspec, model_seed, dense_singvals,
+                fs, baseline, f_full_star, cfg.solver, cfg.repetitions,
+            )
             rows.append(
                 {
                     "model": mspec.label(),
@@ -596,13 +609,8 @@ def run_solver_benchmark(cfg: ExperimentConfig) -> BenchReport:
                         objective_gap(result.objective, _oracle_value(model, fs))
                         if oracle else None
                     ),
-                    "full_model_gap": objective_gap(objective(baseline, result.x), f_full_star),
-                    "iterations": result.iterations,
-                    "momentum": result.momentum,
-                    "restarts": result.restarts,
-                    "build_time_s": build_time,
-                    "solve_time_s": solve_time,
-                    "total_time_s": build_time + solve_time,
+                    **score,
+                    **times,
                     "grad_us_per_iter": _median_gradient_time(compact_factor(model), result.x),
                 }
             )
@@ -633,6 +641,8 @@ def run_real_panel(cfg: ExperimentConfig) -> BenchReport:
     annualized mean and volatility of the fixed-weight portfolio's
     per-interval test returns.
     """
+    if not 0.0 < cfg.split_fraction < 1.0:
+        raise ArgumentError(f"split_fraction must be in (0, 1), got {cfg.split_fraction}")
     if cfg.panel_path is None:
         raise ArgumentError("real-panel run needs panel_path")
     panel = load_panel(cfg.panel_path)
@@ -645,21 +655,18 @@ def run_real_panel(cfg: ExperimentConfig) -> BenchReport:
     test = panel.returns[:, split:]
     factor = center_and_factor(ReturnPanel(asset_ids=panel.asset_ids, returns=train))
     fs = feasible_from_factor(factor, cfg.r_target_percentile)
-    baseline = build_baseline(factor)
-    ref = _timed_solve(baseline, fs, cfg.solver, cfg.repetitions)
-    f_full_star = ref[0].objective
+    baseline = models.build_baseline(factor)
+    f_full_star = solve(baseline, fs, cfg=cfg.solver).objective
     dense_singvals = np.linalg.svd(factor.L, compute_uv=False) if any(
         m.eta is not None for m in cfg.models
     ) else None
     rows = []
     for mi, mspec in enumerate(cfg.models):
         model_seed = derive_seed(cfg.seed, 401, mi)
-        if mspec.kind == "baseline":
-            model, build_time = baseline, 0.0
-            result, solve_time = ref
-        else:
-            model, _, build_time = _timed_build(factor, mspec, model_seed, dense_singvals)
-            result, solve_time = _timed_solve(model, fs, cfg.solver, cfg.repetitions)
+        model, result, score, times = _run_model(
+            factor, mspec, model_seed, dense_singvals,
+            fs, baseline, f_full_star, cfg.solver, cfg.repetitions,
+        )
         rows.append(
             {
                 "model": mspec.label(),
@@ -670,14 +677,9 @@ def run_real_panel(cfg: ExperimentConfig) -> BenchReport:
                 "seed": model_seed,
                 "r_target": fs.R_target,
                 "r_target_percentile": cfg.r_target_percentile,
-                "full_model_gap": objective_gap(objective(baseline, result.x), f_full_star),
-                "iterations": result.iterations,
-                "momentum": result.momentum,
-                "restarts": result.restarts,
+                **score,
                 "portfolio": annualize(result.x @ test).to_dict(),
-                "build_time_s": build_time,
-                "solve_time_s": solve_time,
-                "total_time_s": build_time + solve_time,
+                **times,
             }
         )
     return _report("real", cfg, rows)

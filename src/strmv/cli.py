@@ -176,11 +176,9 @@ def _cmd_project(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    from .bench import feasible_from_factor
-    from .models import build_baseline, build_sketch, build_str
+    from .bench import ModelSpec, _model_from_spec, feasible_from_factor
     from .panel import center_and_factor, load_panel
     from .projection import FeasibleSet
-    from .sketch import SketchConfig, recommended_sketch_size
     from .solver import SolverConfig, solve
 
     factor = center_and_factor(load_panel(args.panel))
@@ -189,17 +187,10 @@ def _cmd_solve(args) -> int:
     else:
         fs = feasible_from_factor(factor, args.r_target_percentile)
     r_target = fs.R_target
-    if args.model == "baseline":
-        model = build_baseline(factor)
-    else:
-        s = args.s if args.s is not None else min(
-            factor.columns, recommended_sketch_size(min(factor.n, 50), 0.5, 0.05)
-        )
-        cfg = SketchConfig(kind=args.sketch, s=s, seed=args.seed)
-        if args.model == "sketch":
-            model = build_sketch(factor, cfg)
-        else:
-            model = build_str(factor, cfg, kappa_target=args.kappa_target)
+    spec = ModelSpec(
+        kind=args.model, sketch_kind=args.sketch, s=args.s, kappa_target=args.kappa_target
+    )
+    model = _model_from_spec(factor, spec, args.seed)
     scfg = SolverConfig(tol=args.tol, max_iters=args.max_iters)
     result = solve(model, fs, cfg=scfg)
     if result.termination == "max_iters":

@@ -97,11 +97,17 @@ def project_simplex(v: np.ndarray) -> np.ndarray:
     large the entries. The sort orders values only, so it need not be
     stable: tied values are interchangeable, and only where -0.0 and +0.0
     land can differ, which leaves the threshold unchanged.
+
+    A point that is not finite, or whose spread max - min times 2n leaves
+    the float range (so that the shift or the running sums would overflow),
+    raises NumericError before any arithmetic on it.
     """
     v = np.asarray(v, dtype=np.float64)
-    if not np.all(np.isfinite(v)):
-        raise NumericError("cannot project a non-finite point")
-    v = v - v.max()
+    top = float(v.max())
+    if not math.isfinite(2.0 * v.size * (top - float(v.min()))):  # NaN and inf fail too
+        raise NumericError("cannot project a non-finite point or one whose entries span "
+                           "more than the float range")
+    v = v - top
     u = -np.sort(-v)
     cssv = np.cumsum(u) - 1.0
     j = np.arange(1, v.size + 1)
@@ -158,7 +164,9 @@ def project_feasible(
     enters and leaves the support at most once), so the search gets
     2n + 200 steps; if they run out it raises ProjectionFailureError too.
     There is no fallback method. Every trial point is projected through
-    ``project_simplex``.
+    ``project_simplex``. Input so extreme that the search would overflow
+    raises NumericError instead, with no NumPy warning. With finite v and mu,
+    only an overflow can lead to an invalid value (inf - inf, 0 * inf).
 
     ``nu0`` warm-starts the search, typically from the ``nu_star`` of a
     nearby point (the previous solver iterate). If phi(nu0) < R_target the
@@ -169,7 +177,14 @@ def project_feasible(
     the search. The default nu0 = 0 is the cold path itself. The root, and
     so the result, does not depend on nu0 beyond roundoff.
     """
-    v = np.asarray(v, dtype=np.float64)
+    try:
+        with np.errstate(over="raise"):
+            return _project_feasible(np.asarray(v, dtype=np.float64), fs, nu0)
+    except FloatingPointError as exc:
+        raise NumericError(f"projection leaves the float range: {exc}") from None
+
+
+def _project_feasible(v, fs, nu0):
     mu = fs.mu
     R = fs.R_target
     if v.shape != mu.shape:

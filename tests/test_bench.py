@@ -86,11 +86,29 @@ class TestApproximationSweep:
             SyntheticSpec(n=8, T=48, singular_decay=0.7, noise_floor=0.02, seed=0)
         )
         factor = center_and_factor(panel)
-        model, _ = _model_from_spec(
+        model = _model_from_spec(
             factor, ModelSpec(kind="sketch", sketch_kind="identity", s=48), seed=0
         )
         err = relative_spectral_error(model.covariance(), factor.L @ factor.L.T)
         assert err <= 1e-10
+
+    def test_sketch_rows_keep_the_eta_mapped_ell(self):
+        from dataclasses import replace
+
+        from strmv.spectrum import cumulative_energy, energy_rank
+
+        cfg = small_cfg(models=[ModelSpec(kind="sketch")], repetitions=2)
+        report = run_approximation_sweep(cfg)
+        assert len(report.rows) == 4
+        for row in report.rows:
+            factor = center_and_factor(
+                generate_synthetic(replace(cfg.synthetic, seed=row["panel_seed"]))
+            )
+            singvals = np.linalg.svd(factor.L, compute_uv=False)
+            ell = energy_rank(cumulative_energy(singvals**2), row["eta"])
+            assert row["ell"] == ell
+            assert row["s"] == int(np.ceil(row["s_over_ell"] * ell))
+            assert row["gamma"] == 0.0
 
     def test_median_error_weakly_decreasing_in_ratio(self):
         cfg = small_cfg(
@@ -111,6 +129,41 @@ class TestApproximationSweep:
         a = run_approximation_sweep(small_cfg())
         b = run_approximation_sweep(small_cfg())
         assert strip_timings(a.to_dict()) == strip_timings(b.to_dict())
+
+
+class TestModelFromSpec:
+    def test_width_order(self):
+        # explicit s, then s_over_ell times the eta-mapped ell clipped into
+        # [1, T], then the strmv solve rule min(T, 16 * min(n, 50) + 48)
+        from strmv.bench import _model_from_spec
+        from strmv.errors import ArgumentError
+        from strmv.spectrum import cumulative_energy, energy_rank
+
+        factor = center_and_factor(generate_synthetic(
+            SyntheticSpec(n=8, T=200, singular_decay=0.7, noise_floor=0.02, seed=0)
+        ))
+        singvals = np.linalg.svd(factor.L, compute_uv=False)
+
+        def width(**kw):
+            model = _model_from_spec(factor, ModelSpec(kind="sketch", **kw), 0, singvals)
+            return model.provenance["sketch"]["s"]
+
+        assert width(s=7, eta=0.9, s_over_ell=2.0) == 7
+        ell = energy_rank(cumulative_energy(singvals**2), 0.9)
+        assert width(eta=0.9, s_over_ell=2.0) == 2 * ell
+        assert width(eta=0.9, s_over_ell=1000.0) == 200
+        assert width() == width(eta=0.9) == 176
+        with pytest.raises(ArgumentError, match="sets s_over_ell without eta"):
+            width(s_over_ell=2.0)
+
+    @pytest.mark.parametrize("ratio", [0.0, -3.0, float("nan")])
+    def test_non_positive_ratio_rejected(self, ratio):
+        from strmv.errors import ArgumentError
+
+        with pytest.raises(ArgumentError, match="s_over_ell must be > 0"):
+            ModelSpec(kind="str", s_over_ell=ratio, eta=0.9)
+        with pytest.raises(ArgumentError, match="s_over_ell_grid values must be > 0"):
+            small_cfg(s_over_ell_grid=[2.0, ratio])
 
 
 class TestRateExperiment:

@@ -185,6 +185,35 @@ class TestSubcommands:
         header = rows.read_text().splitlines()[0].split(",")
         assert header[0] == "model" and "portfolio.annualized_vol_pct" in header
 
+    def test_bench_solver_default_config_runs(self, tmp_path):
+        # With no --config the one model is {"kind": "str"}: no s, no
+        # s_over_ell, so the strmv solve rule sizes it.
+        out = tmp_path / "report.json"
+        assert main(["bench", "solver", "--out", str(out)]) == 0
+        rows = json.loads(out.read_text())["rows"]
+        assert [(r["model"], r["n"]) for r in rows] == [
+            ("str-gaussian_jl", 8), ("str-gaussian_jl", 10), ("str-gaussian_jl", 12)
+        ]
+
+    def test_bench_real_default_width_is_the_solve_rule(self, tmp_path):
+        # n = 6 puts the rule at 16 * 6 + 48 = 144 columns, below both the
+        # panel's T = 240 and the 160 training columns, so neither clips it.
+        panel = tmp_path / "panel.csv"
+        assert main(["synth", "--n", "6", "--T", "240", "--decay", "0.7",
+                     "--seed", "1", "--out", str(panel)]) == 0
+        solved = tmp_path / "solve.json"
+        assert main(["solve", "--panel", str(panel), "--out", str(solved)]) == 0
+        s = json.loads(solved.read_text())["provenance"]["sketch"]["s"]
+        assert s == 144
+        rows = []
+        for model in ({"kind": "str"}, {"kind": "str", "s": s}):
+            cfg_path, out = tmp_path / "cfg.json", tmp_path / "report.json"
+            cfg_path.write_text(json.dumps({"panel_path": str(panel), "models": [model],
+                                            "repetitions": 1}))
+            assert main(["bench", "real", "--config", str(cfg_path), "--out", str(out)]) == 0
+            rows.append(strip_timings(json.loads(out.read_text())["rows"]))
+        assert rows[0] == rows[1]
+
 
 class TestExitCodes:
     def test_usage_error_is_1(self):
@@ -208,6 +237,16 @@ class TestExitCodes:
         # projecting a non-finite point is a numeric failure
         proc = run_cli("project", "--v", "nan,0", "--mu", "1,0", "--r-target", "0.1")
         assert proc.returncode == 3
+
+    def test_project_spread_beyond_float_range_is_3_in_one_line(self):
+        # No NumPy RuntimeWarning comes before the documented error.
+        proc = run_cli("project", "--v=1e308,-1e308,1e308", "--mu", "1,0,0.5",
+                       "--r-target", "0.9")
+        assert proc.returncode == 3
+        assert proc.stderr.splitlines() == [
+            "strmv: numeric failure: cannot project a non-finite point or one whose "
+            "entries span more than the float range"
+        ]
 
     def test_projection_missing_target_is_3(self):
         proc = run_cli("project", "--v=-6.23e16,4.13e15,-2.33e17,-2.19e16,-1.25e17",
@@ -400,6 +439,14 @@ class TestExitCodes:
         ("solver", {"solver": {"alpha": 0.1, "step_mode": "backtracking"}}, 1,
          "alpha sets a fixed step"),
         ("solver", {"warmup": 0}, 1, "unknown config keys in top-level: ['warmup']"),
+        ("solver", {"models": [{"kind": "str", "s_over_ell": -3, "eta": 0.9}]}, 1,
+         "s_over_ell must be > 0, got -3"),
+        ("approx", {"synthetic": {"n": 6, "T": 24}, "s_over_ell_grid": [2.0, 0.0]}, 1,
+         "s_over_ell_grid values must be > 0, got [2.0, 0.0]"),
+        ("solver", {"models": [{"kind": "sketch", "s_over_ell": 2.0}]}, 1,
+         "model sketch-gaussian_jl sets s_over_ell without eta"),
+        ("real", {"split_fraction": float("nan")}, 1, "split_fraction must be in (0, 1), got nan"),
+        ("real", {"split_fraction": 1.5}, 1, "split_fraction must be in (0, 1), got 1.5"),
     ])
     def test_config_error_exit_code(self, tmp_path, capsys, experiment, cfg, code, message):
         cfg_path = tmp_path / "cfg.json"
@@ -441,6 +488,7 @@ _TOKENS = st.one_of(
 _VECTORS = st.lists(_TOKENS, max_size=6).map(",".join)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=300, deadline=None)
 @given(_VECTORS, _VECTORS, st.floats(allow_nan=True, allow_infinity=True))
 def test_project_fuzz_exits_with_a_documented_code(v, mu, r_target):
@@ -475,6 +523,44 @@ _BENCH_MODELS = st.fixed_dictionaries(
 def test_bench_config_fuzz_exits_with_a_documented_code(tmp_path_factory, experiment, cfg):
     path = tmp_path_factory.mktemp("fuzz") / "cfg.json"
     path.write_text(json.dumps({**cfg, "solver": {"max_iters": 2000}}))
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(["bench", experiment, "--config", str(path)])
+    assert code in (0, 1, 2, 3)
+
+
+_GRID_VALUES = st.one_of(st.floats(0.5, 0.95), st.sampled_from([0.0, -1.0, 1.0, 3.0]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(["approx", "real"]),
+    st.fixed_dictionaries({
+        "synthetic": st.fixed_dictionaries({
+            "n": st.integers(2, 6), "T": st.integers(8, 24),
+            "singular_decay": st.floats(0.5, 0.9),
+        }),
+        # Mostly valid values, so that most examples run an experiment.
+        "eta_grid": st.lists(_GRID_VALUES, min_size=1, max_size=2),
+        "s_over_ell_grid": st.lists(_GRID_VALUES, min_size=1, max_size=2),
+        "split_fraction": st.one_of(st.floats(0.2, 0.9),
+                                    st.sampled_from([0.0, 1.0, -0.5, float("nan")])),
+        "models": st.lists(
+            st.fixed_dictionaries(
+                {"kind": st.sampled_from(["baseline", "sketch", "str"])},
+                optional={"eta": _GRID_VALUES, "s_over_ell": _GRID_VALUES,
+                          "s": st.integers(-1, 30)},
+            ),
+            min_size=1, max_size=2,
+        ),
+        "repetitions": st.one_of(st.just(1), st.just(0)),
+    }),
+)
+def test_approx_and_real_config_fuzz_exits_with_a_documented_code(
+    tmp_path_factory, tiny_panel, experiment, cfg
+):
+    path = tmp_path_factory.mktemp("fuzz") / "cfg.json"
+    path.write_text(json.dumps({**cfg, "panel_path": str(tiny_panel),
+                                "solver": {"max_iters": 2000}}))
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = main(["bench", experiment, "--config", str(path)])
     assert code in (0, 1, 2, 3)

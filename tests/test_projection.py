@@ -34,6 +34,14 @@ class TestSimplex:
         with pytest.raises(NumericError):
             project_simplex(np.array([np.inf, 0.0]))
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("v", [[1e308, -1e308, 1e308], [0.0, -1e308, -1e308]])
+    def test_spread_beyond_float_range(self, v):
+        # The shift by max(v), or the running sums after it, would overflow;
+        # the second point used to come back as [inf, inf, inf].
+        with pytest.raises(NumericError, match="span more than the float range"):
+            project_simplex(np.array(v))
+
     def test_huge_entries(self):
         # At entries of about 1e16 and up, only the shift by max(v) keeps the
         # first threshold candidate.
@@ -180,6 +188,13 @@ class TestProjectFeasible:
             assert x.min() >= -1e-12
             assert abs(x.sum() - 1.0) <= 1e-12 * n
             assert mu @ x >= R - 1e-12 * max(1.0, abs(R))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_search_overflow_is_numeric_error(self):
+        # The tiny gap in mu puts the bracket end nu_flat past the float range.
+        fs = FeasibleSet(mu=np.array([1e-310, 0.0]), R_target=1e-311)
+        with pytest.raises(NumericError, match="projection leaves the float range"):
+            project_feasible(np.array([0.0, 1e10]), fs)
 
     def test_huge_point_missing_target_raises(self):
         # At |v| ~ 1e17, v + nu*mu keeps few digits of nu*mu; a point that
