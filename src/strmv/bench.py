@@ -153,8 +153,12 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, path) -> "ExperimentConfig":
-        with open(path) as fh:
-            return cls.from_dict(json.load(fh))
+        try:
+            with open(path) as fh:
+                raw = json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise ArgumentError(f"{path}: not a JSON config: {exc}") from None
+        return cls.from_dict(raw)
 
 
 def _from_keys(kind, raw: dict, section: str, **parsed):
@@ -328,7 +332,8 @@ def _run_model(factor, mspec, seed, dense_singvals, fs, baseline, f_ref, cfg, re
     ``f_ref``.
 
     Returns (model, result, score, times): ``score`` holds the gap, iteration
-    count and momentum fields of a row, ``times`` its wall-clock fields.
+    count, termination and momentum fields of a row, ``times`` its wall-clock
+    fields.
     """
     t0 = time.perf_counter()
     model = _model_from_spec(factor, mspec, seed, dense_singvals)
@@ -337,6 +342,7 @@ def _run_model(factor, mspec, seed, dense_singvals, fs, baseline, f_ref, cfg, re
     score = {
         "full_model_gap": objective_gap(objective(baseline, result.x), f_ref),
         "iterations": result.iterations,
+        "termination": result.termination,
         "momentum": result.momentum,
         "restarts": result.restarts,
     }
@@ -471,7 +477,6 @@ def _gap_trace(model, fs, cfg: ExperimentConfig, alpha: float, momentum_mode: st
     the oracle optimum, floored at 1e-18 for the log fits."""
     run_cfg = replace(
         cfg.solver,
-        step_mode="fixed",
         alpha=alpha,
         momentum_mode=momentum_mode,
         max_iters=cfg.rate_iters,
@@ -490,7 +495,7 @@ def run_rate_experiment(cfg: ExperimentConfig, trace_path=None) -> BenchReport:
     and checks the geometric envelope fitted at iteration 5. Reference
     optima come from the enumeration oracle, so instances must stay small.
     """
-    spec = cfg.synthetic or SyntheticSpec(n=8, T=40, singular_decay=0.7, seed=cfg.seed)
+    spec = cfg.synthetic or SyntheticSpec(n=8, T=40, singular_decay=0.7)
     if spec.n > MAX_ORACLE_DIM:
         raise ArgumentError(f"rate experiment needs n <= {MAX_ORACLE_DIM} for the oracle")
     panel_seed = derive_seed(cfg.seed, 201)
@@ -575,7 +580,7 @@ def run_solver_benchmark(cfg: ExperimentConfig) -> BenchReport:
     against the oracle optimum where possible and the unreduced solver
     otherwise.
     """
-    base = cfg.synthetic or SyntheticSpec(n=8, T=32, singular_decay=0.7, seed=cfg.seed)
+    base = cfg.synthetic or SyntheticSpec(n=8, T=32, singular_decay=0.7)
     rows = []
     for n in cfg.sizes:
         T = max(cfg.T_over_n * n, 4)

@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Subcommands: synth, spectrum, project, solve, bench {approx,rate,solver,real}.
-Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric failure.
+Exit codes: 0 success, 1 usage error, 2 data error (a file that cannot be
+opened, read or written is one), 3 numeric failure.
 A reader that closes stdout early (``| head``) cuts the report short; the
 command still exits 0, quietly.
 
@@ -15,6 +16,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -150,8 +152,11 @@ def _cmd_project(args) -> int:
     if args.from_csv:
         import numpy as np
 
-        with open(args.from_csv, newline="") as fh:
-            rows = list(_csv.DictReader(fh))
+        try:
+            with open(args.from_csv, newline="") as fh:
+                rows = list(_csv.DictReader(fh))
+        except UnicodeDecodeError as exc:
+            raise DataFormatError(f"{args.from_csv}: {exc}") from None
         if not rows or "v" not in rows[0] or "mu" not in rows[0]:
             raise ArgumentError(f"{args.from_csv} needs columns v,mu")
         pairs = []
@@ -227,7 +232,7 @@ def _cmd_bench(args) -> int:
     if args.seed is not None:
         cfg.seed = args.seed
     if args.tol is not None:
-        cfg.solver.tol = args.tol
+        cfg.solver = replace(cfg.solver, tol=args.tol)  # validates tol
     runners = {
         "approx": bench.run_approximation_sweep,
         "rate": lambda c: bench.run_rate_experiment(c, trace_path=args.trace_out),
@@ -264,16 +269,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except ArgumentError as exc:
-        print(f"strmv: usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (DataFormatError, DimensionError, InfeasibleTargetError, FileNotFoundError) as exc:
-        print(f"strmv: data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except NumericError as exc:
-        print(f"strmv: numeric failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except BrokenPipeError:
+    except BrokenPipeError:  # an OSError, so it comes before the data errors
         # The reader is gone. Point stdout's descriptor at devnull so that
         # the interpreter's flush at exit cannot raise a second time.
         try:
@@ -284,6 +280,15 @@ def main(argv=None) -> int:
         os.dup2(devnull, fd)
         os.close(devnull)
         return EXIT_OK
+    except ArgumentError as exc:
+        print(f"strmv: usage error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except (DataFormatError, DimensionError, InfeasibleTargetError, OSError) as exc:
+        print(f"strmv: data error: {exc}", file=sys.stderr)
+        return EXIT_DATA
+    except NumericError as exc:
+        print(f"strmv: numeric failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
 
 
 if __name__ == "__main__":

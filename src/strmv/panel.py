@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataFormatError, DimensionError, NumericError
+from .errors import ArgumentError, DataFormatError, DimensionError, NumericError
 
 
 @dataclass
@@ -95,6 +95,8 @@ class SyntheticSpec:
             raise DataFormatError(f"leading_scale must be positive, got {self.leading_scale}")
         if self.noise_floor < 0:
             raise DataFormatError(f"noise_floor must be nonnegative, got {self.noise_floor}")
+        if self.seed < 0:
+            raise ArgumentError(f"seed must be nonnegative, got {self.seed}")
 
 
 def load_panel(path) -> ReturnPanel:
@@ -110,26 +112,29 @@ def load_panel(path) -> ReturnPanel:
     file (an empty cell, a bad cell, a ragged row), the per-cell parse reads
     it again to fill empty cells or to name the offending row and column.
     """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader, None)  # the header
-        header_lines = reader.line_num
-        first = next((row for row in reader if row), None)
-        if first is None:
-            raise DataFormatError(f"{path}: expected a header row plus data rows")
-        width = len(first)
-        fh.seek(0)
-        try:
-            table = np.loadtxt(
-                fh, delimiter=",", skiprows=header_lines, quotechar='"',
-                comments=None, ndmin=1,
-                dtype=[("id", object), ("r", np.float64, (width - 1,))],
-            )
-        except ValueError:
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh)
+            next(reader, None)  # the header
+            header_lines = reader.line_num
+            first = next((row for row in reader if row), None)
+            if first is None:
+                raise DataFormatError(f"{path}: expected a header row plus data rows")
+            width = len(first)
             fh.seek(0)
-            asset_ids, returns = _parse_cells(path, csv.reader(fh), width)
-        else:
-            asset_ids, returns = table["id"].tolist(), np.ascontiguousarray(table["r"])
+            try:
+                table = np.loadtxt(
+                    fh, delimiter=",", skiprows=header_lines, quotechar='"',
+                    comments=None, ndmin=1,
+                    dtype=[("id", object), ("r", np.float64, (width - 1,))],
+                )
+            except ValueError:
+                fh.seek(0)
+                asset_ids, returns = _parse_cells(path, csv.reader(fh), width)
+            else:
+                asset_ids, returns = table["id"].tolist(), np.ascontiguousarray(table["r"])
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"{path}: {exc}") from None
     if returns.shape[0] < 2 or returns.shape[1] < 2:
         raise DimensionError(
             f"{path}: panel must be at least 2x2, got {returns.shape[0]}x{returns.shape[1]}"

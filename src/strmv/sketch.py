@@ -40,6 +40,8 @@ class SketchConfig:
             raise ArgumentError(f"unknown sketch kind {self.kind!r}")
         if self.s < 1:
             raise ArgumentError(f"sketch size must be >= 1, got {self.s}")
+        if self.seed < 0:
+            raise ArgumentError(f"sketch seed must be nonnegative, got {self.seed}")
 
 
 @dataclass

@@ -1,18 +1,15 @@
 """Nesterov-accelerated projected gradient over an effective factor model.
 
 Each iteration takes a gradient at the extrapolated point, a projected step
-onto the feasible set, and a momentum update: the standard t_k sequence in
-the convex regime, or a constant momentum built from the curvature bound in
-the strongly convex regime. The default ("auto") picks the regime from m_f:
-constant momentum when m_f > 0 and the step is fixed, otherwise the t_k
-sequence with gradient restart (O'Donoghue & Candes 2015), which resets the
-momentum whenever the step and the last move point against each other;
-"fista" runs the t_k sequence without restart. The fixed step is a given
-alpha or 1/L_f. A backtracking step is accepted when the exact curvature of
-the quadratic along the step is at most 1/(2*alpha), a test with no
-objective evaluation and no slack. Termination uses the projected-gradient
-residual ||P_F(x - alpha*grad f(x)) - x||, which vanishes exactly at KKT
-points.
+of fixed length alpha onto the feasible set, and a momentum update: the
+standard t_k sequence in the convex regime, or a constant momentum built from
+the curvature bound in the strongly convex regime. The step is a given alpha
+or 1/L_f. The default momentum ("auto") picks the regime from m_f: constant
+momentum when m_f > 0, otherwise the t_k sequence with gradient restart
+(O'Donoghue & Candes 2015), which resets the momentum whenever the step and
+the last move point against each other; "fista" runs the t_k sequence
+without restart. Termination uses the projected-gradient residual
+||P_F(x - alpha*grad f(x)) - x||, which vanishes exactly at KKT points.
 
 Gradients use only matrix-vector products with the factor, never the dense
 covariance. A factor wider than tall is first replaced by the n x n factor
@@ -30,12 +27,11 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ArgumentError, DimensionError, NumericError
+from .errors import ArgumentError, DimensionError
 from .models import FactorModel
 from .projection import FeasibleSet, project_feasible
 from .spectrum import power_sequence
 
-STEP_MODES = ("fixed", "backtracking")
 MOMENTUM_MODES = ("auto", "fista")
 
 #: Inflation applied to the power-method norm estimate when deriving the
@@ -46,12 +42,9 @@ STEP_SAFETY = 1.05
 #: stored spectrum (baseline and sketch).
 POWER_ITERS = 10
 
-_BACKTRACK_FLOOR = 1e-18
-
 
 @dataclass
 class SolverConfig:
-    step_mode: str = "fixed"
     alpha: Optional[float] = None  # the fixed step; None takes 1/L_f
     momentum_mode: str = "auto"
     tol: float = 1e-8
@@ -60,16 +53,12 @@ class SolverConfig:
     record_objective: bool = False
 
     def __post_init__(self):
-        if self.step_mode not in STEP_MODES:
-            raise ArgumentError(f"unknown step mode {self.step_mode!r}")
         if self.momentum_mode not in MOMENTUM_MODES:
             raise ArgumentError(f"unknown momentum mode {self.momentum_mode!r}")
         if not self.tol > 0:
             raise ArgumentError("tol must be positive")
         if self.alpha is not None and not 0.0 < self.alpha < math.inf:
             raise ArgumentError(f"alpha must be positive and finite, got {self.alpha}")
-        if self.alpha is not None and self.step_mode == "backtracking":
-            raise ArgumentError("alpha sets a fixed step; backtracking searches its own")
         if self.max_iters < 1 or self.residual_check_stride < 1:
             raise ArgumentError("iteration counts must be positive")
 
@@ -210,15 +199,14 @@ def solve(
         x0 = np.full(n, 1.0 / n)
     x = project(np.asarray(x0, dtype=np.float64))
 
-    backtracking = cfg.step_mode == "backtracking"
     if cfg.alpha is not None:
         alpha = float(cfg.alpha)
     else:
-        alpha = (2.0 if backtracking else 1.0) / L_f if L_f > 0 else 1.0
+        alpha = 1.0 / L_f if L_f > 0 else 1.0
 
     momentum = cfg.momentum_mode
     if momentum == "auto":
-        momentum = "strongly_convex" if m_f > 0 and not backtracking else "fista_restart"
+        momentum = "strongly_convex" if m_f > 0 else "fista_restart"
     if momentum == "strongly_convex":
         root = math.sqrt(alpha * m_f)
         beta_const = (1.0 - root) / (1.0 + root)
@@ -247,26 +235,8 @@ def solve(
 
     y = x.copy()
     t_k = 1.0
-    if backtracking:
-        alpha *= 0.5  # so the first upward retry lands on the initial trial
     for k in range(1, cfg.max_iters + 1):
-        g = gradient(model, y)
-        if backtracking:
-            alpha = 2.0 * alpha  # retry upward from the last accepted step
-            while True:
-                x_new = project(y - alpha * g)
-                d = x_new - y
-                # f is quadratic, so f(y + d) <= f(y) + g.d + |d|^2/(2 alpha)
-                # holds exactly when the curvature along d is at most 1/(2 alpha).
-                z = model.L_eff.T @ d
-                dd = float(d @ d)
-                if 2.0 * alpha * (float(z @ z) + model.gamma * dd) <= dd:
-                    break
-                alpha *= 0.5
-                if alpha < _BACKTRACK_FLOOR:  # a NaN curvature never passes the test
-                    raise NumericError("backtracking step underflow")
-        else:
-            x_new = project(y - alpha * g)
+        x_new = project(y - alpha * gradient(model, y))
 
         if momentum == "strongly_convex":
             beta = beta_const

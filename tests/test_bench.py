@@ -50,6 +50,8 @@ class TestApproximationSweep:
         for row in ok_rows:
             assert row["rel_spectral_error"] >= 0
             assert row["full_model_gap"] >= 0
+            assert row["termination"] == "tolerance"
+            assert list(row)[-1] == "total_time_s"
         validate(report.to_dict(), REPORT_SCHEMA)
 
     def test_identity_cap_reaches_T(self):
@@ -214,6 +216,7 @@ class TestSolverBenchmark:
             assert r["momentum"] == {"baseline": "fista_restart",
                                      "str-gaussian_jl": "strongly_convex"}[r["model"]]
             assert r["restarts"] >= 0
+            assert r["termination"] == "tolerance"
 
 
 class TestRealPanel:
@@ -236,6 +239,7 @@ class TestRealPanel:
         for row in report.rows:
             assert row["T_train"] == 60 and row["T_test"] == 30
             assert row["full_model_gap"] >= 0
+            assert row["termination"] == "tolerance"
             assert row["portfolio"]["intervals_per_year"] == 11712
             assert row["r_target_percentile"] == 60.0
         validate(report.to_dict(), REPORT_SCHEMA)
