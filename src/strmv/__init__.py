@@ -71,7 +71,6 @@ from .solver import (
 from .spectrum import (
     SpectrumReport,
     ThinSVD,
-    TruncationRule,
     cumulative_energy,
     energy_rank,
     select_truncation_level,

@@ -37,13 +37,19 @@ from .panel import (
 from .projection import FeasibleSet
 from .sketch import SketchConfig, _splitmix64, recommended_sketch_size
 from .solver import SolverConfig, compact_factor, curvature_constants, gradient, objective, solve
-from .spectrum import TruncationRule, cumulative_energy, energy_rank
+from .spectrum import cumulative_energy, energy_rank
 
 #: Report fields that are wall-clock measurements and therefore not part of
 #: the bit-reproducibility contract.
 TIMING_KEYS = frozenset(
     {"build_time_s", "solve_time_s", "total_time_s", "wall_time_s", "grad_us_per_iter"}
 )
+
+#: Iterations of each fixed-step run in the rate experiment.
+RATE_ITERS = 500
+
+#: Share of a panel's columns, from the front, that the real-panel run trains on.
+TRAIN_FRACTION = 2.0 / 3.0
 
 #: JSON schema every saved report satisfies. Rows are flat records keyed by
 #: model label and derived seed; the real-panel rows nest one portfolio block.
@@ -97,8 +103,6 @@ class ModelSpec:
     s: Optional[int] = None
     s_over_ell: Optional[float] = None
     eta: Optional[float] = None  # energy level mapped to ell on the dense spectrum
-    tau: float = 1e-3
-    rho: float = 0.9
     kappa_target: float = DEFAULT_KAPPA_TARGET
     gamma: Optional[float] = None  # explicit ridge, overrides kappa_target
 
@@ -127,8 +131,6 @@ class ExperimentConfig:
     repetitions: int = 3
     seed: int = 0
     r_target_percentile: float = 60.0
-    split_fraction: float = 2.0 / 3.0
-    rate_iters: int = 500
 
     def __post_init__(self):
         if self.repetitions < 1:
@@ -204,11 +206,6 @@ class BenchReport:
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
-
-    def save(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
 
 
 def strip_timings(obj):
@@ -301,12 +298,7 @@ def _model_from_spec(
             model.provenance["ell"] = ell
         return model
     return models.build_str(
-        factor,
-        cfg,
-        rule=TruncationRule(tau=mspec.tau, rho=mspec.rho),
-        ell=ell,
-        kappa_target=mspec.kappa_target,
-        gamma=mspec.gamma,
+        factor, cfg, ell=ell, kappa_target=mspec.kappa_target, gamma=mspec.gamma
     )
 
 
@@ -472,14 +464,13 @@ def _summarize_sweep(rows: list[dict]) -> list[dict]:
 # ---------------------------------------------------------------------------
 
 
-def _gap_trace(model, fs, cfg: ExperimentConfig, alpha: float, momentum_mode: str):
-    """Fixed-step run of ``cfg.rate_iters`` iterations; per-iteration gaps to
-    the oracle optimum, floored at 1e-18 for the log fits."""
-    run_cfg = replace(
-        cfg.solver,
+def _gap_trace(model, fs, alpha: float, momentum_mode: str):
+    """Fixed-step run of ``RATE_ITERS`` iterations; per-iteration gaps to the
+    oracle optimum, floored at 1e-18 for the log fits."""
+    run_cfg = SolverConfig(
         alpha=alpha,
         momentum_mode=momentum_mode,
-        max_iters=cfg.rate_iters,
+        max_iters=RATE_ITERS,
         tol=1e-300,
         record_objective=True,
     )
@@ -494,7 +485,14 @@ def run_rate_experiment(cfg: ExperimentConfig, trace_path=None) -> BenchReport:
     fits a log-log slope; the ridge-stabilized case runs constant momentum
     and checks the geometric envelope fitted at iteration 5. Reference
     optima come from the enumeration oracle, so instances must stay small.
+    The experiment fixes every solver setting itself, so a config that sets
+    any is refused.
     """
+    if cfg.solver != SolverConfig():
+        raise ArgumentError(
+            "the rate experiment fixes its own step, momentum, tolerance and length "
+            f"({RATE_ITERS} iterations); it takes no solver settings or --tol"
+        )
     spec = cfg.synthetic or SyntheticSpec(n=8, T=40, singular_decay=0.7)
     if spec.n > MAX_ORACLE_DIM:
         raise ArgumentError(f"rate experiment needs n <= {MAX_ORACLE_DIM} for the oracle")
@@ -506,12 +504,12 @@ def run_rate_experiment(cfg: ExperimentConfig, trace_path=None) -> BenchReport:
 
     # Convex case: exact smoothness constant from the dense spectrum.
     alpha = 1.0 / (2.0 * s1**2)
-    res, convex_gaps = _gap_trace(models.build_baseline(factor), fs, cfg, alpha, "fista")
+    res, convex_gaps = _gap_trace(models.build_baseline(factor), fs, alpha, "fista")
     ks = np.arange(10, min(200, convex_gaps.size - 1) + 1)
     if ks.size < 2:
         raise ArgumentError(
             f"the log-log fit over k = 10..200 needs a trace of at least 11 iterations, "
-            f"got {convex_gaps.size - 1} (rate_iters={cfg.rate_iters})"
+            f"got {convex_gaps.size - 1}"
         )
     slope = float(np.polyfit(np.log(ks), np.log(convex_gaps[ks]), 1)[0])
     rows = [
@@ -536,7 +534,7 @@ def run_rate_experiment(cfg: ExperimentConfig, trace_path=None) -> BenchReport:
     consts = curvature_constants(model)  # exact for a str model
     alpha = 1.0 / consts.L_f
     theta = 1.0 - math.sqrt(alpha * consts.m_f)
-    res, gaps = _gap_trace(model, fs, cfg, alpha, "auto")  # constant momentum
+    res, gaps = _gap_trace(model, fs, alpha, "auto")  # constant momentum
     k_fit = 5
     envelope_ok = True
     if gaps.size > k_fit:
@@ -639,19 +637,18 @@ def _median_gradient_time(model: FactorModel, x: np.ndarray) -> float:
 
 
 def run_real_panel(cfg: ExperimentConfig) -> BenchReport:
-    """Train on the leading segment of a CSV panel, evaluate on the rest.
+    """Train on the leading ``TRAIN_FRACTION`` of a CSV panel's columns,
+    evaluate on the rest.
 
     The expected-return vector comes from the raw training means, the target
     from their configured percentile, and the reported statistics are the
     annualized mean and volatility of the fixed-weight portfolio's
     per-interval test returns.
     """
-    if not 0.0 < cfg.split_fraction < 1.0:
-        raise ArgumentError(f"split_fraction must be in (0, 1), got {cfg.split_fraction}")
     if cfg.panel_path is None:
         raise ArgumentError("real-panel run needs panel_path")
     panel = load_panel(cfg.panel_path)
-    split = int(panel.T * cfg.split_fraction)
+    split = int(panel.T * TRAIN_FRACTION)
     if split < 2 or panel.T - split < 2:
         raise DimensionError(
             f"split at {split} leaves too few columns (T={panel.T}); need >= 2 on each side"

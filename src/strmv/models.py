@@ -18,7 +18,7 @@ import numpy as np
 from .errors import ArgumentError, DegenerateSpectrumError, DimensionError
 from .panel import CovarianceFactor
 from .sketch import SketchConfig, apply_sketch
-from .spectrum import TruncationRule, select_truncation_level, thin_svd
+from .spectrum import select_truncation_level, thin_svd
 
 MODEL_KINDS = ("baseline", "sketch", "str")
 
@@ -132,18 +132,17 @@ def kappa_improvement_threshold(lambda_min: float, lambda_max: float, epsilon: f
 def build_str(
     factor: CovarianceFactor,
     cfg: SketchConfig,
-    rule: Optional[TruncationRule] = None,
     ell: Optional[int] = None,
     kappa_target: float = DEFAULT_KAPPA_TARGET,
     gamma: Optional[float] = None,
 ) -> FactorModel:
     """Sketch, truncate, and ridge-lift the factor.
 
-    The truncation level comes from ``rule`` (head/knee tests on the sketched
-    eigenvalues) unless ``ell`` pins it directly, which is how energy-mapped
-    sweeps parameterize the pipeline. A level outside [1, rank] is clamped
-    into it; the model then records the requested value as
-    ``provenance["ell_requested"]`` and one warning is logged. The ridge is
+    The truncation level comes from ``select_truncation_level`` (the head/knee
+    rule on the sketched eigenvalues) unless ``ell`` pins it directly, which is
+    how energy-mapped sweeps parameterize the pipeline. A level outside
+    [1, rank] is clamped into it; the model then records the requested value
+    as ``provenance["ell_requested"]`` and one warning is logged. The ridge is
     ``gamma`` when given, else the one that puts the lifted condition number
     at ``kappa_target``.
     """
@@ -152,8 +151,7 @@ def build_str(
     if svd.rank == 0:
         raise DegenerateSpectrumError("sketched factor is numerically zero")
     if ell is None:
-        rule = rule or TruncationRule()
-        ell = select_truncation_level(svd.S, rule)
+        ell = select_truncation_level(svd.S)
     ell_requested = int(ell)
     ell = min(max(ell_requested, 1), svd.rank)
     if gamma is None:

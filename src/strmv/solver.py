@@ -177,8 +177,10 @@ def solve(
     The default start is the uniform portfolio projected onto the feasible
     set; any supplied x0 is projected as well. Each projection starts its
     search from the previous projection's nu*, which moves little between
-    iterates. The loop runs on ``compact_factor(model)``.
+    iterates. The loop runs on ``compact_factor(model)``. ``wall_time`` covers
+    the whole call, the compaction and the curvature estimate included.
     """
+    start = time.perf_counter()
     cfg = cfg or SolverConfig()
     n = fs.n
     if model.n != n:
@@ -211,7 +213,6 @@ def solve(
         root = math.sqrt(alpha * m_f)
         beta_const = (1.0 - root) / (1.0 + root)
 
-    start = time.perf_counter()
     restarts = 0
     residuals: list[float] = []
     obj_trace = [objective(model, x)] if cfg.record_objective else None

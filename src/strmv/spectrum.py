@@ -3,10 +3,10 @@ rule.
 
 The truncation rule works on covariance eigenvalues (squared singular
 values): keep the largest index i whose eigenvalue still clears the head
-threshold tau relative to the top one AND whose successor drops by at least
-the knee ratio rho. The convention sigma_{r+1} := 0 makes the knee test
-satisfiable at the last retained index, so spectra without an interior knee
-are still handled.
+threshold HEAD_TAU relative to the top one AND whose successor drops by at
+least the knee ratio KNEE_RHO. The convention sigma_{r+1} := 0 makes the knee
+test satisfiable at the last retained index, so spectra without an interior
+knee are still handled.
 """
 
 from __future__ import annotations
@@ -22,19 +22,13 @@ from .errors import ArgumentError, DegenerateSpectrumError, NumericError
 #: Singular values below this fraction of sigma_1 count as numerically zero.
 RANK_TOL = 1e-12
 
+#: Head threshold of the truncation rule: the smallest kept eigenvalue, as a
+#: fraction of the top one.
+HEAD_TAU = 1e-3
 
-@dataclass
-class TruncationRule:
-    """Head threshold tau and knee ratio rho, both applied to eigenvalues."""
-
-    tau: float = 1e-3
-    rho: float = 0.9
-
-    def __post_init__(self):
-        if not 0.0 < self.tau < 1.0:
-            raise ArgumentError(f"tau must be in (0,1), got {self.tau}")
-        if not 0.0 < self.rho < 1.0:
-            raise ArgumentError(f"rho must be in (0,1), got {self.rho}")
+#: Knee ratio of the truncation rule: the cut falls where the next eigenvalue
+#: is at most this fraction of the current one.
+KNEE_RHO = 0.9
 
 
 @dataclass
@@ -65,16 +59,21 @@ class SpectrumReport:
         }
 
 
+def _numerical_rank(s: np.ndarray) -> int:
+    """Count of singular values (descending) at or above RANK_TOL * sigma_1;
+    0 for an empty or all-zero spectrum."""
+    if s.size == 0 or s[0] <= 0.0:
+        return 0
+    return int(np.count_nonzero(s >= RANK_TOL * s[0]))
+
+
 def thin_svd(A: np.ndarray) -> ThinSVD:
     """Left singular vectors and values of A, kept where S >= RANK_TOL * sigma_1."""
     A = np.asarray(A, dtype=np.float64)
     if not np.all(np.isfinite(A)):
         raise NumericError("matrix has non-finite entries")
     U, S, _ = np.linalg.svd(A, full_matrices=False)
-    if S.size == 0 or S[0] <= 0.0:
-        r = 0
-    else:
-        r = int(np.count_nonzero(S >= RANK_TOL * S[0]))
+    r = _numerical_rank(S)
     return ThinSVD(U=U[:, :r], S=S[:r])
 
 
@@ -132,36 +131,31 @@ def report_from_singular_values(singular_values: np.ndarray) -> SpectrumReport:
     s = np.asarray(singular_values, dtype=np.float64)
     lam = s**2
     energy = cumulative_energy(lam)
-    degenerate = bool(lam.sum() <= 0.0)
-    if degenerate:
-        rank = 0
-    else:
-        rank = int(np.count_nonzero(s >= RANK_TOL * s[0]))
     return SpectrumReport(
         singular_values=s,
         eigenvalues=lam,
         energy=energy,
-        numerical_rank=rank,
-        degenerate=degenerate,
+        numerical_rank=_numerical_rank(s),
+        degenerate=bool(lam.sum() <= 0.0),
     )
 
 
-def select_truncation_level(singular_values: np.ndarray, rule: TruncationRule) -> int:
+def select_truncation_level(singular_values: np.ndarray) -> int:
     """Largest index i (1-based) passing both the head and the knee test.
 
-    Tests run on eigenvalues lam_i = sigma_i^2: head lam_i/lam_1 >= tau,
-    knee lam_{i+1}/lam_i <= rho with lam_{r+1} := 0. Invariant under uniform
-    positive scaling of the spectrum. If no index passes both (a slow decay
-    that never drops by rho before falling under tau), the cut falls back to
-    the last head-passing index.
+    Tests run on eigenvalues lam_i = sigma_i^2: head lam_i/lam_1 >= HEAD_TAU,
+    knee lam_{i+1}/lam_i <= KNEE_RHO with lam_{r+1} := 0. Invariant under
+    uniform positive scaling of the spectrum. If no index passes both (a slow
+    decay that never drops by KNEE_RHO before falling under HEAD_TAU), the cut
+    falls back to the last head-passing index.
     """
     s = np.asarray(singular_values, dtype=np.float64)
     if s.size == 0 or s[0] <= 0.0:
         raise DegenerateSpectrumError("leading singular value must be positive")
     lam = s**2
     lam_next = np.append(lam[1:], 0.0)
-    head = lam / lam[0] >= rule.tau
-    knee = lam_next <= rule.rho * lam
+    head = lam / lam[0] >= HEAD_TAU
+    knee = lam_next <= KNEE_RHO * lam
     both = head & knee
     if both.any():
         return int(np.nonzero(both)[0][-1]) + 1

@@ -1,4 +1,3 @@
-import json
 from pathlib import Path
 
 import numpy as np
@@ -7,7 +6,6 @@ from jsonschema import validate
 
 from strmv.bench import (
     REPORT_SCHEMA,
-    BenchReport,
     ExperimentConfig,
     ModelSpec,
     TIMING_KEYS,
@@ -172,8 +170,6 @@ class TestRateExperiment:
     def test_two_regimes(self, tmp_path):
         cfg = ExperimentConfig(
             synthetic=SyntheticSpec(n=8, T=40, singular_decay=0.7, seed=0),
-            solver=SolverConfig(),
-            rate_iters=260,
             seed=3,
         )
         trace = tmp_path / "traces.csv"
@@ -189,7 +185,6 @@ class TestRateExperiment:
         # when the start is already optimal the residual check fires at once
         cfg = ExperimentConfig(
             synthetic=SyntheticSpec(n=6, T=30, singular_decay=0.7, seed=1),
-            rate_iters=50,
             seed=4,
         )
         report = run_rate_experiment(cfg)
@@ -232,7 +227,6 @@ class TestRealPanel:
             solver=SolverConfig(tol=1e-8, max_iters=3000),
             repetitions=1,
             seed=2,
-            split_fraction=2.0 / 3.0,
         )
         report = run_real_panel(cfg)
         assert {r["model"] for r in report.rows} == {"baseline", "str-gaussian_jl"}
@@ -299,12 +293,6 @@ class TestConfigAndHelpers:
         factor = center_and_factor(panel)
         fs = feasible_from_factor(factor, 60.0)
         assert fs.R_target == pytest.approx(float(np.percentile(factor.mean, 60.0)))
-
-    def test_report_save(self, tmp_path):
-        report = BenchReport(kind="x", rows=[], summary=[], environment={}, seed_ledger={})
-        path = tmp_path / "r.json"
-        report.save(path)
-        assert json.loads(path.read_text())["kind"] == "x"
 
     def test_rows_to_csv_flattens(self, tmp_path):
         from strmv.bench import rows_to_csv

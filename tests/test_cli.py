@@ -284,6 +284,8 @@ class TestExitCodes:
         {"synthetic": {"n": 6, "T": 24, "bogus": 2}},
         {"solver": {"step_mode": "backtracking", "shrink": 0.5}},
         {"solver": {"step_mode": "backtracking", "alpha0": 1.0}},
+        {"models": [{"tau": 1e-3}]},
+        {"models": [{"rho": 0.9}]},
     ])
     def test_unknown_nested_config_key_is_1(self, tmp_path, cfg):
         cfg_path = tmp_path / "cfg.json"
@@ -466,9 +468,15 @@ class TestExitCodes:
         assert not out.exists()
 
 
+    # The rate_iters and split_fraction cases keep the ids of the range checks
+    # those keys had while they were settings; the keys are now unknown.
     @pytest.mark.parametrize("experiment,cfg,code,message", [
-        ("rate", {"rate_iters": 5}, 1, "needs a trace of at least 11 iterations, got 5"),
-        ("rate", {"rate_iters": 10}, 1, "needs a trace of at least 11 iterations, got 10"),
+        pytest.param("rate", {"rate_iters": 5}, 1,
+                     "unknown config keys in top-level: ['rate_iters']",
+                     id="rate-cfg0-1-needs a trace of at least 11 iterations, got 5"),
+        pytest.param("rate", {"rate_iters": 10}, 1,
+                     "unknown config keys in top-level: ['rate_iters']",
+                     id="rate-cfg1-1-needs a trace of at least 11 iterations, got 10"),
         ("solver", {"models": [{"kind": "str", "s": 0}]}, 1, "sketch size must be >= 1, got 0"),
         ("solver", {"models": [{"kind": "str", "s": 100000}]}, 2,
          "1 <= s <= T=32, got s=100000"),
@@ -488,14 +496,35 @@ class TestExitCodes:
          "s_over_ell_grid values must be > 0, got [2.0, 0.0]"),
         ("solver", {"models": [{"kind": "sketch", "s_over_ell": 2.0}]}, 1,
          "model sketch-gaussian_jl sets s_over_ell without eta"),
-        ("real", {"split_fraction": float("nan")}, 1, "split_fraction must be in (0, 1), got nan"),
-        ("real", {"split_fraction": 1.5}, 1, "split_fraction must be in (0, 1), got 1.5"),
+        pytest.param("real", {"split_fraction": float("nan")}, 1,
+                     "unknown config keys in top-level: ['split_fraction']",
+                     id="real-cfg13-1-split_fraction must be in (0, 1), got nan"),
+        pytest.param("real", {"split_fraction": 1.5}, 1,
+                     "unknown config keys in top-level: ['split_fraction']",
+                     id="real-cfg14-1-split_fraction must be in (0, 1), got 1.5"),
     ])
     def test_config_error_exit_code(self, tmp_path, capsys, experiment, cfg, code, message):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"sizes": [8], "repetitions": 1, **cfg}))
         assert main(["bench", experiment, "--config", str(cfg_path)]) == code
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_bench_rate_refuses_solver_settings(self, tmp_path, source):
+        # The rate experiment fixes its own solver settings, so any that a
+        # flag or config sets would change nothing.
+        out = tmp_path / "report.json"
+        if source == "flag":
+            argv = ["--tol", "0.5"]
+        else:
+            cfg_path = tmp_path / "cfg.json"
+            cfg_path.write_text(json.dumps({"solver": {"max_iters": 3}}))
+            argv = ["--config", str(cfg_path)]
+        proc = run_cli("bench", "rate", *argv, "--out", str(out))
+        assert proc.returncode == 1
+        assert "takes no solver settings or --tol" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not out.exists()
 
 
 class TestDeterminism:
@@ -557,15 +586,16 @@ _BENCH_MODELS = st.fixed_dictionaries(
             "singular_decay": st.floats(0.5, 0.9),
         }),
         # Mostly valid values, so that most examples run an experiment.
-        "rate_iters": st.one_of(st.integers(1, 40), st.integers(-1, 0)),
         "sizes": st.lists(st.one_of(st.integers(2, 6), st.just(1)), min_size=1, max_size=2),
         "models": st.lists(_BENCH_MODELS, min_size=1, max_size=1),
         "repetitions": st.one_of(st.integers(1, 2), st.just(0)),
     }),
 )
 def test_bench_config_fuzz_exits_with_a_documented_code(tmp_path_factory, experiment, cfg):
+    if experiment == "solver":  # the rate experiment refuses solver settings
+        cfg = {**cfg, "solver": {"max_iters": 2000}}
     path = tmp_path_factory.mktemp("fuzz") / "cfg.json"
-    path.write_text(json.dumps({**cfg, "solver": {"max_iters": 2000}}))
+    path.write_text(json.dumps(cfg))
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = main(["bench", experiment, "--config", str(path)])
     assert code in (0, 1, 2, 3)
@@ -585,8 +615,6 @@ _GRID_VALUES = st.one_of(st.floats(0.5, 0.95), st.sampled_from([0.0, -1.0, 1.0, 
         # Mostly valid values, so that most examples run an experiment.
         "eta_grid": st.lists(_GRID_VALUES, min_size=1, max_size=2),
         "s_over_ell_grid": st.lists(_GRID_VALUES, min_size=1, max_size=2),
-        "split_fraction": st.one_of(st.floats(0.2, 0.9),
-                                    st.sampled_from([0.0, 1.0, -0.5, float("nan")])),
         "models": st.lists(
             st.fixed_dictionaries(
                 {"kind": st.sampled_from(["baseline", "sketch", "str"])},

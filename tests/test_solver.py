@@ -394,6 +394,20 @@ class TestCompactFactor:
         assert solve(m, fs, cfg=SolverConfig(tol=1e-8)).termination == "tolerance"
         assert solve(square, fs, cfg=SolverConfig(tol=1e-8)).termination == "tolerance"
 
+    def test_wall_time_includes_the_compaction(self, monkeypatch):
+        import time
+
+        import strmv.solver as solver
+
+        def slow_compact(model, _original=solver.compact_factor):
+            time.sleep(0.05)
+            return _original(model)
+
+        monkeypatch.setattr(solver, "compact_factor", slow_compact)
+        factor, fs = _wide_instance(6, seed=1)
+        result = solve(build_baseline(factor), fs, cfg=SolverConfig(tol=1e-8))
+        assert result.wall_time >= 0.05
+
     def test_nan_in_a_wide_factor_raises(self):
         factor, fs = _wide_instance(6, seed=1)
         L = factor.L.copy()

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from strmv.errors import ArgumentError, DegenerateSpectrumError, NumericError
 from strmv.spectrum import (
-    TruncationRule,
     cumulative_energy,
     energy_rank,
     report_from_singular_values,
@@ -96,31 +95,24 @@ class TestEnergy:
 class TestTruncationRule:
     def test_hand_cases(self):
         # eigenvalue sequences from the rule's head/knee definition
-        rule = TruncationRule(tau=1e-3, rho=0.9)
         lam = np.array([1.0, 0.5, 0.4, 1e-5])
-        assert select_truncation_level(np.sqrt(lam), rule) == 3
+        assert select_truncation_level(np.sqrt(lam)) == 3
         lam = np.array([1.0, 0.99, 0.98])
-        assert select_truncation_level(np.sqrt(lam), rule) == 3
+        assert select_truncation_level(np.sqrt(lam)) == 3
         lam = np.array([1.0, 1e-6, 1e-7])
-        assert select_truncation_level(np.sqrt(lam), rule) == 1
+        assert select_truncation_level(np.sqrt(lam)) == 1
 
     def test_degenerate(self):
         with pytest.raises(DegenerateSpectrumError):
-            select_truncation_level(np.zeros(3), TruncationRule())
+            select_truncation_level(np.zeros(3))
 
     def test_no_interior_knee_falls_back_to_head(self):
         # slow decay: the knee test never fires before the head runs out
         sig = 0.999 ** np.arange(5000)
-        ell = select_truncation_level(sig, TruncationRule(tau=1e-3, rho=0.9))
+        ell = select_truncation_level(sig)
         lam = sig**2
         assert lam[ell - 1] / lam[0] >= 1e-3
         assert ell == int(np.sum(lam / lam[0] >= 1e-3))
-
-    def test_rule_validation(self):
-        with pytest.raises(ArgumentError):
-            TruncationRule(tau=0.0)
-        with pytest.raises(ArgumentError):
-            TruncationRule(rho=1.0)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -129,9 +121,8 @@ class TestTruncationRule:
     )
     def test_scale_invariance(self, values, scale):
         sig = np.sort(np.asarray(values))[::-1]
-        rule = TruncationRule(tau=1e-3, rho=0.9)
-        a = select_truncation_level(sig, rule)
-        b = select_truncation_level(sig * scale, rule)
+        a = select_truncation_level(sig)
+        b = select_truncation_level(sig * scale)
         assert a == b
 
 
