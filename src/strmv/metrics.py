@@ -48,16 +48,28 @@ class ConditioningReport:
         }
 
 
+def _symmetric_norm(M: np.ndarray) -> float:
+    """Spectral norm max|lam| of a symmetric matrix; reads the lower triangle."""
+    return float(np.abs(np.linalg.eigvalsh(M)).max(initial=0.0))
+
+
 def relative_spectral_error(Sigma_hat: np.ndarray, Sigma: np.ndarray) -> float:
-    """||Sigma_hat - Sigma||_2 / ||Sigma||_2, both norms exact at every size."""
+    """||Sigma_hat - Sigma||_2 / ||Sigma||_2, both norms exact at every size.
+
+    Both arguments are symmetric covariances, so each norm is the largest
+    |eigenvalue| from ``np.linalg.eigvalsh``, which reads only the lower
+    triangle of its matrix.
+    """
     Sigma_hat = np.asarray(Sigma_hat, dtype=np.float64)
     Sigma = np.asarray(Sigma, dtype=np.float64)
-    if Sigma_hat.shape != Sigma.shape:
-        raise DimensionError("matrices must share a shape")
-    denom = float(np.linalg.norm(Sigma, 2))
+    if Sigma_hat.shape != Sigma.shape or Sigma.ndim != 2 or Sigma.shape[0] != Sigma.shape[1]:
+        raise DimensionError("matrices must be square and share a shape")
+    if not (np.all(np.isfinite(Sigma_hat)) and np.all(np.isfinite(Sigma))):
+        raise NumericError("covariances must be finite")
+    denom = _symmetric_norm(Sigma)
     if denom <= 0.0:
         raise NumericError("reference covariance has zero spectral norm")
-    return float(np.linalg.norm(Sigma_hat - Sigma, 2)) / denom
+    return _symmetric_norm(Sigma_hat - Sigma) / denom
 
 
 def objective_gap(f_hat: float, f_ref: float) -> float:

@@ -1,5 +1,5 @@
-"""Thin SVD, the power method, spectral diagnostics, and the truncation-level
-rule.
+"""Thin SVD by the Gram route, the power method, spectral diagnostics, and the
+truncation-level rule.
 
 The truncation rule works on covariance eigenvalues (squared singular
 values): keep the largest index i whose eigenvalue still clears the head
@@ -19,8 +19,9 @@ import numpy as np
 
 from .errors import ArgumentError, DegenerateSpectrumError, NumericError
 
-#: Singular values below this fraction of sigma_1 count as numerically zero.
-RANK_TOL = 1e-12
+#: Eigenvalues (squared singular values) below this fraction of lam_1 count
+#: as numerically zero: sigma_i/sigma_1 < 1e-4, the floor of ``thin_svd``.
+RANK_TOL = 1e-8
 
 #: Head threshold of the truncation rule: the smallest kept eigenvalue, as a
 #: fraction of the top one.
@@ -33,6 +34,14 @@ KNEE_RHO = 0.9
 
 @dataclass
 class ThinSVD:
+    """Left singular vectors and values of a matrix, down to the rank floor.
+
+    Built by ``thin_svd`` from one eigensolve of the smaller Gram matrix: S
+    is exact to machine precision at the head and to about 1e-9 relative at
+    the RANK_TOL floor. U is orthonormal to machine precision unless the
+    matrix is tall; then U = A @ V / S, orthonormal to about 1e-9 at the floor.
+    """
+
     U: np.ndarray  # (n, r), orthonormal columns
     S: np.ndarray  # (r,), descending positive
 
@@ -59,22 +68,35 @@ class SpectrumReport:
         }
 
 
-def _numerical_rank(s: np.ndarray) -> int:
-    """Count of singular values (descending) at or above RANK_TOL * sigma_1;
+def _numerical_rank(lam: np.ndarray) -> int:
+    """Count of eigenvalues (descending) at or above RANK_TOL * lam_1;
     0 for an empty or all-zero spectrum."""
-    if s.size == 0 or s[0] <= 0.0:
+    if lam.size == 0 or lam[0] <= 0.0:
         return 0
-    return int(np.count_nonzero(s >= RANK_TOL * s[0]))
+    return int(np.count_nonzero(lam >= RANK_TOL * lam[0]))
 
 
 def thin_svd(A: np.ndarray) -> ThinSVD:
-    """Left singular vectors and values of A, kept where S >= RANK_TOL * sigma_1."""
+    """Left singular vectors and values of A, kept where lam >= RANK_TOL * lam_1.
+
+    One symmetric eigensolve of the smaller Gram matrix replaces the SVD of
+    the (m, k) matrix A. For m <= k, U and lam = S^2 are the eigenpairs of
+    A @ A.T. For a tall A, V and lam come from A.T @ A, and U = A @ V / S.
+    The Gram route resolves sigma_i to about eps * (sigma_1/sigma_i)^2
+    relative: machine precision at the head, about 1e-9 at the floor. Below
+    the floor it cannot resolve sigma, and a tall A's U stops being
+    orthonormal, so the floor is the rank.
+    """
     A = np.asarray(A, dtype=np.float64)
     if not np.all(np.isfinite(A)):
         raise NumericError("matrix has non-finite entries")
-    U, S, _ = np.linalg.svd(A, full_matrices=False)
-    r = _numerical_rank(S)
-    return ThinSVD(U=U[:, :r], S=S[:r])
+    tall = A.shape[0] > A.shape[1]
+    lam, Q = np.linalg.eigh(A.T @ A if tall else A @ A.T)
+    lam, Q = lam[::-1], Q[:, ::-1]
+    r = _numerical_rank(lam)
+    S = np.sqrt(lam[:r])
+    U = (A @ Q[:, :r]) / S if tall else Q[:, :r]
+    return ThinSVD(U=U, S=S)
 
 
 def power_sequence(matvec: Callable[[np.ndarray], np.ndarray], n: int,
@@ -135,7 +157,7 @@ def report_from_singular_values(singular_values: np.ndarray) -> SpectrumReport:
         singular_values=s,
         eigenvalues=lam,
         energy=energy,
-        numerical_rank=_numerical_rank(s),
+        numerical_rank=_numerical_rank(lam),
         degenerate=bool(lam.sum() <= 0.0),
     )
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from strmv.errors import ArgumentError, NumericError
+from strmv.errors import ArgumentError, DimensionError, NumericError
 from strmv.metrics import (
     INTERVALS_PER_YEAR,
     annualize,
@@ -44,6 +44,22 @@ class TestSpectralError:
         S = np.diag(d)
         S2 = np.diag(d * 1.25)
         assert relative_spectral_error(S2, S) == pytest.approx(0.25, rel=1e-12)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_the_two_norm_ratio(self, seed):
+        # the eigvalsh norms agree with np.linalg.norm(., 2) on covariances
+        rng = np.random.default_rng(seed)
+        A = rng.standard_normal((50, 80))
+        B = rng.standard_normal((50, 20))
+        S, S_hat = A @ A.T, B @ B.T + 0.1 * np.eye(50)
+        ref = np.linalg.norm(S_hat - S, 2) / np.linalg.norm(S, 2)
+        assert relative_spectral_error(S_hat, S) == pytest.approx(ref, rel=1e-12)
+
+    def test_bad_inputs(self):
+        with pytest.raises(DimensionError):
+            relative_spectral_error(np.ones((2, 3)), np.ones((2, 3)))
+        with pytest.raises(NumericError):
+            relative_spectral_error(np.full((2, 2), np.nan), np.eye(2))
 
 
 class TestObjectiveGap:

@@ -14,6 +14,15 @@ from strmv.spectrum import (
 )
 
 
+def log_spaced(m, k, seed=0):
+    """m x k matrix with random singular vectors and sigma log-spaced 1 to 1e-8."""
+    rng = np.random.default_rng(seed)
+    p = min(m, k)
+    U, _ = np.linalg.qr(rng.standard_normal((m, p)))
+    V, _ = np.linalg.qr(rng.standard_normal((k, p)))
+    return (U * np.logspace(0, -8, p)) @ V.T
+
+
 class TestThinSVD:
     def test_diagonal(self):
         out = thin_svd(np.diag([3.0, 1.0]))
@@ -41,8 +50,24 @@ class TestThinSVD:
 
     def test_rank_tolerance_discards(self):
         A = np.diag([1.0, 1e-14])
-        out = thin_svd(A)  # 1e-14 is below the 1e-12 relative rank tolerance
+        out = thin_svd(A)  # 1e-14 is below the 1e-4 relative floor on sigma
         assert out.rank == 1
+
+    @pytest.mark.parametrize("shape", [(300, 100), (100, 300), (80, 80)],
+                             ids=["tall", "wide", "square"])
+    def test_gram_route_at_the_rank_floor(self, shape):
+        A = log_spaced(*shape)
+        out = thin_svd(A)
+        ref = np.linalg.svd(A, compute_uv=False)
+        # the rank stops at the first sigma_i / sigma_1 < 1e-4
+        assert out.rank == int(np.argmax(ref / ref[0] < 1e-4))
+        np.testing.assert_allclose(out.S, ref[: out.rank], rtol=1e-8)
+        assert np.abs(out.U.T @ out.U - np.eye(out.rank)).max() <= 1e-8
+
+    def test_exact_low_rank_tall(self):
+        rng = np.random.default_rng(2)
+        A = rng.standard_normal((300, 5)) @ rng.standard_normal((5, 100))
+        assert thin_svd(A).rank == 5
 
     def test_non_finite_rejected(self):
         with pytest.raises(NumericError):
@@ -72,6 +97,12 @@ class TestEnergy:
         np.testing.assert_array_equal(energy, [0.0, 0.0])
         report = report_from_singular_values([0.0, 0.0])
         assert report.degenerate and report.numerical_rank == 0
+
+    def test_report_and_thin_svd_share_the_rank_floor(self):
+        # lam = 1e-6 clears the 1e-8 floor on eigenvalues; lam = 1e-10 does not
+        s = [1.0, 1e-3, 1e-5]
+        assert report_from_singular_values(s).numerical_rank == 2
+        assert thin_svd(np.diag(s)).rank == 2
 
     def test_energy_rank(self):
         assert energy_rank([0.75, 1.0], 0.8) == 2
