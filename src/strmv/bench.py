@@ -37,7 +37,7 @@ from .panel import (
 from .projection import FeasibleSet
 from .sketch import SketchConfig, _splitmix64, recommended_sketch_size
 from .solver import SolverConfig, compact_factor, curvature_constants, gradient, objective, solve
-from .spectrum import cumulative_energy, energy_rank
+from .spectrum import cumulative_energy, energy_rank, singular_values
 
 #: Report fields that are wall-clock measurements and therefore not part of
 #: the bit-reproducibility contract.
@@ -390,7 +390,7 @@ def run_approximation_sweep(cfg: ExperimentConfig) -> BenchReport:
     for rep in range(cfg.repetitions):
         panel_seed = derive_seed(cfg.seed, 101, rep)
         factor = center_and_factor(generate_synthetic(replace(cfg.synthetic, seed=panel_seed)))
-        dense_singvals = np.linalg.svd(factor.L, compute_uv=False)
+        dense_singvals = singular_values(factor.L)
         Sigma = factor.L @ factor.L.T
         fs = feasible_from_factor(factor, cfg.r_target_percentile)
         baseline = models.build_baseline(factor)
@@ -499,7 +499,7 @@ def run_rate_experiment(cfg: ExperimentConfig, trace_path=None) -> BenchReport:
     panel_seed = derive_seed(cfg.seed, 201)
     factor = center_and_factor(generate_synthetic(replace(spec, seed=panel_seed)))
     fs = feasible_from_factor(factor, cfg.r_target_percentile)
-    dense_singvals = np.linalg.svd(factor.L, compute_uv=False)
+    dense_singvals = singular_values(factor.L)
     s1 = float(dense_singvals[0])
 
     # Convex case: exact smoothness constant from the dense spectrum.
@@ -586,7 +586,7 @@ def run_solver_benchmark(cfg: ExperimentConfig) -> BenchReport:
         factor = center_and_factor(
             generate_synthetic(replace(base, n=n, T=T, seed=panel_seed))
         )
-        dense_singvals = np.linalg.svd(factor.L, compute_uv=False)
+        dense_singvals = singular_values(factor.L)
         fs = feasible_from_factor(factor, cfg.r_target_percentile)
         baseline = models.build_baseline(factor)
         oracle = n <= MAX_ORACLE_DIM
@@ -659,9 +659,8 @@ def run_real_panel(cfg: ExperimentConfig) -> BenchReport:
     fs = feasible_from_factor(factor, cfg.r_target_percentile)
     baseline = models.build_baseline(factor)
     f_full_star = solve(baseline, fs, cfg=cfg.solver).objective
-    dense_singvals = np.linalg.svd(factor.L, compute_uv=False) if any(
-        m.eta is not None for m in cfg.models
-    ) else None
+    eta_mapped = any(m.eta is not None for m in cfg.models)
+    dense_singvals = singular_values(factor.L) if eta_mapped else None
     rows = []
     for mi, mspec in enumerate(cfg.models):
         model_seed = derive_seed(cfg.seed, 401, mi)

@@ -132,14 +132,11 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
-    import numpy as np
-
     from .panel import center_and_factor, load_panel
-    from .spectrum import report_from_singular_values
+    from .spectrum import report_from_singular_values, singular_values
 
     factor = center_and_factor(load_panel(args.panel))
-    singvals = np.linalg.svd(factor.L, compute_uv=False)
-    _emit(report_from_singular_values(singvals).to_dict(), args.out)
+    _emit(report_from_singular_values(singular_values(factor.L)).to_dict(), args.out)
     return EXIT_OK
 
 

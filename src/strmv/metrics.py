@@ -10,12 +10,10 @@ import numpy as np
 
 from .errors import ArgumentError, DimensionError, NumericError
 from .models import FactorModel
+from .spectrum import singular_values
 
 #: 5-minute intervals per trading year: 48 per day times 244 trading days.
 INTERVALS_PER_YEAR = 48 * 244
-
-#: Largest dimension at which conditioning_report runs a dense eigensolve.
-_DENSE_EIG_LIMIT = 1000
 
 
 @dataclass
@@ -98,36 +96,18 @@ def annualize(test_returns_per_interval: np.ndarray) -> PortfolioStats:
 def conditioning_report(model: FactorModel) -> ConditioningReport:
     """Extreme eigenvalues and condition number of the model covariance.
 
-    For the ridge-lifted model these are closed-form from the stored spectrum
-    (sigma_1^2 + gamma and gamma); no dense eigensolve happens. Rank-deficient
-    ridgeless models report an infinite condition number.
+    With sv the factor's singular values (stored on a str model, else from
+    ``singular_values``): lam_max = sv_1^2 + gamma, and lam_min = sv_n^2 +
+    gamma when the factor has at least n columns, else gamma. A ridgeless
+    model with lam_min = 0 reports an infinite condition number.
     """
-    if model.kind == "str":
-        s = model.singular_values
-        lam_max = float(s[0]) ** 2 + model.gamma
-        lam_min = model.gamma
-        if model.columns >= model.n:
-            lam_min += float(s[model.n - 1]) ** 2
-        return ConditioningReport(
-            lambda_min=lam_min,
-            lambda_max=lam_max,
-            kappa=lam_max / lam_min,
-            finite=True,
-        )
-    if model.columns < model.n:
-        # Fewer factor columns than assets: the covariance is singular.
-        s1 = float(np.linalg.norm(model.L_eff, 2)) if model.L_eff.size else 0.0
-        return ConditioningReport(
-            lambda_min=0.0, lambda_max=s1**2, kappa=math.inf, finite=False
-        )
-    if model.n > _DENSE_EIG_LIMIT:
-        raise ArgumentError("dense conditioning report is limited to test scale")
-    lam = np.linalg.eigvalsh(model.covariance())
-    lam_min, lam_max = float(lam[0]), float(lam[-1])
-    if lam_min <= 0.0:
-        return ConditioningReport(
-            lambda_min=max(lam_min, 0.0), lambda_max=lam_max, kappa=math.inf, finite=False
-        )
-    return ConditioningReport(
-        lambda_min=lam_min, lambda_max=lam_max, kappa=lam_max / lam_min, finite=True
-    )
+    sv = model.singular_values
+    if sv is None:
+        sv = singular_values(model.L_eff)
+    s_1 = float(sv[0]) if sv.size else 0.0
+    # With fewer columns than assets, L_eff @ L_eff.T is singular: sv_n = 0.
+    s_n = float(sv[model.n - 1]) if 0 < model.n <= model.columns else 0.0
+    lam_max, lam_min = s_1**2 + model.gamma, s_n**2 + model.gamma
+    finite = lam_min > 0.0
+    kappa = lam_max / lam_min if finite else math.inf
+    return ConditioningReport(lambda_min=lam_min, lambda_max=lam_max, kappa=kappa, finite=finite)

@@ -50,8 +50,10 @@ class FactorModel:
         if self.L_eff.ndim != 2:
             raise DimensionError("L_eff must be a matrix")
         if self.kind == "str":
-            if not self.gamma > 0.0:
-                raise ArgumentError(f"str models require gamma > 0, got {self.gamma}")
+            if not 0.0 < self.gamma < np.inf:
+                raise ArgumentError(
+                    f"str models require gamma > 0, got {self.gamma}; the ridge must be finite"
+                )
             if self.singular_values is None:
                 raise ArgumentError("str models require singular_values")
             self.singular_values = np.asarray(self.singular_values, dtype=np.float64)

@@ -91,10 +91,10 @@ class SyntheticSpec:
             raise DimensionError(f"need n, T >= 2, got n={self.n}, T={self.T}")
         if not 0.0 < self.singular_decay < 1.0:
             raise DataFormatError(f"singular_decay must be in (0,1), got {self.singular_decay}")
-        if self.leading_scale <= 0:
-            raise DataFormatError(f"leading_scale must be positive, got {self.leading_scale}")
-        if self.noise_floor < 0:
-            raise DataFormatError(f"noise_floor must be nonnegative, got {self.noise_floor}")
+        if not 0.0 < self.leading_scale < np.inf:
+            raise DataFormatError(f"leading_scale must be finite and > 0, got {self.leading_scale}")
+        if not 0.0 <= self.noise_floor < np.inf:
+            raise DataFormatError(f"noise_floor must be finite and >= 0, got {self.noise_floor}")
         if self.seed < 0:
             raise ArgumentError(f"seed must be nonnegative, got {self.seed}")
 

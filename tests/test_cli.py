@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -12,7 +13,14 @@ from hypothesis import strategies as st
 
 from strmv.bench import strip_timings
 from strmv.cli import main
-from strmv.panel import SyntheticSpec, generate_synthetic, save_panel
+from strmv.panel import (
+    SyntheticSpec,
+    center_and_factor,
+    generate_synthetic,
+    load_panel,
+    save_panel,
+)
+from strmv.spectrum import RANK_TOL, report_from_singular_values
 
 
 def run_cli(*args):
@@ -33,13 +41,28 @@ def panel_csv(tmp_path):
 
 
 class TestSubcommands:
-    def test_synth_then_spectrum(self, tmp_path):
+    @pytest.mark.parametrize("T", [12, 6, 4], ids=["T_gt_n", "T_eq_n", "T_lt_n"])
+    def test_synth_then_spectrum(self, tmp_path, capsys, T):
+        # Centering drops the rank to min(n, T - 1), so for T <= n the Gram
+        # matrix has an exact zero eigenvalue that roundoff can make negative.
         out = tmp_path / "p.csv"
-        assert main(["synth", "--n", "6", "--T", "12", "--seed", "4", "--out", str(out)]) == 0
-        proc = run_cli("spectrum", "--panel", str(out))
-        assert proc.returncode == 0
-        payload = json.loads(proc.stdout)
-        assert payload["numerical_rank"] <= min(6, 12 - 1)
+        assert main(["synth", "--n", "6", "--T", str(T), "--seed", "4", "--out", str(out)]) == 0
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["spectrum", "--panel", str(out)]) == 0
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        payload = json.loads(capsys.readouterr().out)
+        sv = np.array(payload["singular_values"])
+        assert np.all(np.isfinite(sv)) and np.all(sv >= 0.0)
+        ref = report_from_singular_values(
+            np.linalg.svd(center_and_factor(load_panel(out)).L, compute_uv=False)
+        )
+        assert sv.shape == ref.singular_values.shape
+        resolved = ref.eigenvalues >= RANK_TOL * ref.eigenvalues[0]
+        np.testing.assert_allclose(sv[resolved], ref.singular_values[resolved], rtol=1e-10)
+        assert payload["numerical_rank"] == ref.numerical_rank
+        assert payload["numerical_rank"] <= min(6, T - 1)
         assert payload["energy"][-1] == pytest.approx(1.0)
 
     def test_project_flags(self):
@@ -225,6 +248,12 @@ class TestExitCodes:
         proc = run_cli("synth", "--n", "4", "--T", "8", "--decay", "1.5",
                        "--out", str(out))
         assert proc.returncode == 2
+        for flag in ("--scale", "--floor"):
+            for value in ("nan", "inf"):
+                proc = run_cli("synth", "--n", "4", "--T", "8", flag, value, "--out", str(out))
+                assert proc.returncode == 2, (flag, value)
+                assert "must be finite" in proc.stderr
+                assert "Warning" not in proc.stderr and not out.exists()
 
     def test_data_error_is_2(self, tmp_path):
         missing = tmp_path / "nope.csv"
@@ -431,12 +460,14 @@ class TestExitCodes:
 
     def test_config_nan_gamma_is_1(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text('{"models": [{"kind": "str", "s": 12, "gamma": NaN}], '
-                            '"sizes": [8], "repetitions": 1}')
-        proc = run_cli("bench", "solver", "--config", str(cfg_path))
-        assert proc.returncode == 1
-        assert "str models require gamma > 0, got nan" in proc.stderr
-        assert "Traceback" not in proc.stderr
+        # JSON reads 1e400 as inf; neither ridge reaches a solve.
+        for text, shown in (("NaN", "nan"), ("1e400", "inf")):
+            cfg_path.write_text('{"models": [{"kind": "str", "s": 12, "gamma": %s}], '
+                                '"sizes": [8], "repetitions": 1}' % text)
+            proc = run_cli("bench", "solver", "--config", str(cfg_path))
+            assert proc.returncode == 1
+            assert f"str models require gamma > 0, got {shown}" in proc.stderr
+            assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
 
     def test_approx_config_error_is_1_not_an_error_row(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"

@@ -128,6 +128,33 @@ class TestConditioningReport:
         rep = conditioning_report(m)
         assert not rep.finite and math.isinf(rep.kappa)
 
+    @pytest.mark.parametrize("shape", [(6, 6), (6, 10)])
+    def test_full_rank_ridgeless_matches_dense(self, shape):
+        m = FactorModel(L_eff=np.random.default_rng(6).standard_normal(shape),
+                        gamma=0.0, kind="baseline")
+        rep = conditioning_report(m)
+        eig = np.linalg.eigvalsh(m.covariance())
+        assert rep.finite
+        np.testing.assert_allclose(
+            [rep.lambda_min, rep.lambda_max, rep.kappa],
+            [eig[0], eig[-1], eig[-1] / eig[0]],
+            rtol=1e-10,
+        )
+
+    def test_no_size_cap(self):
+        # n > 1000, past the old dense-eigensolve limit; the spectrum is known.
+        n = 1200
+        s = 1.0 + np.arange(n) / n
+        perm = np.random.default_rng(7).permutation(n)
+        m = FactorModel(L_eff=np.diag(s)[:, perm], gamma=0.0, kind="sketch")
+        rep = conditioning_report(m)
+        assert rep.finite
+        np.testing.assert_allclose(
+            [rep.lambda_min, rep.lambda_max, rep.kappa],
+            [1.0, s[-1] ** 2, s[-1] ** 2],
+            rtol=1e-10,
+        )
+
 
 class TestValueAndSolutionSensitivity:
     def test_sketched_value_and_solution_bounds(self):

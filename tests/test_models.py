@@ -147,6 +147,14 @@ class TestBuildStr:
         with pytest.raises(ArgumentError):
             FactorModel(L_eff=np.eye(2), gamma=float("nan"), kind="baseline")
 
+    def test_inf_gamma_rejected(self):
+        with pytest.raises(ArgumentError, match="gamma > 0, got inf; the ridge must be finite"):
+            FactorModel(L_eff=np.eye(2), gamma=float("inf"), kind="str",
+                        singular_values=[1.0, 1.0])
+        f = CovarianceFactor(L=np.eye(3), mean=np.zeros(3))
+        with pytest.raises(ArgumentError, match="must be finite"):
+            build_str(f, SketchConfig(kind="gaussian_jl", s=3, seed=0), gamma=float("inf"))
+
     def test_singular_values_validated(self):
         with pytest.raises(ArgumentError):
             FactorModel(L_eff=np.eye(2), gamma=0.1, kind="str")

@@ -247,6 +247,10 @@ class TestSynthetic:
             SyntheticSpec(n=4, T=8, singular_decay=1.5)
         with pytest.raises(DimensionError):
             SyntheticSpec(n=1, T=8)
+        for bad in ({"leading_scale": float("nan")}, {"leading_scale": float("inf")},
+                    {"noise_floor": float("nan")}, {"noise_floor": float("inf")}):
+            with pytest.raises(DataFormatError, match="finite"):
+                SyntheticSpec(n=4, T=8, **bad)
 
 
 @settings(max_examples=30, deadline=None)
