@@ -36,7 +36,15 @@ from .panel import (
 )
 from .projection import FeasibleSet
 from .sketch import SketchConfig, _splitmix64, recommended_sketch_size
-from .solver import SolverConfig, compact_factor, curvature_constants, gradient, objective, solve
+from .solver import (
+    Operator,
+    SolverConfig,
+    curvature_constants,
+    gradient,
+    gradient_operator,
+    objective,
+    solve,
+)
 from .spectrum import cumulative_energy, energy_rank, singular_values
 
 #: Report fields that are wall-clock measurements and therefore not part of
@@ -614,19 +622,19 @@ def run_solver_benchmark(cfg: ExperimentConfig) -> BenchReport:
                     ),
                     **score,
                     **times,
-                    "grad_us_per_iter": _median_gradient_time(compact_factor(model), result.x),
+                    "grad_us_per_iter": _median_gradient_time(gradient_operator(model), result.x),
                 }
             )
     return _report("solver", cfg, rows)
 
 
-def _median_gradient_time(model: FactorModel, x: np.ndarray) -> float:
+def _median_gradient_time(op: Operator, x: np.ndarray) -> float:
     """Median microseconds per gradient evaluation over 100 calls, on the
-    factor a solve iterates on."""
+    operator a solve takes its gradients on."""
     times = np.empty(100)
     for i in range(times.size):
         t0 = time.perf_counter_ns()
-        gradient(model, x)
+        gradient(op, x)
         times[i] = time.perf_counter_ns() - t0
     return float(np.median(times)) / 1e3
 

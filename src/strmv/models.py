@@ -10,6 +10,7 @@ gradient) is unchanged while the per-iteration cost falls to O(n * ell).
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -109,6 +110,8 @@ def ridge_for_target_kappa(sigma1: float, kappa_target: float) -> float:
     is exactly kappa_target."""
     if not kappa_target > 1.0:
         raise ArgumentError(f"kappa_target must exceed 1, got {kappa_target}")
+    if kappa_target == math.inf:
+        raise ArgumentError("kappa_target must be finite, got inf: it would place no ridge")
     if sigma1 <= 0.0:
         raise DegenerateSpectrumError("sigma1 must be positive to place a ridge")
     return sigma1**2 / (kappa_target - 1.0)

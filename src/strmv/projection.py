@@ -8,15 +8,17 @@ R_target. phi is nondecreasing and piecewise linear, and it reaches max(mu)
 at a finite nu, so one safeguarded Newton search over its pieces (the
 breakpoint view of the continuous quadratic knapsack, on top of sorted
 simplex thresholding) finds the root exactly up to roundoff. The search can
-start from a known nearby root, such as the previous solver iterate's
-(Kiwiel 2008). There is no tolerance and no fallback; Dykstra's alternating
-projections remain as an independent reference.
+start from a known nearby root (Kiwiel 2008), and a guess of its support,
+such as the previous solver iterate's, settles it in closed form when the
+guess is right. There is no tolerance and no fallback; Dykstra's
+alternating projections remain as an independent reference.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -139,7 +141,7 @@ def _flat_nu(v: np.ndarray, mu: np.ndarray) -> float:
 
 
 def project_feasible(
-    v: np.ndarray, fs: FeasibleSet, nu0: float = 0.0
+    v: np.ndarray, fs: FeasibleSet, nu0: float = 0.0, support: Optional[np.ndarray] = None
 ) -> tuple[np.ndarray, ProjectionDiagnostics]:
     """Exact projection onto simplex-cap-halfspace by a safeguarded Newton search.
 
@@ -169,22 +171,64 @@ def project_feasible(
     only an overflow can lead to an invalid value (inf - inf, 0 * inf).
 
     ``nu0`` warm-starts the search, typically from the ``nu_star`` of a
-    nearby point (the previous solver iterate). If phi(nu0) < R_target the
-    constraint is known to be active: the nu = 0 simplex projection is
-    skipped and the search starts at nu0, the lower end of the bracket.
+    nearby point. If phi(nu0) < R_target the constraint is known to be
+    active: the nu = 0 simplex projection is skipped and the search starts
+    at nu0, the lower end of the bracket.
     Otherwise x(0) still decides whether the constraint is active, and a
     nu0 below nu_flat becomes the upper end of the bracket and the start of
     the search. The default nu0 = 0 is the cold path itself. The root, and
     so the result, does not depend on nu0 beyond roundoff.
+
+    ``support``, a boolean mask such as the support of the previous solver
+    iterate's projection, is a guess of the optimum's support S. On the piece
+    of S, phi is linear, so the nu at which it meets R_target solves the
+    piece's 2 x 2 KKT system in closed form (``_piece_root``). When that nu is
+    positive and x(nu) has support S, x(nu) meets every optimality condition
+    and is returned after one simplex projection: the Newton stopping rule
+    above. When x(nu) has another support, nu takes the place of nu0, and
+    x(nu) of its simplex projection. A guess whose root is not positive or
+    not finite, or that is empty or flat (no root), is ignored. In a tie,
+    where x(0) meets R_target to roundoff, every nu from 0 to such a root is
+    a multiplier of the same point: the guess may then report the
+    constraint active at that root where the cold search reports it
+    inactive at 0.
     """
     try:
         with np.errstate(over="raise"):
-            return _project_feasible(np.asarray(v, dtype=np.float64), fs, nu0)
+            return _project_feasible(np.asarray(v, dtype=np.float64), fs, nu0, support)
     except FloatingPointError as exc:
         raise NumericError(f"projection leaves the float range: {exc}") from None
 
 
-def _project_feasible(v, fs, nu0):
+def _piece_slope(mu_s):
+    """d = mu_S - mu_S[0], sum(d) and the slope d @ d - sum(d)**2 / |S| of
+    phi on the piece where x(nu) has support S. The shift makes the slope of
+    a tied support exactly 0."""
+    d = mu_s - mu_s[0]
+    total = float(d.sum())  # squared by a product: ** raises on overflow
+    return d, total, float(d @ d) - total * total / d.size
+
+
+def _piece_root(v, mu, support, R):
+    """The nu at which phi on the piece of ``support`` equals R: NaN for an
+    empty or flat piece, and never an error (a root that leaves the float
+    range is NaN or inf).
+
+    On S, x = v + nu*mu - tau with sum(x) = 1, so
+    phi(nu) = mu_S[0] + d @ v_S - sum(d) * (sum(v_S) - 1) / |S| + nu * slope.
+    """
+    mu_s, v_s = mu[support], v[support]
+    if mu_s.size == 0:
+        return math.nan
+    with np.errstate(over="ignore", invalid="ignore"):
+        d, total, slope = _piece_slope(mu_s)
+        if not slope > 0.0:
+            return math.nan
+        phi0 = float(mu_s[0]) + float(d @ v_s) - total * (float(v_s.sum()) - 1.0) / d.size
+    return (R - phi0) / slope
+
+
+def _project_feasible(v, fs, nu0, support):
     mu = fs.mu
     R = fs.R_target
     if v.shape != mu.shape:
@@ -192,8 +236,19 @@ def _project_feasible(v, fs, nu0):
     if not 0.0 <= nu0 < math.inf:
         raise ArgumentError(f"nu0 must be nonnegative and finite, got {nu0}")
     diag = ProjectionDiagnostics()
+    x_warm = None
+    if support is not None:
+        support = np.asarray(support, dtype=bool)
+        if support.shape != mu.shape:
+            raise ArgumentError(f"support has shape {support.shape}, mu has shape {mu.shape}")
+        guess = _piece_root(v, mu, support, R)
+        if 0.0 < guess < math.inf:
+            nu0, x_warm = guess, project_simplex(v + guess * mu)
+            if np.array_equal(x_warm > 0.0, support):
+                return _settled(v, mu, R, guess, x_warm, diag)
     if nu0 > 0.0:
-        x_warm = project_simplex(v + nu0 * mu)
+        if x_warm is None:
+            x_warm = project_simplex(v + nu0 * mu)
         phi_warm = float(mu @ x_warm)
     warm_active = nu0 > 0.0 and phi_warm < R  # then phi(0) <= phi(nu0) < R_target
     if not warm_active:
@@ -202,7 +257,6 @@ def _project_feasible(v, fs, nu0):
         if phi >= R:
             return x, diag
 
-    diag.constraint_active = True
     nu, lo, hi, x_hi = 0.0, 0.0, _flat_nu(v, mu), None
     if warm_active:
         nu, lo, x, phi = nu0, nu0, x_warm, phi_warm
@@ -212,9 +266,7 @@ def _project_feasible(v, fs, nu0):
     for _ in range(budget):
         support = x > 0.0
         mu_s = mu[support]
-        d = mu_s - mu_s[0]  # shifted so a tied support has slope exactly 0
-        total = float(d.sum())  # squared by a product: ** raises on overflow
-        slope = float(d @ d) - total * total / d.size
+        slope = _piece_slope(mu_s)[2]
         if slope == 0.0 and mu_s[0] == R:
             break
         trial = nu + (R - phi) / slope if slope > 0.0 else np.nan
@@ -241,12 +293,19 @@ def _project_feasible(v, fs, nu0):
         raise ProjectionFailureError(
             f"exact projection search did not settle within {budget} steps"
         )
+    return _settled(v, mu, R, nu, x, diag)
+
+
+def _settled(v, mu, R, nu, x, diag):
+    """x = x(nu) as the projection onto the binding constraint, unless it
+    misses R_target by more than roundoff allows."""
     ret = float(mu @ x)
     if R - ret > 1e-9 * np.abs(mu).max():
         raise ProjectionFailureError(
             f"projection misses R_target={R} by {R - ret:.3g}: v + nu*mu kept too few "
             f"digits of nu*mu (max|v| = {np.abs(v).max():.3g})"
         )
+    diag.constraint_active = True
     diag.nu_star = nu
     diag.return_residual = abs(ret - R)
     return x, diag

@@ -11,19 +11,21 @@ the last move point against each other; "fista" runs the t_k sequence
 without restart. Termination uses the projected-gradient residual
 ||P_F(x - alpha*grad f(x)) - x||, which vanishes exactly at KKT points.
 
-Gradients use only matrix-vector products with the factor, never the dense
-covariance. A factor wider than tall is first replaced by the n x n factor
-R.T of its QR factorization L_eff.T = QR, once per solve: L_eff @ L_eff.T =
-R.T @ R, so the objective and gradient are unchanged and each product costs
-n/columns as much.
+Each iteration costs one gradient, taken at the new iterate x_k: f is
+quadratic, so the gradient at the extrapolated point y = x_k + beta*(x_k -
+x_{k-1}) is (1 + beta)*grad f(x_k) - beta*grad f(x_{k-1}), and the residual
+check at x_k reuses grad f(x_k). A factor with at most n/2 columns is
+multiplied as it is, by two matrix-vector products. A wider one costs less
+as the dense Hessian H = 2*(L_eff @ L_eff.T + gamma*I), formed once per
+solve, after which a gradient is the single pass H @ x.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, replace
-from typing import Optional
+from dataclasses import dataclass
+from typing import Optional, Union
 
 import numpy as np
 
@@ -103,15 +105,42 @@ class SolveResult:
         return d
 
 
-def gradient(model: FactorModel, x: np.ndarray) -> np.ndarray:
+@dataclass(frozen=True)
+class DenseHessian:
+    """H = 2 * (L_eff @ L_eff.T + gamma * I) of a model, which ``solve``
+    iterates on in place of a factor with more than n/2 columns.
+
+    It reads as the model where the solver reads one: ``gamma`` and
+    ``singular_values`` are the model's, and ``n`` = ``columns`` is H's order.
+    """
+
+    H: np.ndarray
+    gamma: float
+    singular_values: Optional[np.ndarray]
+
+    @property
+    def n(self) -> int:
+        return self.H.shape[0]
+
+    @property
+    def columns(self) -> int:
+        return self.H.shape[1]
+
+
+Operator = Union[FactorModel, DenseHessian]
+
+
+def gradient(model: Operator, x: np.ndarray) -> np.ndarray:
     """grad f(x) = 2 * L_eff @ (L_eff.T @ x) + 2 * gamma * x.
 
-    Two matrix-vector products plus an axpy; the dense covariance is never
-    formed.
+    On a factor model: two matrix-vector products plus an axpy; the dense
+    covariance is never formed. On a ``DenseHessian``: the one product H @ x.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (model.n,):
         raise DimensionError(f"x has shape {x.shape}, model is {model.n}-dimensional")
+    if isinstance(model, DenseHessian):
+        return model.H @ x
     g = 2.0 * (model.L_eff @ (model.L_eff.T @ x))
     if model.gamma:
         g += 2.0 * model.gamma * x
@@ -126,14 +155,18 @@ def objective(model: FactorModel, x: np.ndarray) -> float:
     return val
 
 
-def estimate_spectral_norm(model: FactorModel) -> float:
+def estimate_spectral_norm(model: Operator) -> float:
     """Power-method estimate of ||L_eff||_2 (a lower bound on the true norm):
-    ``POWER_ITERS`` steps from the start vector seeded with 0."""
-    matvec = lambda u: model.L_eff @ (model.L_eff.T @ u)
+    ``POWER_ITERS`` steps from the start vector seeded with 0. On a
+    ``DenseHessian`` each step is one product with H / 2 - gamma * I."""
+    if isinstance(model, DenseHessian):
+        matvec = lambda u: 0.5 * (model.H @ u) - model.gamma * u
+    else:
+        matvec = lambda u: model.L_eff @ (model.L_eff.T @ u)
     return float(power_sequence(matvec, model.n, POWER_ITERS, 0)[-1])
 
 
-def curvature_constants(model: FactorModel) -> CurvatureConstants:
+def curvature_constants(model: Operator) -> CurvatureConstants:
     """Smoothness and strong-convexity constants from the factor spectrum.
 
     L_f = 2*(||L_eff||^2 + gamma). A str model stores L_eff = U_ell * S_ell,
@@ -151,19 +184,18 @@ def curvature_constants(model: FactorModel) -> CurvatureConstants:
     return CurvatureConstants(L_f=L_f, m_f=2.0 * model.gamma)
 
 
-def compact_factor(model: FactorModel) -> FactorModel:
-    """The same model on the n x n factor R.T when L_eff has more columns than
-    rows, where L_eff.T = QR; any other model comes back as it is.
-
-    R.T @ R = L_eff @ L_eff.T, so the objective, gradient and spectrum are
-    unchanged. A stored spectrum keeps its first n values, the only nonzero
-    ones of a wide factor.
+def gradient_operator(model: FactorModel) -> Operator:
+    """What ``solve`` takes gradients on: the model's ``DenseHessian`` when
+    2 * columns > n, where one pass over the n x n matrix H reads less memory
+    than two passes over the factor; the model itself otherwise.
     """
-    if model.columns <= model.n:
+    if 2 * model.columns <= model.n:
         return model
-    R = np.linalg.qr(model.L_eff.T, mode="r")
-    sv = model.singular_values
-    return replace(model, L_eff=R.T, singular_values=None if sv is None else sv[: model.n])
+    H = model.L_eff @ model.L_eff.T
+    if model.gamma:
+        H[np.diag_indices_from(H)] += model.gamma
+    H *= 2.0
+    return DenseHessian(H=H, gamma=model.gamma, singular_values=model.singular_values)
 
 
 def solve(
@@ -175,31 +207,34 @@ def solve(
     """Run the accelerated projected-gradient loop on a factor model.
 
     The default start is the uniform portfolio projected onto the feasible
-    set; any supplied x0 is projected as well. Each projection starts its
-    search from the previous projection's nu*, which moves little between
-    iterates. The loop runs on ``compact_factor(model)``. ``wall_time`` covers
-    the whole call, the compaction and the curvature estimate included.
+    set; any supplied x0 is projected as well. While the return constraint
+    binds, each projection starts from the previous projection's support,
+    which moves little between iterates (``project_feasible``). Gradients
+    are taken on ``gradient_operator(model)``, one per iterate, and the
+    objective on the model's own factor. ``wall_time`` covers the whole
+    call, the Hessian's formation and the curvature estimate included.
     """
     start = time.perf_counter()
     cfg = cfg or SolverConfig()
     n = fs.n
     if model.n != n:
         raise DimensionError(f"model has {model.n} assets, feasible set {n}")
-    model = compact_factor(model)
-    consts = curvature_constants(model)
+    op = gradient_operator(model)
+    consts = curvature_constants(op)
     L_f, m_f = consts.L_f, consts.m_f
 
-    nu = 0.0  # nu* of the latest projection, the warm start of the next one
+    support = None  # the latest projection's support while the target binds
 
     def project(point: np.ndarray) -> np.ndarray:
-        nonlocal nu
-        moved, diag = project_feasible(point, fs, nu)
-        nu = diag.nu_star
+        nonlocal support
+        moved, diag = project_feasible(point, fs, support=support)
+        support = moved > 0.0 if diag.constraint_active else None
         return moved
 
     if x0 is None:
         x0 = np.full(n, 1.0 / n)
     x = project(np.asarray(x0, dtype=np.float64))
+    g = gradient(op, x)
 
     if cfg.alpha is not None:
         alpha = float(cfg.alpha)
@@ -217,9 +252,8 @@ def solve(
     residuals: list[float] = []
     obj_trace = [objective(model, x)] if cfg.record_objective else None
 
-    def residual(point: np.ndarray, step: float) -> float:
-        moved = project(point - step * gradient(model, point))
-        return float(np.linalg.norm(moved - point))
+    def residual() -> float:
+        return float(np.linalg.norm(project(x - alpha * g) - x))
 
     def result(iterations: int, termination: str) -> SolveResult:
         return SolveResult(
@@ -230,14 +264,15 @@ def solve(
             objective_trace=np.asarray(obj_trace) if obj_trace is not None else None,
         )
 
-    residuals.append(residual(x, alpha))
+    residuals.append(residual())
     if residuals[0] <= cfg.tol:
         return result(0, "tolerance")
 
-    y = x.copy()
+    y, g_y = x, g
     t_k = 1.0
     for k in range(1, cfg.max_iters + 1):
-        x_new = project(y - alpha * gradient(model, y))
+        x_new = project(y - alpha * g_y)
+        g_new = gradient(op, x_new)
 
         if momentum == "strongly_convex":
             beta = beta_const
@@ -249,12 +284,13 @@ def solve(
             beta = (t_k - 1.0) / t_next
             t_k = t_next
         y = x_new + beta * (x_new - x)
-        x = x_new
+        g_y = (1.0 + beta) * g_new - beta * g  # grad f(y): f is quadratic
+        x, g = x_new, g_new
 
         if obj_trace is not None:
             obj_trace.append(objective(model, x))
         if k % cfg.residual_check_stride == 0:
-            residuals.append(residual(x, alpha))
+            residuals.append(residual())
             if residuals[-1] <= cfg.tol:
                 return result(k, "tolerance")
     return result(cfg.max_iters, "max_iters")

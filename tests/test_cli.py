@@ -406,6 +406,12 @@ class TestExitCodes:
         assert proc.returncode == 1
         assert "kappa_target must exceed 1, got nan" in proc.stderr
 
+    def test_solve_inf_kappa_target_is_1(self, panel_csv):
+        proc = run_cli("solve", "--panel", str(panel_csv), "--kappa-target", "inf")
+        assert proc.returncode == 1
+        assert "kappa_target must be finite, got inf" in proc.stderr
+        assert "gamma" not in proc.stderr
+
     def test_solve_nan_r_target_is_1(self, panel_csv):
         proc = run_cli("solve", "--panel", str(panel_csv), "--r-target", "nan")
         assert proc.returncode == 1

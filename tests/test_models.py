@@ -95,6 +95,12 @@ class TestRidgeFormulas:
         with pytest.raises(ArgumentError, match="kappa_target must exceed 1, got nan"):
             ridge_for_target_kappa(1.0, float("nan"))
 
+    def test_infinite_kappa_target_rejected(self):
+        # gamma would be 0, which the str model then refuses with a message
+        # about a gamma the caller never set.
+        with pytest.raises(ArgumentError, match="kappa_target must be finite, got inf"):
+            ridge_for_target_kappa(1.0, float("inf"))
+
     def test_policy_validation(self):
         L = random_low_rank(6, 10, 2, seed=0)
         cfg = SketchConfig(kind="identity", s=10, seed=0)

@@ -246,6 +246,74 @@ class TestWarmStart:
         if v.size <= 10:
             np.testing.assert_allclose(x, project_exact(v, fs), rtol=0, atol=1e-8)
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.floats(-10, 10), min_size=2, max_size=30),
+        st.integers(0, 2**32 - 1),
+        st.floats(0.0, 1.0),
+        st.sampled_from(("empty", "full", "random", "exact", "flat")),
+    )
+    def test_support_guess_matches_cold_start(self, vals, seed, q, guess):
+        # The same mu grid as above, so ties occur; "flat" guesses a set of
+        # assets with equal mu, whose piece has slope 0 and no root.
+        v = np.asarray(vals)
+        rng = np.random.default_rng(seed)
+        mu = rng.integers(-40, 41, v.size) / 20.0
+        if mu.min() == mu.max():
+            mu[0] -= 0.05
+        fs = FeasibleSet(mu=mu, R_target=float(np.quantile(mu, q)))
+        x_cold, cold = project_feasible(v, fs)
+        support = {
+            "empty": np.zeros(v.size, dtype=bool),
+            "full": np.ones(v.size, dtype=bool),
+            "random": rng.random(v.size) < 0.5,
+            "exact": x_cold > 0.0,
+            "flat": mu == mu[rng.integers(v.size)],
+        }[guess]
+        # A tie: x(0) meets R_target to roundoff, so every nu from 0 up to
+        # the guess's root is a multiplier of the same point, and the flag
+        # says which one was found. Elsewhere the flags must agree.
+        tie = abs(float(mu @ project_simplex(v)) - fs.R_target) <= 1e-12 * np.abs(mu).max()
+        for nu0 in (0.0, cold.nu_star):
+            x, diag = project_feasible(v, fs, nu0, support)
+            np.testing.assert_allclose(x, x_cold, rtol=0, atol=1e-12)
+            assert diag.constraint_active == cold.constraint_active or tie
+
+    def test_exact_support_takes_one_simplex_projection(self, monkeypatch):
+        import strmv.projection as projection
+
+        rng = np.random.default_rng(3)
+        mu = rng.standard_normal(50)
+        fs = FeasibleSet(mu=mu, R_target=float(np.quantile(mu, 0.9)))
+        calls = []
+        original = projection.project_simplex
+        monkeypatch.setattr(projection, "project_simplex",
+                            lambda w: calls.append(1) or original(w))
+        for _ in range(20):
+            v = rng.standard_normal(50) / 10
+            x_cold, cold = project_feasible(v, fs)
+            assert cold.constraint_active
+            calls.clear()
+            x, diag = project_feasible(v, fs, support=x_cold > 0.0)
+            assert len(calls) == 1 and diag.constraint_active
+            assert diag.nu_star == pytest.approx(cold.nu_star, rel=1e-12)
+            np.testing.assert_allclose(x, x_cold, rtol=0, atol=1e-15)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_support_guess_with_a_root_beyond_the_float_range_is_ignored(self):
+        # The guessed piece's slope is 5e-311, so its root overflows.
+        fs = FeasibleSet(mu=np.array([0.0, 1e-155, 1.0]), R_target=0.5)
+        v = np.array([0.4, 0.3, 0.3])
+        x_cold, cold = project_feasible(v, fs)
+        x, diag = project_feasible(v, fs, support=np.array([True, True, False]))
+        np.testing.assert_array_equal(x, x_cold)
+        assert diag.constraint_active == cold.constraint_active
+
+    def test_support_of_the_wrong_shape_rejected(self):
+        fs = FeasibleSet(mu=np.array([1.0, 0.0]), R_target=0.9)
+        with pytest.raises(ArgumentError, match="support has shape"):
+            project_feasible(np.array([0.5, 0.5]), fs, support=np.ones(3, dtype=bool))
+
     @pytest.mark.parametrize("nu0", [-1e-300, -1.0, np.nan, np.inf, -np.inf])
     def test_bad_start_rejected(self, nu0):
         fs = FeasibleSet(mu=np.array([1.0, 0.0]), R_target=0.9)

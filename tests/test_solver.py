@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,15 +10,16 @@ from strmv.metrics import objective_gap
 from strmv.models import FactorModel, build_baseline, build_sketch, build_str
 from strmv.oracle import QPInstance, solve_exact
 from strmv.panel import CovarianceFactor, SyntheticSpec, center_and_factor, generate_synthetic
-from strmv.projection import FeasibleSet
+from strmv.projection import FeasibleSet, project_feasible
 from strmv.sketch import SketchConfig
 from strmv.solver import (
     POWER_ITERS,
+    DenseHessian,
     SolverConfig,
-    compact_factor,
     curvature_constants,
     estimate_spectral_norm,
     gradient,
+    gradient_operator,
     objective,
     solve,
 )
@@ -189,7 +192,7 @@ class TestSolve:
         monkeypatch.setattr(projection, "project_simplex", counted)
         simplex_calls.append(0)
         warm = solve(m, fs, cfg=cfg)
-        cold_project = lambda v, fs, nu0=0.0: projection.project_feasible(v, fs)
+        cold_project = lambda v, fs, nu0=0.0, support=None: projection.project_feasible(v, fs)
         monkeypatch.setattr(solver, "project_feasible", cold_project)
         simplex_calls.append(0)
         cold = solve(m, fs, cfg=cfg)
@@ -326,6 +329,10 @@ def _wide_instance(n, seed):
 
 
 class TestCompactFactor:
+    """A factor with more than n/2 columns is solved on its dense Hessian,
+    the compact n x n operator H = 2 * (L_eff @ L_eff.T + gamma * I); a
+    narrower one keeps the factor path."""
+
     @pytest.mark.parametrize("kind", ["baseline", "sketch"])
     def test_wide_solve_matches_the_compacted_model(self, kind):
         factor, fs = _wide_instance(30, seed=2)
@@ -343,67 +350,83 @@ class TestCompactFactor:
         np.testing.assert_allclose(a.x, b.x, rtol=0.0, atol=1e-12)
         assert a.objective == pytest.approx(b.objective, rel=1e-12)
         # The reported objective is the wide model's own at the solution.
-        assert a.objective == pytest.approx(objective(wide, a.x), rel=1e-12)
+        assert a.objective == objective(wide, a.x)
 
     def test_wide_solve_iterates_on_the_square_factor(self, monkeypatch):
         import strmv.solver as solver
 
-        shapes = []
+        seen = []
         for name in ("gradient", "estimate_spectral_norm"):
             original = getattr(solver, name)
 
             def recording(model, *args, _original=original):
-                shapes.append(model.L_eff.shape)
+                seen.append((type(model), model.n, model.columns))
                 return _original(model, *args)
 
             monkeypatch.setattr(solver, name, recording)
         factor, fs = _wide_instance(30, seed=2)
         solve(build_baseline(factor), fs, cfg=SolverConfig(tol=1e-8))
-        assert len(shapes) > 2 and set(shapes) == {(30, 30)}
+        assert len(seen) > 2 and set(seen) == {(DenseHessian, 30, 30)}
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
     def test_compact_covariance_is_exact(self, data):
+        # The solve's gradient is 2 * (L @ L.T + gamma * I) @ x for wide,
+        # square, near-square (n/2 < columns < n) and rank-deficient factors.
         n = data.draw(st.integers(1, 12))
-        T = data.draw(st.integers(n + 1, 8 * n))
-        rank = data.draw(st.integers(0, n))  # below n: rank-deficient
+        columns = data.draw(st.integers(n // 2 + 1, 8 * n))
+        rank = data.draw(st.integers(0, min(n, columns)))  # below that: rank-deficient
+        gamma = data.draw(st.sampled_from([0.0, 0.3]))
         rng = np.random.default_rng(data.draw(st.integers(0, 2**31 - 1)))
-        L = rng.standard_normal((n, rank)) @ rng.standard_normal((rank, T))
-        m = compact_factor(FactorModel(L_eff=L, gamma=0.0, kind="baseline"))
-        assert m.L_eff.shape == (n, n)
+        L = rng.standard_normal((n, rank)) @ rng.standard_normal((rank, columns))
+        m = (str_model(L, gamma) if gamma
+             else FactorModel(L_eff=L, gamma=0.0, kind="baseline"))
+        op = gradient_operator(m)
+        assert isinstance(op, DenseHessian) and op.H.shape == (n, n)
+        x = rng.uniform(0.0, 1.0, n)
+        x /= x.sum()
         cov = L @ L.T
-        assert np.abs(m.L_eff @ m.L_eff.T - cov).max() <= 1e-12 * np.abs(cov).max()
+        expect = 2.0 * (cov + gamma * np.eye(n)) @ x
+        err = np.abs(gradient(op, x) - expect).max()
+        assert err <= 1e-12 * max(np.abs(cov).max(), gamma)
 
     def test_wide_str_keeps_its_leading_spectrum(self):
         m = str_model(np.random.default_rng(0).standard_normal((4, 9)), gamma=0.1)
-        c = compact_factor(m)
-        assert c.L_eff.shape == (4, 4)
-        np.testing.assert_array_equal(c.singular_values, m.singular_values[:4])
-        assert curvature_constants(c).L_f == curvature_constants(m).L_f
+        op = gradient_operator(m)
+        assert isinstance(op, DenseHessian) and op.H.shape == (4, 4)
+        assert op.gamma == m.gamma and op.singular_values is m.singular_values
+        assert curvature_constants(op).L_f == curvature_constants(m).L_f
+        x = np.random.default_rng(1).standard_normal(4)
+        np.testing.assert_allclose(gradient(op, x), gradient(m, x), rtol=0, atol=1e-12)
 
-    def test_str_and_square_factors_take_no_qr(self, monkeypatch):
+    def test_narrow_factors_keep_the_factor_path(self, monkeypatch):
+        import strmv.solver as solver
+
         m, fs = _str_desk_model(40, seed=4)
         factor, _ = _wide_instance(40, seed=4)
-        square = FactorModel(L_eff=factor.L[:, :40], gamma=0.0, kind="baseline")
-
-        def no_qr(*args, **kwargs):
-            raise AssertionError("a factor with at most n columns needs no QR")
-
-        monkeypatch.setattr(np.linalg, "qr", no_qr)
-        assert compact_factor(m) is m and compact_factor(square) is square
+        half = FactorModel(L_eff=factor.L[:, :20], gamma=0.0, kind="baseline")
+        assert 2 * m.columns <= m.n and 2 * half.columns == half.n
+        assert gradient_operator(m) is m and gradient_operator(half) is half
+        above = FactorModel(L_eff=factor.L[:, :21], gamma=0.0, kind="baseline")
+        assert isinstance(gradient_operator(above), DenseHessian)
+        seen = set()
+        original = solver.gradient
+        monkeypatch.setattr(solver, "gradient",
+                            lambda op, x: seen.add(id(op)) or original(op, x))
         assert solve(m, fs, cfg=SolverConfig(tol=1e-8)).termination == "tolerance"
-        assert solve(square, fs, cfg=SolverConfig(tol=1e-8)).termination == "tolerance"
+        assert solve(half, fs, cfg=SolverConfig(tol=1e-8)).termination == "tolerance"
+        assert seen == {id(m), id(half)}
 
     def test_wall_time_includes_the_compaction(self, monkeypatch):
         import time
 
         import strmv.solver as solver
 
-        def slow_compact(model, _original=solver.compact_factor):
+        def slow_operator(model, _original=solver.gradient_operator):
             time.sleep(0.05)
             return _original(model)
 
-        monkeypatch.setattr(solver, "compact_factor", slow_compact)
+        monkeypatch.setattr(solver, "gradient_operator", slow_operator)
         factor, fs = _wide_instance(6, seed=1)
         result = solve(build_baseline(factor), fs, cfg=SolverConfig(tol=1e-8))
         assert result.wall_time >= 0.05
@@ -414,6 +437,80 @@ class TestCompactFactor:
         L[2, 7] = np.nan
         with pytest.raises(NumericError):
             solve(FactorModel(L_eff=L, gamma=0.0, kind="baseline"), fs)
+
+
+def _reference_solve(model, fs, alpha, momentum, tol, max_iters):
+    """The accelerated loop with no gradient reuse: a gradient on the dense
+    covariance at every extrapolated point y and at every residual check."""
+    hess = 2.0 * model.covariance()
+    grad = lambda p: hess @ p
+    project = lambda p: project_feasible(p, fs)[0]
+    x = project(np.full(fs.n, 1.0 / fs.n))
+    if np.linalg.norm(project(x - alpha * grad(x)) - x) <= tol:
+        return x, 0
+    if momentum == "strongly_convex":
+        root = math.sqrt(alpha * 2.0 * model.gamma)
+        beta_const = (1.0 - root) / (1.0 + root)
+    y, t_k = x, 1.0
+    for k in range(1, max_iters + 1):
+        x_new = project(y - alpha * grad(y))
+        if momentum == "strongly_convex":
+            beta = beta_const
+        elif momentum == "fista_restart" and float((y - x_new) @ (x_new - x)) > 0.0:
+            t_k, beta = 1.0, 0.0
+        else:
+            t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_k * t_k))
+            beta = (t_k - 1.0) / t_next
+            t_k = t_next
+        y = x_new + beta * (x_new - x)
+        x = x_new
+        if np.linalg.norm(project(x - alpha * grad(x)) - x) <= tol:
+            return x, k
+    return x, max_iters
+
+
+class TestGradientReuse:
+    """One gradient per iterate: the step's gradient at y comes from the last
+    two iterates' by linearity, and each residual check reuses its own."""
+
+    @staticmethod
+    def _models(n=30, seed=2):
+        factor, fs = _wide_instance(n, seed=seed)
+        return fs, {
+            "baseline": build_baseline(factor),
+            "sketch": build_sketch(factor, SketchConfig(kind="countsketch", s=2 * n, seed=seed)),
+            "str": build_str(factor, SketchConfig(kind="gaussian_jl", s=2 * n, seed=seed),
+                             ell=n // 3),
+        }
+
+    @pytest.mark.parametrize("stride", [1, 5])
+    def test_one_gradient_per_iteration(self, monkeypatch, stride):
+        import strmv.solver as solver
+
+        calls = []
+        original = solver.gradient
+        monkeypatch.setattr(solver, "gradient",
+                            lambda op, x: calls.append(1) or original(op, x))
+        fs, built = self._models()
+        for kind, m in built.items():
+            calls.clear()
+            res = solve(m, fs, cfg=SolverConfig(tol=1e-9, residual_check_stride=stride))
+            assert res.termination == "tolerance" and res.iterations > 0, kind
+            assert len(calls) == res.iterations + 1, kind
+
+    @pytest.mark.parametrize("kind, mode, momentum", [
+        ("baseline", "auto", "fista_restart"),
+        ("baseline", "fista", "fista"),
+        ("str", "auto", "strongly_convex"),
+    ])
+    def test_matches_a_loop_that_takes_the_gradient_at_y(self, kind, mode, momentum):
+        fs, built = self._models()
+        m = built[kind]
+        res = solve(m, fs, cfg=SolverConfig(tol=1e-9, momentum_mode=mode, max_iters=5000))
+        assert res.momentum == momentum and res.termination == "tolerance"
+        x, iterations = _reference_solve(m, fs, res.step_used, momentum, 1e-9, 5000)
+        assert res.iterations == iterations
+        np.testing.assert_allclose(res.x, x, rtol=0, atol=1e-12)
 
 
 @settings(max_examples=30, deadline=None)

@@ -52,4 +52,4 @@ def test_full_trace_of_projection_and_solve():
     assert rec["projection.active_share"] > 0
     assert rec["projection.fallback_calls"] == 0
     assert rec["solver.iterations"] == result.iterations > 0
-    assert rec["solver.gradient_calls"] > 0
+    assert rec["solver.gradient_calls"] == result.iterations + 1
