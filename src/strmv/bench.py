@@ -143,6 +143,11 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.repetitions < 1:
             raise ArgumentError("repetitions must be >= 1")
+        for key in ("models", "eta_grid", "s_over_ell_grid", "sizes"):
+            if not getattr(self, key):
+                raise ArgumentError(f"{key} must not be empty")
+        if self.T_over_n < 1:
+            raise ArgumentError(f"T_over_n must be >= 1, got {self.T_over_n}")
         if not all(ratio > 0.0 for ratio in self.s_over_ell_grid):
             raise ArgumentError(f"s_over_ell_grid values must be > 0, got {self.s_over_ell_grid}")
 
@@ -311,8 +316,9 @@ def _model_from_spec(
 
 
 def _timed_solve(model, fs, cfg, repeats: Optional[int] = None):
-    """Times one solve; with ``repeats``, one warm-up solve is discarded first
-    and the median of ``repeats`` timed solves is kept.
+    """One solve and its own ``wall_time``; with ``repeats``, one warm-up solve
+    is discarded first and the median ``wall_time`` of ``repeats`` solves is
+    kept.
 
     The solve itself is deterministic, so metrics come from the last run.
     """
@@ -320,9 +326,8 @@ def _timed_solve(model, fs, cfg, repeats: Optional[int] = None):
         solve(model, fs, cfg=cfg)
     times = []
     for _ in range(repeats or 1):
-        t0 = time.perf_counter()
         result = solve(model, fs, cfg=cfg)
-        times.append(time.perf_counter() - t0)
+        times.append(result.wall_time)
     return result, float(np.median(times))
 
 
@@ -563,12 +568,9 @@ def run_rate_experiment(cfg: ExperimentConfig, trace_path=None) -> BenchReport:
     )
 
     if trace_path is not None:
-        with open(trace_path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["case", "k", "gap"])
-            for case, gap_arr in (("convex", convex_gaps), ("strongly_convex", gaps)):
-                for k, g in enumerate(gap_arr):
-                    writer.writerow([case, k, repr(float(g))])
+        rows_to_csv([{"case": case, "k": k, "gap": g}
+                     for case, gap_arr in (("convex", convex_gaps), ("strongly_convex", gaps))
+                     for k, g in enumerate(gap_arr.tolist())], trace_path)
     return _report("rate", cfg, rows)
 
 

@@ -178,7 +178,7 @@ def _cmd_project(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    from .bench import ModelSpec, _model_from_spec, feasible_from_factor
+    from .bench import ModelSpec, _model_from_spec, feasible_from_factor, rows_to_csv
     from .panel import center_and_factor, load_panel
     from .projection import FeasibleSet
     from .solver import SolverConfig, solve
@@ -208,13 +208,8 @@ def _cmd_solve(args) -> int:
     sv = model.singular_values
     payload["singular_values"] = sv.tolist() if sv is not None else None
     if args.residual_csv:
-        import csv as _csv
-
-        with open(args.residual_csv, "w", newline="") as fh:
-            writer = _csv.writer(fh)
-            writer.writerow(["check", "residual"])
-            for i, r in enumerate(result.residual_trace):
-                writer.writerow([i, repr(float(r))])
+        rows_to_csv([{"check": i, "residual": r}
+                     for i, r in enumerate(result.residual_trace.tolist())], args.residual_csv)
     _emit(payload, args.out)
     return EXIT_OK
 

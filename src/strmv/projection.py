@@ -7,11 +7,11 @@ simplex projection of v + nu*mu, at a root of phi(nu) = mu.T @ x(nu) =
 R_target. phi is nondecreasing and piecewise linear, and it reaches max(mu)
 at a finite nu, so one safeguarded Newton search over its pieces (the
 breakpoint view of the continuous quadratic knapsack, on top of sorted
-simplex thresholding) finds the root exactly up to roundoff. The search can
-start from a known nearby root (Kiwiel 2008), and a guess of its support,
-such as the previous solver iterate's, settles it in closed form when the
-guess is right. There is no tolerance and no fallback; Dykstra's
-alternating projections remain as an independent reference.
+simplex thresholding) finds the root exactly up to roundoff. A guess of
+the root's support, such as the previous solver iterate's, settles it in
+closed form when the guess is right and otherwise starts the search from
+a nearby point (Kiwiel 2008). There is no tolerance and no fallback;
+Dykstra's alternating projections remain as an independent reference.
 """
 
 from __future__ import annotations
@@ -141,7 +141,7 @@ def _flat_nu(v: np.ndarray, mu: np.ndarray) -> float:
 
 
 def project_feasible(
-    v: np.ndarray, fs: FeasibleSet, nu0: float = 0.0, support: Optional[np.ndarray] = None
+    v: np.ndarray, fs: FeasibleSet, support: Optional[np.ndarray] = None
 ) -> tuple[np.ndarray, ProjectionDiagnostics]:
     """Exact projection onto simplex-cap-halfspace by a safeguarded Newton search.
 
@@ -170,32 +170,25 @@ def project_feasible(
     raises NumericError instead, with no NumPy warning. With finite v and mu,
     only an overflow can lead to an invalid value (inf - inf, 0 * inf).
 
-    ``nu0`` warm-starts the search, typically from the ``nu_star`` of a
-    nearby point. If phi(nu0) < R_target the constraint is known to be
-    active: the nu = 0 simplex projection is skipped and the search starts
-    at nu0, the lower end of the bracket.
-    Otherwise x(0) still decides whether the constraint is active, and a
-    nu0 below nu_flat becomes the upper end of the bracket and the start of
-    the search. The default nu0 = 0 is the cold path itself. The root, and
-    so the result, does not depend on nu0 beyond roundoff.
-
     ``support``, a boolean mask such as the support of the previous solver
     iterate's projection, is a guess of the optimum's support S. On the piece
     of S, phi is linear, so the nu at which it meets R_target solves the
     piece's 2 x 2 KKT system in closed form (``_piece_root``). When that nu is
     positive and x(nu) has support S, x(nu) meets every optimality condition
     and is returned after one simplex projection: the Newton stopping rule
-    above. When x(nu) has another support, nu takes the place of nu0, and
-    x(nu) of its simplex projection. A guess whose root is not positive or
-    not finite, or that is empty or flat (no root), is ignored. In a tie,
-    where x(0) meets R_target to roundoff, every nu from 0 to such a root is
-    a multiplier of the same point: the guess may then report the
-    constraint active at that root where the cold search reports it
-    inactive at 0.
+    above. When x(nu) has another support, the search starts at nu: as the
+    lower end of the bracket, with the nu = 0 simplex projection skipped, if
+    phi(nu) < R_target; otherwise, once x(0) has shown the constraint active,
+    as its upper end if nu < nu_flat. A guess whose root is not positive or
+    not finite, or that is empty or flat (no root), is ignored, and the
+    search starts at nu = 0. In a tie, where x(0) meets R_target to roundoff,
+    every nu from 0 to such a root is a multiplier of the same point: the
+    guess may then report the constraint active at that root where the cold
+    search reports it inactive at 0.
     """
     try:
         with np.errstate(over="raise"):
-            return _project_feasible(np.asarray(v, dtype=np.float64), fs, nu0, support)
+            return _project_feasible(np.asarray(v, dtype=np.float64), fs, support)
     except FloatingPointError as exc:
         raise NumericError(f"projection leaves the float range: {exc}") from None
 
@@ -228,40 +221,35 @@ def _piece_root(v, mu, support, R):
     return (R - phi0) / slope
 
 
-def _project_feasible(v, fs, nu0, support):
+def _project_feasible(v, fs, support):
     mu = fs.mu
     R = fs.R_target
     if v.shape != mu.shape:
         raise ArgumentError(f"point has shape {v.shape}, mu has shape {mu.shape}")
-    if not 0.0 <= nu0 < math.inf:
-        raise ArgumentError(f"nu0 must be nonnegative and finite, got {nu0}")
     diag = ProjectionDiagnostics()
-    x_warm = None
+    root = None
     if support is not None:
         support = np.asarray(support, dtype=bool)
         if support.shape != mu.shape:
             raise ArgumentError(f"support has shape {support.shape}, mu has shape {mu.shape}")
         guess = _piece_root(v, mu, support, R)
         if 0.0 < guess < math.inf:
-            nu0, x_warm = guess, project_simplex(v + guess * mu)
-            if np.array_equal(x_warm > 0.0, support):
-                return _settled(v, mu, R, guess, x_warm, diag)
-    if nu0 > 0.0:
-        if x_warm is None:
-            x_warm = project_simplex(v + nu0 * mu)
-        phi_warm = float(mu @ x_warm)
-    warm_active = nu0 > 0.0 and phi_warm < R  # then phi(0) <= phi(nu0) < R_target
-    if not warm_active:
+            root, x_root = guess, project_simplex(v + guess * mu)
+            if np.array_equal(x_root > 0.0, support):
+                return _settled(v, mu, R, root, x_root, diag)
+            phi_root = float(mu @ x_root)
+    root_below = root is not None and phi_root < R  # then phi(0) <= phi(root) < R_target
+    if not root_below:
         x = project_simplex(v)
         phi = float(mu @ x)
         if phi >= R:
             return x, diag
 
     nu, lo, hi, x_hi = 0.0, 0.0, _flat_nu(v, mu), None
-    if warm_active:
-        nu, lo, x, phi = nu0, nu0, x_warm, phi_warm
-    elif 0.0 < nu0 < hi:  # phi(nu0) >= R_target: nu0 caps the bracket
-        nu, hi, x_hi, x, phi = nu0, nu0, x_warm, x_warm, phi_warm
+    if root_below:
+        nu, lo, x, phi = root, root, x_root, phi_root
+    elif root is not None and root < hi:  # phi(root) >= R_target: the root caps the bracket
+        nu, hi, x_hi, x, phi = root, root, x_root, x_root, phi_root
     budget = 2 * mu.size + 200
     for _ in range(budget):
         support = x > 0.0

@@ -307,3 +307,18 @@ class TestConfigAndHelpers:
         assert lines[0] == "model,gap,portfolio.vol"
         assert lines[1].startswith("a,0.1,2.0")
         assert lines[2].startswith("b,0.2,")
+
+    def test_timed_solve_keeps_the_solves_own_wall_times(self, monkeypatch):
+        # One warm-up solve, then the median wall_time of the timed solves,
+        # and the last solve's result.
+        import types
+
+        import strmv.bench as bench
+
+        walls = iter([9.0, 1.0, 3.0, 2.5, 5.0])
+        monkeypatch.setattr(bench, "solve", lambda model, fs, cfg: types.SimpleNamespace(
+            wall_time=next(walls)))
+        result, t = bench._timed_solve(None, None, None, repeats=3)
+        assert t == 2.5 and result.wall_time == 2.5
+        result, t = bench._timed_solve(None, None, None)  # no warm-up
+        assert t == result.wall_time == 5.0

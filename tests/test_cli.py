@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import io
 import json
 import os
@@ -139,9 +140,13 @@ class TestSubcommands:
         assert proc.returncode == 0
         payload = json.loads(out.read_text())
         assert payload["model"] == "sketch"
-        lines = res_csv.read_text().strip().splitlines()
-        assert lines[0] == "check,residual"
-        assert len(lines) >= 2
+        with open(res_csv, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["check", "residual"]
+        trace = payload["residual_trace"]
+        assert len(trace) >= 1
+        assert [int(check) for check, _ in rows[1:]] == list(range(len(trace)))
+        assert [float(r) for _, r in rows[1:]] == trace
 
     def test_bench_approx_runs(self, tmp_path):
         cfg = {
@@ -539,6 +544,11 @@ class TestExitCodes:
         pytest.param("real", {"split_fraction": 1.5}, 1,
                      "unknown config keys in top-level: ['split_fraction']",
                      id="real-cfg14-1-split_fraction must be in (0, 1), got 1.5"),
+        ("solver", {"sizes": []}, 1, "sizes must not be empty"),
+        ("approx", {"models": []}, 1, "models must not be empty"),
+        ("approx", {"eta_grid": []}, 1, "eta_grid must not be empty"),
+        ("approx", {"s_over_ell_grid": []}, 1, "s_over_ell_grid must not be empty"),
+        ("solver", {"T_over_n": 0}, 1, "T_over_n must be >= 1, got 0"),
     ])
     def test_config_error_exit_code(self, tmp_path, capsys, experiment, cfg, code, message):
         cfg_path = tmp_path / "cfg.json"

@@ -12,7 +12,6 @@ from strmv.errors import (
 from strmv.oracle import project_exact
 from strmv.projection import (
     FeasibleSet,
-    _flat_nu,
     dykstra_project,
     project_feasible,
     project_halfspace,
@@ -215,37 +214,6 @@ class TestProjectFeasible:
 
 
 class TestWarmStart:
-    @settings(max_examples=200, deadline=None)
-    @given(
-        st.lists(st.floats(-10, 10), min_size=2, max_size=30),
-        st.integers(0, 2**32 - 1),
-        st.floats(0.0, 1.0),
-        st.sampled_from(("zero", "below", "at", "above", "above_flat")),
-        st.floats(0.0, 1.0),
-    )
-    def test_matches_cold_start(self, vals, seed, q, where, frac):
-        # mu lies on a 0.05 grid: ties occur, and nu* stays moderate, so the
-        # roundoff of v + nu*mu stays far below the tolerance.
-        v = np.asarray(vals)
-        mu = np.random.default_rng(seed).integers(-40, 41, v.size) / 20.0
-        if mu.min() == mu.max():
-            mu[0] -= 0.05
-        fs = FeasibleSet(mu=mu, R_target=float(np.quantile(mu, q)))
-        x_cold, cold = project_feasible(v, fs)
-        nu_flat = _flat_nu(v, fs.mu)
-        nu0 = {
-            "zero": 0.0,
-            "below": frac * cold.nu_star,
-            "at": cold.nu_star,
-            "above": cold.nu_star + frac * (nu_flat - cold.nu_star) + frac,
-            "above_flat": nu_flat * (1.0 + frac) + frac,
-        }[where]
-        x, diag = project_feasible(v, fs, nu0)
-        np.testing.assert_allclose(x, x_cold, rtol=0, atol=1e-12)
-        assert diag.constraint_active == cold.constraint_active
-        if v.size <= 10:
-            np.testing.assert_allclose(x, project_exact(v, fs), rtol=0, atol=1e-8)
-
     @settings(max_examples=300, deadline=None)
     @given(
         st.lists(st.floats(-10, 10), min_size=2, max_size=30),
@@ -254,8 +222,9 @@ class TestWarmStart:
         st.sampled_from(("empty", "full", "random", "exact", "flat")),
     )
     def test_support_guess_matches_cold_start(self, vals, seed, q, guess):
-        # The same mu grid as above, so ties occur; "flat" guesses a set of
-        # assets with equal mu, whose piece has slope 0 and no root.
+        # mu lies on a 0.05 grid: ties occur, and nu* stays moderate, so the
+        # roundoff of v + nu*mu stays far below the tolerance. "flat" guesses
+        # a set of assets with equal mu, whose piece has slope 0 and no root.
         v = np.asarray(vals)
         rng = np.random.default_rng(seed)
         mu = rng.integers(-40, 41, v.size) / 20.0
@@ -274,10 +243,11 @@ class TestWarmStart:
         # the guess's root is a multiplier of the same point, and the flag
         # says which one was found. Elsewhere the flags must agree.
         tie = abs(float(mu @ project_simplex(v)) - fs.R_target) <= 1e-12 * np.abs(mu).max()
-        for nu0 in (0.0, cold.nu_star):
-            x, diag = project_feasible(v, fs, nu0, support)
-            np.testing.assert_allclose(x, x_cold, rtol=0, atol=1e-12)
-            assert diag.constraint_active == cold.constraint_active or tie
+        x, diag = project_feasible(v, fs, support)
+        np.testing.assert_allclose(x, x_cold, rtol=0, atol=1e-12)
+        assert diag.constraint_active == cold.constraint_active or tie
+        if v.size <= 10:
+            np.testing.assert_allclose(x, project_exact(v, fs), rtol=0, atol=1e-8)
 
     def test_exact_support_takes_one_simplex_projection(self, monkeypatch):
         import strmv.projection as projection
@@ -313,12 +283,6 @@ class TestWarmStart:
         fs = FeasibleSet(mu=np.array([1.0, 0.0]), R_target=0.9)
         with pytest.raises(ArgumentError, match="support has shape"):
             project_feasible(np.array([0.5, 0.5]), fs, support=np.ones(3, dtype=bool))
-
-    @pytest.mark.parametrize("nu0", [-1e-300, -1.0, np.nan, np.inf, -np.inf])
-    def test_bad_start_rejected(self, nu0):
-        fs = FeasibleSet(mu=np.array([1.0, 0.0]), R_target=0.9)
-        with pytest.raises(ArgumentError):
-            project_feasible(np.array([0.5, 0.5]), fs, nu0)
 
 
 class TestDykstra:

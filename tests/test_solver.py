@@ -192,7 +192,7 @@ class TestSolve:
         monkeypatch.setattr(projection, "project_simplex", counted)
         simplex_calls.append(0)
         warm = solve(m, fs, cfg=cfg)
-        cold_project = lambda v, fs, nu0=0.0, support=None: projection.project_feasible(v, fs)
+        cold_project = lambda v, fs, support=None: projection.project_feasible(v, fs)
         monkeypatch.setattr(solver, "project_feasible", cold_project)
         simplex_calls.append(0)
         cold = solve(m, fs, cfg=cfg)
