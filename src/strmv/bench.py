@@ -148,6 +148,8 @@ class ExperimentConfig:
                 raise ArgumentError(f"{key} must not be empty")
         if self.T_over_n < 1:
             raise ArgumentError(f"T_over_n must be >= 1, got {self.T_over_n}")
+        if not all(n >= 2 for n in self.sizes):
+            raise ArgumentError(f"sizes must be >= 2, got {self.sizes}")
         if not all(ratio > 0.0 for ratio in self.s_over_ell_grid):
             raise ArgumentError(f"s_over_ell_grid values must be > 0, got {self.s_over_ell_grid}")
 

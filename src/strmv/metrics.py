@@ -10,7 +10,7 @@ import numpy as np
 
 from .errors import ArgumentError, DimensionError, NumericError
 from .models import FactorModel
-from .spectrum import singular_values
+from .spectrum import singular_values, symmetric_eigenvalues
 
 #: 5-minute intervals per trading year: 48 per day times 244 trading days.
 INTERVALS_PER_YEAR = 48 * 244
@@ -47,23 +47,22 @@ class ConditioningReport:
 
 
 def _symmetric_norm(M: np.ndarray) -> float:
-    """Spectral norm max|lam| of a symmetric matrix; reads the lower triangle."""
-    return float(np.abs(np.linalg.eigvalsh(M)).max(initial=0.0))
+    """Spectral norm max|lam| of a symmetric matrix; reads the lower triangle
+    and raises NumericError on a non-finite entry."""
+    return float(np.abs(symmetric_eigenvalues(M)).max(initial=0.0))
 
 
 def relative_spectral_error(Sigma_hat: np.ndarray, Sigma: np.ndarray) -> float:
     """||Sigma_hat - Sigma||_2 / ||Sigma||_2, both norms exact at every size.
 
     Both arguments are symmetric covariances, so each norm is the largest
-    |eigenvalue| from ``np.linalg.eigvalsh``, which reads only the lower
-    triangle of its matrix.
+    |eigenvalue| from ``spectrum.symmetric_eigenvalues``, which reads only the
+    lower triangle of its matrix.
     """
     Sigma_hat = np.asarray(Sigma_hat, dtype=np.float64)
     Sigma = np.asarray(Sigma, dtype=np.float64)
     if Sigma_hat.shape != Sigma.shape or Sigma.ndim != 2 or Sigma.shape[0] != Sigma.shape[1]:
         raise DimensionError("matrices must be square and share a shape")
-    if not (np.all(np.isfinite(Sigma_hat)) and np.all(np.isfinite(Sigma))):
-        raise NumericError("covariances must be finite")
     denom = _symmetric_norm(Sigma)
     if denom <= 0.0:
         raise NumericError("reference covariance has zero spectral norm")

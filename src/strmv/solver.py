@@ -32,17 +32,9 @@ import numpy as np
 from .errors import ArgumentError, DimensionError
 from .models import FactorModel
 from .projection import FeasibleSet, project_feasible
-from .spectrum import power_sequence
+from .spectrum import singular_values, symmetric_eigenvalues
 
 MOMENTUM_MODES = ("auto", "fista")
-
-#: Inflation applied to the power-method norm estimate when deriving the
-#: automatic fixed step; the estimate is a lower bound on the true norm.
-STEP_SAFETY = 1.05
-
-#: Power iterations behind the curvature estimate of models without a
-#: stored spectrum (baseline and sketch).
-POWER_ITERS = 10
 
 
 @dataclass
@@ -156,32 +148,32 @@ def objective(model: FactorModel, x: np.ndarray) -> float:
 
 
 def estimate_spectral_norm(model: Operator) -> float:
-    """Power-method estimate of ||L_eff||_2 (a lower bound on the true norm):
-    ``POWER_ITERS`` steps from the start vector seeded with 0. On a
-    ``DenseHessian`` each step is one product with H / 2 - gamma * I."""
+    """||L_eff||_2, exact to roundoff, by one eigensolve in ``strmv.spectrum``.
+
+    On a ``DenseHessian`` it comes from the top eigenvalue of the H already
+    formed, 2 * (||L_eff||^2 + gamma); on a factor, from the Gram matrix of
+    its columns. A non-finite operator raises NumericError.
+    """
     if isinstance(model, DenseHessian):
-        matvec = lambda u: 0.5 * (model.H @ u) - model.gamma * u
-    else:
-        matvec = lambda u: model.L_eff @ (model.L_eff.T @ u)
-    return float(power_sequence(matvec, model.n, POWER_ITERS, 0)[-1])
+        return math.sqrt(max(0.5 * symmetric_eigenvalues(model.H)[0] - model.gamma, 0.0))
+    return float(singular_values(model.L_eff).max(initial=0.0))
 
 
 def curvature_constants(model: Operator) -> CurvatureConstants:
     """Smoothness and strong-convexity constants from the factor spectrum.
 
-    L_f = 2*(||L_eff||^2 + gamma). A str model stores L_eff = U_ell * S_ell,
-    so its norm is exactly the first stored singular value; other models get
-    a power estimate, inflated by the safety factor because it is a lower
-    bound. m_f = 2*gamma: any factor with fewer columns than rows has a zero
-    smallest covariance eigenvalue, and for the full baseline computing it is
-    as hard as the problem itself.
+    L_f = 2*(||L_eff||^2 + gamma), exact for every model: a str model stores
+    L_eff = U_ell * S_ell, so its norm is the first stored singular value;
+    other models take it from ``estimate_spectral_norm``. m_f = 2*gamma: any
+    factor with fewer columns than rows has a zero smallest covariance
+    eigenvalue, and for the full baseline computing it is as hard as the
+    problem itself.
     """
     if model.singular_values is not None:
-        L_f = 2.0 * (float(model.singular_values[0]) ** 2 + model.gamma)
+        sigma_1 = float(model.singular_values[0])
     else:
-        est = estimate_spectral_norm(model)
-        L_f = STEP_SAFETY * 2.0 * (est**2 + model.gamma)
-    return CurvatureConstants(L_f=L_f, m_f=2.0 * model.gamma)
+        sigma_1 = estimate_spectral_norm(model)
+    return CurvatureConstants(L_f=2.0 * (sigma_1**2 + model.gamma), m_f=2.0 * model.gamma)
 
 
 def gradient_operator(model: FactorModel) -> Operator:

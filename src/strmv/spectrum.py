@@ -1,5 +1,9 @@
-"""Thin SVD and singular values by the Gram route, the power method, spectral
-diagnostics, and the truncation-level rule.
+"""Thin SVD, singular values and symmetric eigenvalues by one eigensolve each,
+spectral diagnostics, and the truncation-level rule.
+
+Singular values come from the smaller Gram matrix; the solver's exact
+curvature comes from the same checked ``eigvalsh``, so a non-finite input
+raises NumericError rather than LAPACK's LinAlgError.
 
 The truncation rule works on covariance eigenvalues (squared singular
 values): keep the largest index i whose eigenvalue still clears the head
@@ -11,9 +15,7 @@ knee are still handled.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -76,22 +78,33 @@ def _numerical_rank(lam: np.ndarray) -> int:
     return int(np.count_nonzero(lam >= RANK_TOL * lam[0]))
 
 
-def _gram(A: np.ndarray) -> tuple[np.ndarray, bool, np.ndarray]:
-    """A as float64, whether it is tall, and its smaller Gram matrix:
-    A.T @ A when A has more rows than columns, else A @ A.T."""
+def _finite(A: np.ndarray) -> np.ndarray:
+    """A as float64, or NumericError if any entry is NaN or infinite."""
     A = np.asarray(A, dtype=np.float64)
     if not np.all(np.isfinite(A)):
         raise NumericError("matrix has non-finite entries")
+    return A
+
+
+def _gram(A: np.ndarray) -> tuple[np.ndarray, bool, np.ndarray]:
+    """A as float64, whether it is tall, and its smaller Gram matrix:
+    A.T @ A when A has more rows than columns, else A @ A.T."""
+    A = _finite(A)
     tall = A.shape[0] > A.shape[1]
     return A, tall, (A.T @ A if tall else A @ A.T)
 
 
+def symmetric_eigenvalues(M: np.ndarray) -> np.ndarray:
+    """All eigenvalues of the symmetric matrix M, descending, from one
+    ``eigvalsh`` (which reads only the lower triangle)."""
+    return np.linalg.eigvalsh(_finite(M))[::-1]
+
+
 def singular_values(A: np.ndarray) -> np.ndarray:
     """All min(m, k) singular values of the (m, k) matrix A, descending, from
-    one ``eigvalsh`` of the smaller Gram matrix; accurate as ``thin_svd``'s S.
-    Below the RANK_TOL floor they are roundoff, returned clipped at 0."""
-    lam = np.linalg.eigvalsh(_gram(A)[2])[::-1]
-    return np.sqrt(np.maximum(lam, 0.0))
+    the ``symmetric_eigenvalues`` of the smaller Gram matrix; accurate as ``thin_svd``'s
+    S. Below the RANK_TOL floor they are roundoff, returned clipped at 0."""
+    return np.sqrt(np.maximum(symmetric_eigenvalues(_gram(A)[2]), 0.0))
 
 
 def thin_svd(A: np.ndarray) -> ThinSVD:
@@ -112,32 +125,6 @@ def thin_svd(A: np.ndarray) -> ThinSVD:
     S = np.sqrt(lam[:r])
     U = (A @ Q[:, :r]) / S if tall else Q[:, :r]
     return ThinSVD(U=U, S=S)
-
-
-def power_sequence(matvec: Callable[[np.ndarray], np.ndarray], n: int,
-                   iters: int, seed: int) -> np.ndarray:
-    """Rayleigh-quotient sequence sqrt(u.T M u) for the PSD operator M.
-
-    The sequence is nondecreasing and converges to sqrt(||M||_2), the top
-    singular value of L when M = L @ L.T.
-    """
-    rng = np.random.default_rng(seed)
-    u = rng.standard_normal(n)
-    norm = np.linalg.norm(u)
-    if norm == 0.0:
-        return np.zeros(iters)
-    u /= norm
-    vals = np.empty(iters)
-    for t in range(iters):
-        w = matvec(u)
-        rayleigh = float(u @ w)
-        vals[t] = math.sqrt(max(rayleigh, 0.0))
-        wn = np.linalg.norm(w)
-        if wn == 0.0:
-            vals[t:] = 0.0
-            break
-        u = w / wn
-    return vals
 
 
 def cumulative_energy(eigenvalues: np.ndarray) -> np.ndarray:

@@ -549,6 +549,9 @@ class TestExitCodes:
         ("approx", {"eta_grid": []}, 1, "eta_grid must not be empty"),
         ("approx", {"s_over_ell_grid": []}, 1, "s_over_ell_grid must not be empty"),
         ("solver", {"T_over_n": 0}, 1, "T_over_n must be >= 1, got 0"),
+        ("solver", {"sizes": [1]}, 1, "sizes must be >= 2, got [1]"),
+        ("solver", {"sizes": [0]}, 1, "sizes must be >= 2, got [0]"),
+        ("solver", {"sizes": [-3]}, 1, "sizes must be >= 2, got [-3]"),
     ])
     def test_config_error_exit_code(self, tmp_path, capsys, experiment, cfg, code, message):
         cfg_path = tmp_path / "cfg.json"

@@ -13,7 +13,6 @@ from strmv.panel import CovarianceFactor, SyntheticSpec, center_and_factor, gene
 from strmv.projection import FeasibleSet, project_feasible
 from strmv.sketch import SketchConfig
 from strmv.solver import (
-    POWER_ITERS,
     DenseHessian,
     SolverConfig,
     curvature_constants,
@@ -23,7 +22,6 @@ from strmv.solver import (
     objective,
     solve,
 )
-from strmv.spectrum import power_sequence
 
 
 def factor_of(L):
@@ -70,46 +68,50 @@ class TestGradient:
         np.testing.assert_allclose(gradient(m, x), expect, atol=1e-12)
 
 
-class TestPowerMethod:
+class TestSpectralNorm:
+    """Models without a stored spectrum get ||L_eff||_2 exactly, from one
+    eigensolve on whichever operator ``solve`` iterates on."""
+
     def test_diagonal(self):
         m = build_baseline(factor_of(np.diag([3.0, 1.0])))
-        assert estimate_spectral_norm(m) == pytest.approx(3.0, abs=1e-6)
+        assert estimate_spectral_norm(m) == pytest.approx(3.0, rel=1e-15)
 
-    def test_isotropic_one_iteration(self):
+    def test_isotropic(self):
         m = build_baseline(factor_of(2.5 * np.eye(3)))
-        seq = power_sequence(lambda u: m.L_eff @ (m.L_eff.T @ u), 3, 1, seed=0)
-        assert seq[0] == pytest.approx(2.5)
-        assert estimate_spectral_norm(m) == pytest.approx(2.5)
+        assert estimate_spectral_norm(m) == pytest.approx(2.5, rel=1e-15)
 
     def test_zero_factor(self):
         m = build_baseline(factor_of(np.zeros((3, 4))))
         assert estimate_spectral_norm(m) == 0.0
+        assert estimate_spectral_norm(gradient_operator(m)) == 0.0
 
-    def test_monotone_rayleigh_sequence(self):
-        rng = np.random.default_rng(4)
-        L = rng.standard_normal((8, 12))
-        seq = power_sequence(lambda u: L @ (L.T @ u), 8, 25, seed=1)
-        assert (np.diff(seq) >= -1e-12).all()
-        assert seq[-1] <= np.linalg.norm(L, 2) + 1e-10
+    @pytest.mark.parametrize("kind, path", [
+        ("baseline", DenseHessian),  # 120 columns > n/2 = 15
+        ("sketch", FactorModel),  # s = 12 <= n/2 = 15
+    ])
+    def test_curvature_is_exact_on_both_operator_paths(self, kind, path):
+        factor, _ = _wide_instance(30, seed=3)
+        m = (build_baseline(factor) if kind == "baseline"
+             else build_sketch(factor, SketchConfig(kind="countsketch", s=12, seed=3)))
+        op = gradient_operator(m)
+        assert type(op) is path
+        exact = 2.0 * np.linalg.norm(m.L_eff, 2) ** 2
+        assert curvature_constants(op).L_f == pytest.approx(exact, rel=1e-12)
+        assert estimate_spectral_norm(op) == pytest.approx(np.linalg.norm(m.L_eff, 2),
+                                                           rel=1e-12)
 
-    def test_accuracy_with_spectral_gap(self):
-        # With a spectral gap >= 1.1, ten iterations land within 1% for
-        # typical starts; a nearly-orthogonal start can lag, which is why the
-        # automatic step inflates the estimate by a safety factor. The start
-        # is fixed, so the 30 draws vary the singular vectors instead.
-        assert POWER_ITERS == 10
-        rng = np.random.default_rng(5)
-        errs = []
-        for _ in range(30):
-            sig = np.array([2.0, 2.0 / 1.2, 1.0, 0.5])
-            U = np.linalg.qr(rng.standard_normal((6, 4)))[0]
-            V = np.linalg.qr(rng.standard_normal((9, 4)))[0]
-            m = build_baseline(factor_of((U * sig) @ V.T))
-            est = estimate_spectral_norm(m)
-            assert est <= 2.0 + 1e-9  # always a lower bound
-            errs.append(abs(est - 2.0) / 2.0)
-        assert np.median(errs) <= 0.01
-        assert max(errs) <= 0.10
+    def test_step_is_at_most_one_over_l(self):
+        # A slowly decaying spectrum, on which a 10-step power estimate of the
+        # curvature fell to 0.968 * 2 * sigma_1^2: even inflated by 1.05, its
+        # step exceeded 1/L.
+        spec = SyntheticSpec(n=400, T=1600, singular_decay=0.97, noise_floor=0.01, seed=0)
+        factor = center_and_factor(generate_synthetic(spec))
+        m = build_sketch(factor, SketchConfig("countsketch", 170, 0))
+        fs = FeasibleSet(mu=factor.mean, R_target=float(np.percentile(factor.mean, 60)))
+        res = solve(m, fs, cfg=SolverConfig(max_iters=1))
+        sigma_1 = np.linalg.norm(m.L_eff, 2)
+        assert res.step_used <= 1.0 / (2.0 * sigma_1**2) * (1.0 + 1e-12)
+        assert res.L_f_estimate == pytest.approx(2.0 * sigma_1**2, rel=1e-12)
 
 
 class TestCurvature:
@@ -122,7 +124,7 @@ class TestCurvature:
         # m_f is 2*gamma even when the factor has full row rank.
         m = build_baseline(factor_of(np.diag([3.0, 1.0])))
         consts = curvature_constants(m)
-        assert consts.L_f == pytest.approx(1.05 * 18.0, rel=1e-6)
+        assert consts.L_f == 18.0
         assert consts.m_f == 0.0
 
     def test_rank_deficient_sketch(self):
@@ -437,6 +439,10 @@ class TestCompactFactor:
         L[2, 7] = np.nan
         with pytest.raises(NumericError):
             solve(FactorModel(L_eff=L, gamma=0.0, kind="baseline"), fs)
+        # A factor of at most n/2 columns keeps the factor path; its exact
+        # curvature must refuse the NaN as well.
+        with pytest.raises(NumericError):
+            solve(FactorModel(L_eff=L[:, 5:8], gamma=0.0, kind="baseline"), fs)
 
 
 def _reference_solve(model, fs, alpha, momentum, tol, max_iters):
@@ -613,8 +619,10 @@ def test_power_of_two_scaling_is_exact(seed, k):
 @settings(max_examples=10, deadline=None)
 @given(st.integers(0, 4), st.integers(0, 2**32 - 1))
 def test_asset_permutation_maps_through(seed, perm_seed):
-    # Only x* is compared: the power method's start vector is not permuted,
-    # so iteration counts may differ.
+    # x* and the exact curvature map through the permutation, so both solves
+    # take the same step. Iteration counts are not compared: the permuted
+    # products round differently, and a residual that ends near tol could
+    # cross it one iteration apart.
     L, fs = _property_instance(seed)
     perm = np.random.default_rng(perm_seed).permutation(L.shape[0])
     ref = solve(build_baseline(factor_of(L)), fs, cfg=PROPERTY_CFG)
@@ -622,3 +630,4 @@ def test_asset_permutation_maps_through(seed, perm_seed):
                      FeasibleSet(mu=fs.mu[perm], R_target=fs.R_target), cfg=PROPERTY_CFG)
     assert permuted.termination == ref.termination == "tolerance"
     np.testing.assert_allclose(permuted.x, ref.x[perm], atol=1e-7)
+    assert permuted.L_f_estimate == pytest.approx(ref.L_f_estimate, rel=1e-12)

@@ -9,6 +9,8 @@ from strmv.spectrum import (
     energy_rank,
     report_from_singular_values,
     select_truncation_level,
+    singular_values,
+    symmetric_eigenvalues,
     thin_svd,
     truncation_error_bound,
 )
@@ -70,8 +72,12 @@ class TestThinSVD:
         assert thin_svd(A).rank == 5
 
     def test_non_finite_rejected(self):
-        with pytest.raises(NumericError):
-            thin_svd(np.array([[1.0, np.nan]]))
+        # Every eigensolve refuses NaN and inf itself; eigvalsh would raise
+        # LinAlgError, which no exit code documents.
+        for solve in (thin_svd, singular_values, symmetric_eigenvalues):
+            for bad in (np.nan, np.inf):
+                with pytest.raises(NumericError):
+                    solve(np.array([[1.0, bad], [bad, 2.0]]))
 
     def test_restricted_condition_number(self):
         rng = np.random.default_rng(1)
