@@ -39,11 +39,21 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+def _thread_count(text: str) -> int:
+    try:
+        k = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if k < 1:
+        raise argparse.ArgumentTypeError(f"needs at least 1 thread, got {k}")
+    return k
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="strmv", description=__doc__.splitlines()[0])
     threads_parent = argparse.ArgumentParser(add_help=False)
     threads_parent.add_argument(
-        "--threads", type=int, default=None, help="pin BLAS/OpenMP thread count"
+        "--threads", type=_thread_count, default=None, help="pin BLAS/OpenMP thread count"
     )
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 

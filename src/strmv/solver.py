@@ -1,23 +1,24 @@
 """Nesterov-accelerated projected gradient over an effective factor model.
 
 Each iteration takes a gradient at the extrapolated point, a projected step
-of fixed length alpha onto the feasible set, and a momentum update: the
-standard t_k sequence in the convex regime, or a constant momentum built from
-the curvature bound in the strongly convex regime. The step is a given alpha
-or 1/L_f. The default momentum ("auto") picks the regime from m_f: constant
-momentum when m_f > 0, otherwise the t_k sequence with gradient restart
-(O'Donoghue & Candes 2015), which resets the momentum whenever the step and
-the last move point against each other; "fista" runs the t_k sequence
-without restart. Termination uses the projected-gradient residual
-||P_F(x - alpha*grad f(x)) - x||, which vanishes exactly at KKT points.
+of fixed length alpha = 1/L_f onto the feasible set, and a momentum update:
+the standard t_k sequence in the convex regime, or a constant momentum built
+from the curvature bound in the strongly convex regime. The default momentum
+("auto") picks the regime from m_f: constant momentum when m_f > 0,
+otherwise the t_k sequence with gradient restart (O'Donoghue & Candes 2015),
+which resets the momentum whenever the step and the last move point against
+each other; "fista" runs the t_k sequence without restart. Termination uses
+the projected-gradient residual ||P_F(x - alpha*grad f(x)) - x||, which
+vanishes exactly at KKT points.
 
 Each iteration costs one gradient, taken at the new iterate x_k: f is
 quadratic, so the gradient at the extrapolated point y = x_k + beta*(x_k -
 x_{k-1}) is (1 + beta)*grad f(x_k) - beta*grad f(x_{k-1}), and the residual
-check at x_k reuses grad f(x_k). A factor with at most n/2 columns is
-multiplied as it is, by two matrix-vector products. A wider one costs less
-as the dense Hessian H = 2*(L_eff @ L_eff.T + gamma*I), formed once per
-solve, after which a gradient is the single pass H @ x.
+check at x_k reuses grad f(x_k), as does the objective trace: f has no
+linear term, so f(x_k) = x_k . grad f(x_k) / 2. A factor with at most n/2
+columns is multiplied as it is, by two matrix-vector products. A wider one
+costs less as the dense Hessian H = 2*(L_eff @ L_eff.T + gamma*I), formed
+once per solve, after which a gradient is the single pass H @ x.
 """
 
 from __future__ import annotations
@@ -39,20 +40,16 @@ MOMENTUM_MODES = ("auto", "fista")
 
 @dataclass
 class SolverConfig:
-    alpha: Optional[float] = None  # the fixed step; None takes 1/L_f
     momentum_mode: str = "auto"
     tol: float = 1e-8
     max_iters: int = 10_000
     residual_check_stride: int = 1
-    record_objective: bool = False
 
     def __post_init__(self):
         if self.momentum_mode not in MOMENTUM_MODES:
             raise ArgumentError(f"unknown momentum mode {self.momentum_mode!r}")
-        if not self.tol > 0:
-            raise ArgumentError("tol must be positive")
-        if self.alpha is not None and not 0.0 < self.alpha < math.inf:
-            raise ArgumentError(f"alpha must be positive and finite, got {self.alpha}")
+        if not 0.0 < self.tol < math.inf:
+            raise ArgumentError(f"tol must be positive and finite, got {self.tol}")
         if self.max_iters < 1 or self.residual_check_stride < 1:
             raise ArgumentError("iteration counts must be positive")
 
@@ -76,10 +73,10 @@ class SolveResult:
     termination: str  # "tolerance" | "max_iters"
     momentum: str  # "strongly_convex" | "fista" | "fista_restart"
     restarts: int
-    objective_trace: Optional[np.ndarray] = None
+    objective_trace: np.ndarray  # f(x_k) for k = 0..iterations
 
     def to_dict(self) -> dict:
-        d = {
+        return {
             "x": self.x.tolist(),
             "objective": self.objective,
             "iterations": self.iterations,
@@ -91,10 +88,8 @@ class SolveResult:
             "termination": self.termination,
             "momentum": self.momentum,
             "restarts": self.restarts,
+            "objective_trace": self.objective_trace.tolist(),
         }
-        if self.objective_trace is not None:
-            d["objective_trace"] = self.objective_trace.tolist()
-        return d
 
 
 @dataclass(frozen=True)
@@ -227,11 +222,7 @@ def solve(
         x0 = np.full(n, 1.0 / n)
     x = project(np.asarray(x0, dtype=np.float64))
     g = gradient(op, x)
-
-    if cfg.alpha is not None:
-        alpha = float(cfg.alpha)
-    else:
-        alpha = 1.0 / L_f if L_f > 0 else 1.0
+    alpha = 1.0 / L_f if L_f > 0 else 1.0
 
     momentum = cfg.momentum_mode
     if momentum == "auto":
@@ -242,7 +233,7 @@ def solve(
 
     restarts = 0
     residuals: list[float] = []
-    obj_trace = [objective(model, x)] if cfg.record_objective else None
+    obj_trace = [0.5 * float(x @ g)]
 
     def residual() -> float:
         return float(np.linalg.norm(project(x - alpha * g) - x))
@@ -253,7 +244,7 @@ def solve(
             residual_trace=np.asarray(residuals), step_used=alpha,
             L_f_estimate=L_f, m_f=m_f, wall_time=time.perf_counter() - start,
             termination=termination, momentum=momentum, restarts=restarts,
-            objective_trace=np.asarray(obj_trace) if obj_trace is not None else None,
+            objective_trace=np.asarray(obj_trace),
         )
 
     residuals.append(residual())
@@ -279,8 +270,7 @@ def solve(
         g_y = (1.0 + beta) * g_new - beta * g  # grad f(y): f is quadratic
         x, g = x_new, g_new
 
-        if obj_trace is not None:
-            obj_trace.append(objective(model, x))
+        obj_trace.append(0.5 * float(x @ g))
         if k % cfg.residual_check_stride == 0:
             residuals.append(residual())
             if residuals[-1] <= cfg.tol:

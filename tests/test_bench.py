@@ -167,10 +167,12 @@ class TestModelFromSpec:
 
 
 class TestRateExperiment:
-    def test_two_regimes(self, tmp_path):
+    # Seeds 4 and 5 failed the envelope while C was fitted pointwise at k = 5.
+    @pytest.mark.parametrize("seed", [3, 4, 5])
+    def test_two_regimes(self, tmp_path, seed):
         cfg = ExperimentConfig(
             synthetic=SyntheticSpec(n=8, T=40, singular_decay=0.7, seed=0),
-            seed=3,
+            seed=seed,
         )
         trace = tmp_path / "traces.csv"
         report = run_rate_experiment(cfg, trace_path=trace)

@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from strmv.bench import strip_timings
-from strmv.cli import main
+from strmv.cli import _THREAD_VARS, main
 from strmv.panel import (
     SyntheticSpec,
     center_and_factor,
@@ -422,7 +422,23 @@ class TestExitCodes:
         assert proc.returncode == 1
         assert "R_target=nan" in proc.stderr
 
-    @pytest.mark.parametrize("tol", ["nan", "0", "-1"])
+    def test_solve_inf_tol_is_1(self, panel_csv):
+        proc = run_cli("solve", "--panel", str(panel_csv), "--tol", "inf")
+        assert proc.returncode == 1
+        assert "tol must be positive and finite, got inf" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("threads", ["0", "-1"])
+    def test_threads_below_one_is_1(self, panel_csv, monkeypatch, capsys, threads):
+        for var in _THREAD_VARS:
+            monkeypatch.delenv(var, raising=False)
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--panel", str(panel_csv), f"--threads={threads}"])
+        assert exc.value.code == 1
+        assert f"needs at least 1 thread, got {threads}" in capsys.readouterr().err
+        assert not any(var in os.environ for var in _THREAD_VARS)  # refused before any is set
+
+    @pytest.mark.parametrize("tol", ["nan", "0", "-1", "inf"])
     def test_bench_bad_tol_is_1(self, tmp_path, capsys, tol):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"sizes": [8], "repetitions": 1}))
@@ -530,7 +546,7 @@ class TestExitCodes:
          "unknown config keys in solver: ['step_mode']"),
         ("solver", {"solver": {"seed": 3}}, 1, "unknown config keys in solver: ['seed']"),
         ("solver", {"solver": {"alpha": 0.1, "step_mode": "backtracking"}}, 1,
-         "unknown config keys in solver: ['step_mode']"),
+         "unknown config keys in solver: ['alpha', 'step_mode']"),
         ("solver", {"warmup": 0}, 1, "unknown config keys in top-level: ['warmup']"),
         ("solver", {"models": [{"kind": "str", "s_over_ell": -3, "eta": 0.9}]}, 1,
          "s_over_ell must be > 0, got -3"),
@@ -552,6 +568,9 @@ class TestExitCodes:
         ("solver", {"sizes": [1]}, 1, "sizes must be >= 2, got [1]"),
         ("solver", {"sizes": [0]}, 1, "sizes must be >= 2, got [0]"),
         ("solver", {"sizes": [-3]}, 1, "sizes must be >= 2, got [-3]"),
+        ("solver", {"solver": {"alpha": 0.1}}, 1, "unknown config keys in solver: ['alpha']"),
+        ("solver", {"solver": {"record_objective": True}}, 1,
+         "unknown config keys in solver: ['record_objective']"),
     ])
     def test_config_error_exit_code(self, tmp_path, capsys, experiment, cfg, code, message):
         cfg_path = tmp_path / "cfg.json"

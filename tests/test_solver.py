@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -169,7 +170,7 @@ class TestSolve:
         m = build_baseline(center_and_factor(generate_synthetic(spec)))
         mu = rng.standard_normal(6)
         fs = FeasibleSet(mu=mu, R_target=float(np.quantile(mu, 0.5)))
-        cfg = SolverConfig(tol=1e-10, max_iters=300, record_objective=True)
+        cfg = SolverConfig(tol=1e-10, max_iters=300)
         res = solve(m, fs, cfg=cfg)
         x = res.x
         assert x.min() >= -1e-12 and abs(x.sum() - 1) <= 1e-10
@@ -267,9 +268,8 @@ class TestSolve:
     def test_objective_trace_recorded(self):
         m = build_baseline(factor_of(np.diag([1.0, 2.0])))
         fs = FeasibleSet(mu=np.array([1.0, 1.0]), R_target=0.5)
-        res = solve(m, fs, cfg=SolverConfig(tol=1e-10, max_iters=50,
-                                            record_objective=True))
-        assert res.objective_trace is not None
+        res = solve(m, fs, cfg=SolverConfig(tol=1e-10, max_iters=50))
+        assert isinstance(res.objective_trace, np.ndarray)
         assert len(res.objective_trace) == res.iterations + 1
 
 
@@ -285,13 +285,10 @@ class TestMomentumRegime:
     def test_default_str_solve_is_constant_momentum(self):
         m, fs = _str_desk_model(60, seed=3)
         default = solve(m, fs, cfg=SolverConfig(tol=1e-9))
-        given = solve(m, fs, cfg=SolverConfig(alpha=default.step_used, tol=1e-9))
         assert default.termination == "tolerance"
-        assert default.momentum == given.momentum == "strongly_convex"
+        assert default.momentum == "strongly_convex"
         assert default.step_used == 1.0 / default.L_f_estimate
         assert default.restarts == 0
-        assert default.iterations == given.iterations
-        np.testing.assert_array_equal(default.x, given.x)
 
     def test_str_curvature_is_exact_without_power_method(self, monkeypatch):
         import strmv.solver as solver
@@ -519,6 +516,49 @@ class TestGradientReuse:
         np.testing.assert_allclose(res.x, x, rtol=0, atol=1e-12)
 
 
+class TestObjectiveTrace:
+    """Every solve records f(x_k) = x_k . grad f(x_k) / 2 for k = 0..iterations,
+    from the gradient it already holds: f has no linear term."""
+
+    @staticmethod
+    def _models(n=30, seed=2):
+        factor, fs = _wide_instance(n, seed=seed)
+        return fs, {
+            "baseline": build_baseline(factor),  # more than n/2 columns: DenseHessian
+            "sketch": build_sketch(factor, SketchConfig(kind="countsketch", s=n // 2, seed=seed)),
+            "str": build_str(factor, SketchConfig(kind="gaussian_jl", s=2 * n, seed=seed),
+                             ell=n // 3),
+        }
+
+    @pytest.mark.parametrize("stride", [1, 5])
+    def test_one_entry_per_iterate(self, stride):
+        fs, built = self._models()
+        for kind, m in built.items():
+            res = solve(m, fs, cfg=SolverConfig(tol=1e-9, residual_check_stride=stride))
+            assert res.termination == "tolerance" and res.iterations > 0, kind
+            assert res.objective_trace.shape == (res.iterations + 1,), kind
+
+    def test_one_entry_when_the_start_is_optimal(self):
+        m = build_baseline(factor_of(np.eye(2)))
+        fs = FeasibleSet(mu=np.array([0.1, 0.2]), R_target=0.1)
+        res = solve(m, fs, x0=np.array([0.5, 0.5]), cfg=SolverConfig(tol=1e-8))
+        assert res.iterations == 0
+        np.testing.assert_allclose(res.objective_trace, [res.objective], rtol=1e-12)
+        assert res.to_dict()["objective_trace"] == res.objective_trace.tolist()
+
+    @pytest.mark.parametrize("kind, dense", [
+        ("baseline", True), ("sketch", False), ("str", False),
+    ])
+    def test_last_entry_is_the_objective(self, kind, dense):
+        fs, built = self._models()
+        m = built[kind]
+        assert isinstance(gradient_operator(m), DenseHessian) == dense
+        res = solve(m, fs, cfg=SolverConfig(tol=1e-9))
+        assert res.iterations > 0
+        assert res.objective_trace[-1] == pytest.approx(res.objective, rel=1e-12)
+        assert res.to_dict()["objective_trace"] == res.objective_trace.tolist()
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 2**31 - 1), st.sampled_from(["baseline", "sketch", "str"]))
 def test_default_solve_matches_oracle(seed, kind):
@@ -580,18 +620,22 @@ def test_objective_two_evaluations_agree(seed, gamma):
 
 
 class TestSolverConfig:
+    # The cases keep the ids they had beside the three cases of the deleted
+    # alpha option (kwargs0..2).
     @pytest.mark.parametrize("kwargs", [
-        {"alpha": float("nan")},
-        {"alpha": float("inf")},
-        {"alpha": -0.5},
-        {"max_iters": 0},
-        {"residual_check_stride": 0},
-        {"tol": float("nan")},
-        {"tol": 0.0},
+        pytest.param({"max_iters": 0}, id="kwargs3"),
+        pytest.param({"residual_check_stride": 0}, id="kwargs4"),
+        pytest.param({"tol": float("nan")}, id="kwargs5"),
+        pytest.param({"tol": 0.0}, id="kwargs6"),
+        pytest.param({"tol": float("inf")}, id="kwargs7"),
     ])
     def test_bad_step_parameters_rejected(self, kwargs):
         with pytest.raises(ArgumentError):
             SolverConfig(**kwargs)
+
+    def test_fields(self):
+        assert [f.name for f in dataclasses.fields(SolverConfig)] == [
+            "momentum_mode", "tol", "max_iters", "residual_check_stride"]
 
 
 def _property_instance(seed):
