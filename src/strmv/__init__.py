@@ -54,8 +54,7 @@ from .projection import (
 from .sketch import (
     SketchConfig,
     SketchedFactor,
-    countsketch_sketch,
-    gaussian_jl_sketch,
+    apply_sketch,
     recommended_sketch_size,
 )
 from .solver import (

@@ -405,9 +405,9 @@ def run_approximation_sweep(cfg: ExperimentConfig) -> BenchReport:
         panel_seed = derive_seed(cfg.seed, 101, rep)
         factor = center_and_factor(generate_synthetic(replace(cfg.synthetic, seed=panel_seed)))
         dense_singvals = singular_values(factor.L)
-        Sigma = factor.L @ factor.L.T
         fs = feasible_from_factor(factor, cfg.r_target_percentile)
         baseline = models.build_baseline(factor)
+        Sigma = baseline.covariance()
         f_full_star = solve(baseline, fs, cfg=cfg.solver).objective
         for mi, mspec in enumerate(cfg.models):
             if mspec.kind == "baseline":

@@ -193,17 +193,18 @@ def _cmd_solve(args) -> int:
     from .projection import FeasibleSet
     from .solver import SolverConfig, solve
 
+    # Flags are checked before the panel is read, so a bad one is a usage error.
+    spec = ModelSpec(
+        kind=args.model, sketch_kind=args.sketch, s=args.s, kappa_target=args.kappa_target
+    )
+    scfg = SolverConfig(tol=args.tol, max_iters=args.max_iters)
     factor = center_and_factor(load_panel(args.panel))
     if args.r_target is not None:
         fs = FeasibleSet(mu=factor.mean, R_target=args.r_target)
     else:
         fs = feasible_from_factor(factor, args.r_target_percentile)
     r_target = fs.R_target
-    spec = ModelSpec(
-        kind=args.model, sketch_kind=args.sketch, s=args.s, kappa_target=args.kappa_target
-    )
     model = _model_from_spec(factor, spec, args.seed)
-    scfg = SolverConfig(tol=args.tol, max_iters=args.max_iters)
     result = solve(model, fs, cfg=scfg)
     if result.termination == "max_iters":
         print(

@@ -79,10 +79,10 @@ class FactorModel:
         return self.L_eff.shape[1]
 
     def covariance(self) -> np.ndarray:
-        """Dense induced covariance; test/diagnostic scale only."""
+        """Dense induced covariance L_eff @ L_eff.T + gamma * I (n x n)."""
         sigma = self.L_eff @ self.L_eff.T
         if self.gamma:
-            sigma = sigma + self.gamma * np.eye(self.n)
+            sigma[np.diag_indices_from(sigma)] += self.gamma
         return sigma
 
 

@@ -1,10 +1,10 @@
 """Randomized sketching of the covariance factor: L -> L @ Phi.
 
-Two embeddings are provided: a dense Gaussian projection with entries
-N(0, 1/s), and CountSketch, where each input column is scattered with a
-random sign into one of s output columns. Both are fully deterministic per
-seed. A third kind, "identity", is a debug injection (requires s == T) used
-to validate pipelines without distortion.
+``apply_sketch`` is the one entry point. Two embeddings are provided: a
+dense Gaussian projection with entries N(0, 1/s), and CountSketch, where each
+input column is scattered with a random sign into one of s output columns.
+Both are fully deterministic per seed. A third kind, "identity", is a debug
+injection (requires s == T) used to validate pipelines without distortion.
 """
 
 from __future__ import annotations
@@ -65,11 +65,6 @@ class SketchedFactor:
         self.Ltilde.setflags(write=False)
 
 
-def _check_size(s: int, T: int) -> None:
-    if not 1 <= s <= T:
-        raise DimensionError(f"sketch size must satisfy 1 <= s <= T={T}, got s={s}")
-
-
 # ---------------------------------------------------------------------------
 # Deterministic hashing for CountSketch
 # ---------------------------------------------------------------------------
@@ -101,45 +96,27 @@ def countsketch_arrays(T: int, s: int, seed: int) -> tuple[np.ndarray, np.ndarra
 
 
 def _apply_countsketch(L: np.ndarray, h: np.ndarray, signs: np.ndarray, s: int) -> np.ndarray:
-    """Add (sign +1) or subtract (sign -1) each column of L into column h[i].
+    """Scatter sign[i] * L[:, i] into column h[i], one ``bincount`` per row.
 
-    Columns go in input order, so every output sum is formed exactly as
-    ``np.add.at`` forms it from (L * signs).T (a - b is a + (-b) in IEEE
-    arithmetic), without that n x T temporary.
+    ``bincount`` adds its weights in input order, so every output sum is
+    formed exactly as ``np.add.at`` forms it from (L * signs).T, without
+    that n x T temporary; the result is F-ordered, as that one is.
     """
-    out = np.zeros((s, L.shape[0]))
-    for col, j, sign in zip(L.T, h.tolist(), signs.tolist()):
-        if sign > 0.0:
-            out[j] += col
-        else:
-            out[j] -= col
-    return out.T
+    out = np.empty((L.shape[0], s), order="F")
+    for i, row in enumerate(L):
+        out[i] = np.bincount(h, weights=signs * row, minlength=s)
+    return out
 
 
-def countsketch_sketch(factor: CovarianceFactor, s: int, seed: int) -> SketchedFactor:
-    """Apply an implicit CountSketch matrix in O(nnz(L)) without forming Phi.
-
-    Output column j accumulates sign_i * L[:, i] over all inputs i hashed to j.
-    """
-    L = factor.L
-    _check_size(s, L.shape[1])
-    h, signs = countsketch_arrays(L.shape[1], s, seed)
-    Ltilde = _apply_countsketch(L, h, signs, s)
-    cfg = SketchConfig(kind="countsketch", s=s, seed=seed)
-    return SketchedFactor(Ltilde=Ltilde, config=cfg, apply_ops=L.shape[0] * L.shape[1])
-
-
-def gaussian_jl_sketch(factor: CovarianceFactor, s: int, seed: int) -> SketchedFactor:
-    """Apply a dense Gaussian projection with Phi_ij ~ N(0, 1/s).
+def _gaussian_jl(L: np.ndarray, s: int, seed: int) -> np.ndarray:
+    """L @ Phi with Phi_ij ~ N(0, 1/s).
 
     Phi is drawn in row blocks of at most ``DENSE_PHI_ENTRY_CAP`` entries, one
     block of columns of L at a time; the generator fills Phi row-major, so the
     blocks hold exactly the entries of the full draw, and a Phi under the cap
     is one block.
     """
-    L = factor.L
-    n, T = L.shape
-    _check_size(s, T)
+    T = L.shape[1]
     rng = np.random.default_rng(seed)
     scale = 1.0 / math.sqrt(s)
     block = max(1, DENSE_PHI_ENTRY_CAP // s)
@@ -147,19 +124,29 @@ def gaussian_jl_sketch(factor: CovarianceFactor, s: int, seed: int) -> SketchedF
         stop = min(start + block, T)
         part = L[:, start:stop] @ (rng.standard_normal((stop - start, s)) * scale)
         Ltilde = part if start == 0 else Ltilde + part
-    cfg = SketchConfig(kind="gaussian_jl", s=s, seed=seed)
-    return SketchedFactor(Ltilde=Ltilde, config=cfg, apply_ops=n * T * s)
+    return Ltilde
 
 
 def apply_sketch(factor: CovarianceFactor, cfg: SketchConfig) -> SketchedFactor:
-    """Dispatch on the sketch kind; the identity kind requires s == T."""
-    if cfg.kind == "gaussian_jl":
-        return gaussian_jl_sketch(factor, cfg.s, cfg.seed)
-    if cfg.kind == "countsketch":
-        return countsketch_sketch(factor, cfg.s, cfg.seed)
-    if cfg.s != factor.L.shape[1]:
+    """Ltilde = L @ Phi for the configured kind, without forming Phi.
+
+    A sketch needs 1 <= s <= T, and the identity kind s == T. CountSketch
+    applies in O(nnz(L)); the Gaussian projection costs n*T*s.
+    """
+    L = factor.L
+    n, T = L.shape
+    if cfg.kind == "identity" and cfg.s != T:
         raise DimensionError("identity sketch requires s == T")
-    return SketchedFactor(Ltilde=factor.L.copy(), config=cfg, apply_ops=0)
+    if not 1 <= cfg.s <= T:
+        raise DimensionError(f"sketch size must satisfy 1 <= s <= T={T}, got s={cfg.s}")
+    if cfg.kind == "identity":
+        Ltilde, ops = L.copy(), 0
+    elif cfg.kind == "gaussian_jl":
+        Ltilde, ops = _gaussian_jl(L, cfg.s, cfg.seed), n * T * cfg.s
+    else:
+        h, signs = countsketch_arrays(T, cfg.s, cfg.seed)
+        Ltilde, ops = _apply_countsketch(L, h, signs, cfg.s), n * T
+    return SketchedFactor(Ltilde=Ltilde, config=cfg, apply_ops=ops)
 
 
 def recommended_sketch_size(r_effective: int, epsilon: float, delta: float) -> int:

@@ -18,7 +18,8 @@ check at x_k reuses grad f(x_k), as does the objective trace: f has no
 linear term, so f(x_k) = x_k . grad f(x_k) / 2. A factor with at most n/2
 columns is multiplied as it is, by two matrix-vector products. A wider one
 costs less as the dense Hessian H = 2*(L_eff @ L_eff.T + gamma*I), formed
-once per solve, after which a gradient is the single pass H @ x.
+once per solve by ``FactorModel.covariance``, after which a gradient is the
+single pass H @ x.
 """
 
 from __future__ import annotations
@@ -178,9 +179,7 @@ def gradient_operator(model: FactorModel) -> Operator:
     """
     if 2 * model.columns <= model.n:
         return model
-    H = model.L_eff @ model.L_eff.T
-    if model.gamma:
-        H[np.diag_indices_from(H)] += model.gamma
+    H = model.covariance()
     H *= 2.0
     return DenseHessian(H=H, gamma=model.gamma, singular_values=model.singular_values)
 

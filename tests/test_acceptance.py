@@ -24,7 +24,12 @@ from strmv.models import (
 from strmv.oracle import QPInstance, project_exact, solve_exact
 from strmv.panel import CovarianceFactor, SyntheticSpec, center_and_factor, generate_synthetic
 from strmv.projection import FeasibleSet, dykstra_project, project_feasible
-from strmv.sketch import SketchConfig, materialize_sketch_matrix, recommended_sketch_size
+from strmv.sketch import (
+    SketchConfig,
+    apply_sketch,
+    materialize_sketch_matrix,
+    recommended_sketch_size,
+)
 from strmv.solver import SolverConfig, gradient, objective, solve
 from strmv.spectrum import cumulative_energy, energy_rank
 
@@ -190,15 +195,7 @@ def test_criterion_5_embedding_sandwich():
         hits = 0
         for trial in range(100):
             factor = low_rank_factor(40, 600, 5, seed=10_000 + trial)
-            cfg = SketchConfig(kind=kind, s=s, seed=20_000 + trial)
-            if kind == "gaussian_jl":
-                from strmv.sketch import gaussian_jl_sketch
-
-                sk = gaussian_jl_sketch(factor, s, cfg.seed)
-            else:
-                from strmv.sketch import countsketch_sketch
-
-                sk = countsketch_sketch(factor, s, cfg.seed)
+            sk = apply_sketch(factor, SketchConfig(kind=kind, s=s, seed=20_000 + trial))
             err = relative_spectral_error(sk.Ltilde @ sk.Ltilde.T, factor.L @ factor.L.T)
             hits += err <= eps
         results[kind] = hits

@@ -428,6 +428,13 @@ class TestExitCodes:
         assert "tol must be positive and finite, got inf" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("flag,value", [("--tol", "inf"), ("--max-iters", "0")])
+    def test_solve_bad_flag_is_1_before_the_panel_is_read(self, tmp_path, capsys, flag, value):
+        # The panel does not exist: the flag is refused first, as a usage error.
+        assert main(["solve", "--panel", str(tmp_path / "missing.csv"), flag, value]) == 1
+        err = capsys.readouterr().err
+        assert "usage error" in err and "No such file" not in err
+
     @pytest.mark.parametrize("threads", ["0", "-1"])
     def test_threads_below_one_is_1(self, panel_csv, monkeypatch, capsys, threads):
         for var in _THREAD_VARS:

@@ -6,9 +6,8 @@ from strmv.panel import CovarianceFactor
 from strmv.sketch import (
     SketchConfig,
     _apply_countsketch,
+    apply_sketch,
     countsketch_arrays,
-    countsketch_sketch,
-    gaussian_jl_sketch,
     materialize_sketch_matrix,
     recommended_sketch_size,
 )
@@ -28,47 +27,78 @@ def random_low_rank(n, T, r, seed, sig=None):
     return (U * sig) @ V.T
 
 
-class TestGaussianJL:
-    def test_zero_factor(self):
-        sk = gaussian_jl_sketch(factor_of(np.zeros((3, 8))), s=4, seed=0)
+def sketch(factor, kind, s, seed):
+    return apply_sketch(factor, SketchConfig(kind=kind, s=s, seed=seed))
+
+
+KINDS = ("gaussian_jl", "countsketch")
+
+
+class TestApplySketch:
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_zero_factor(self, kind):
+        sk = sketch(factor_of(np.zeros((3, 8))), kind, s=4, seed=0)
         np.testing.assert_array_equal(sk.Ltilde, 0.0)
 
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_matches_materialized_phi(self, kind):
+        f = factor_of(np.random.default_rng(2).standard_normal((3, 10)))
+        cfg = SketchConfig(kind=kind, s=5, seed=9)
+        sk = apply_sketch(f, cfg)
+        assert sk.config == cfg
+        np.testing.assert_allclose(sk.Ltilde, f.L @ materialize_sketch_matrix(cfg, 10), atol=1e-14)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_size_bounds(self, kind):
+        f = factor_of(np.zeros((2, 6)))
+        with pytest.raises(DimensionError):
+            sketch(f, kind, s=7, seed=0)
+        with pytest.raises(ArgumentError):  # SketchConfig refuses s < 1 ...
+            sketch(f, kind, s=0, seed=0)
+        cfg = SketchConfig(kind=kind, s=1)
+        cfg.s = 0
+        with pytest.raises(DimensionError):  # ... and so does apply_sketch
+            apply_sketch(f, cfg)
+
+    def test_identity_requires_s_equal_T(self):
+        f = factor_of(np.random.default_rng(6).standard_normal((2, 6)))
+        with pytest.raises(DimensionError):
+            sketch(f, "identity", s=5, seed=0)
+        np.testing.assert_array_equal(sketch(f, "identity", s=6, seed=0).Ltilde, f.L)
+
+    def test_apply_ops_by_kind(self):
+        # Identity does no work, CountSketch one accumulation per entry of L,
+        # the Gaussian projection s of them.
+        f = factor_of(np.ones((5, 100)))
+        ops = {kind: sketch(f, kind, s=s, seed=0).apply_ops
+               for kind, s in (("identity", 100), ("countsketch", 8), ("gaussian_jl", 8))}
+        assert ops == {"identity": 0, "countsketch": 5 * 100, "gaussian_jl": 5 * 100 * 8}
+
+
+class TestGaussianJL:
     def test_shape_and_determinism(self):
         f = factor_of(np.random.default_rng(1).standard_normal((2, 8)))
-        a = gaussian_jl_sketch(f, s=4, seed=1)
-        b = gaussian_jl_sketch(f, s=4, seed=1)
+        a = sketch(f, "gaussian_jl", s=4, seed=1)
+        b = sketch(f, "gaussian_jl", s=4, seed=1)
         assert a.Ltilde.shape == (2, 4)
         np.testing.assert_array_equal(a.Ltilde, b.Ltilde)
 
     def test_seed_changes_output(self):
         f = factor_of(np.random.default_rng(1).standard_normal((2, 8)))
-        a = gaussian_jl_sketch(f, s=4, seed=1)
-        b = gaussian_jl_sketch(f, s=4, seed=2)
+        a = sketch(f, "gaussian_jl", s=4, seed=1)
+        b = sketch(f, "gaussian_jl", s=4, seed=2)
         assert np.abs(a.Ltilde - b.Ltilde).max() > 0
 
-    def test_matches_materialized_phi(self):
-        f = factor_of(np.random.default_rng(2).standard_normal((3, 10)))
-        sk = gaussian_jl_sketch(f, s=5, seed=9)
-        phi = materialize_sketch_matrix(SketchConfig(kind="gaussian_jl", s=5, seed=9), 10)
-        np.testing.assert_allclose(sk.Ltilde, f.L @ phi, atol=1e-14)
-
     def test_streaming_equals_dense(self, monkeypatch):
-        import strmv.sketch as sketch
+        import strmv.sketch as sketch_module
 
         f = factor_of(np.random.default_rng(3).standard_normal((4, 64)))
-        dense = gaussian_jl_sketch(f, s=8, seed=5)
-        monkeypatch.setattr(sketch, "DENSE_PHI_ENTRY_CAP", 100)  # 12-row blocks of Phi
-        streamed = gaussian_jl_sketch(f, s=8, seed=5)
+        dense = sketch(f, "gaussian_jl", s=8, seed=5)
+        monkeypatch.setattr(sketch_module, "DENSE_PHI_ENTRY_CAP", 100)  # 12-row blocks of Phi
+        streamed = sketch(f, "gaussian_jl", s=8, seed=5)
         np.testing.assert_allclose(streamed.Ltilde, dense.Ltilde, atol=1e-12)
-        again = gaussian_jl_sketch(f, s=8, seed=5)
+        again = sketch(f, "gaussian_jl", s=8, seed=5)
         np.testing.assert_array_equal(streamed.Ltilde, again.Ltilde)
-
-    def test_size_bounds(self):
-        f = factor_of(np.zeros((2, 6)))
-        with pytest.raises(DimensionError):
-            gaussian_jl_sketch(f, s=7, seed=0)
-        with pytest.raises(DimensionError):
-            gaussian_jl_sketch(f, s=0, seed=0)
 
     def test_distortion_monte_carlo(self):
         # Quadratic-form distortion over random directions stays within the
@@ -79,7 +109,7 @@ class TestGaussianJL:
         s = recommended_sketch_size(5, eps, 0.05)
         for seed in range(trials):
             L = random_low_rank(20, 600, 5, seed)
-            sk = gaussian_jl_sketch(factor_of(L), s=s, seed=seed)
+            sk = sketch(factor_of(L), "gaussian_jl", s=s, seed=seed)
             X = np.random.default_rng(seed + 1).standard_normal((20, 1000))
             base = np.sum((L.T @ X) ** 2, axis=0)
             sketched = np.sum((sk.Ltilde.T @ X) ** 2, axis=0)
@@ -114,16 +144,6 @@ class TestCountSketch:
         np.testing.assert_array_equal(out.view(np.int64), ref.view(np.int64))
         assert out.flags["F_CONTIGUOUS"] == ref.flags["F_CONTIGUOUS"]
 
-    def test_zero_factor(self):
-        sk = countsketch_sketch(factor_of(np.zeros((3, 8))), s=4, seed=0)
-        np.testing.assert_array_equal(sk.Ltilde, 0.0)
-
-    def test_matches_materialized_phi(self):
-        f = factor_of(np.random.default_rng(4).standard_normal((3, 12)))
-        sk = countsketch_sketch(f, s=5, seed=21)
-        phi = materialize_sketch_matrix(SketchConfig(kind="countsketch", s=5, seed=21), 12)
-        np.testing.assert_allclose(sk.Ltilde, f.L @ phi, atol=1e-14)
-
     def test_phi_rows_single_pm_one(self):
         phi = materialize_sketch_matrix(SketchConfig(kind="countsketch", s=6, seed=3), 40)
         nonzeros = (phi != 0).sum(axis=1)
@@ -139,20 +159,13 @@ class TestCountSketch:
         h3, _ = countsketch_arrays(100, 7, seed=43)
         assert (h1 != h3).any()
 
-    def test_size_bounds(self):
-        f = factor_of(np.zeros((2, 6)))
-        with pytest.raises(DimensionError):
-            countsketch_sketch(f, s=7, seed=0)
-        with pytest.raises(DimensionError):
-            countsketch_sketch(f, s=0, seed=0)
-
     def test_apply_ops_linear_in_nnz(self):
         # Work scales with the input size, not the sketch width.
         f1 = factor_of(np.ones((5, 100)))
         f2 = factor_of(np.ones((5, 200)))
-        a = countsketch_sketch(f1, s=8, seed=0)
-        b = countsketch_sketch(f2, s=8, seed=0)
-        c = countsketch_sketch(f1, s=64, seed=0)
+        a = sketch(f1, "countsketch", s=8, seed=0)
+        b = sketch(f2, "countsketch", s=8, seed=0)
+        c = sketch(f1, "countsketch", s=64, seed=0)
         assert b.apply_ops == 2 * a.apply_ops
         assert c.apply_ops == a.apply_ops
 
@@ -194,7 +207,7 @@ def test_pd_preservation_under_embedding():
         Sigma = L @ L.T
         lam = np.linalg.eigvalsh(Sigma)
         kappa = lam[-1] / lam[0]
-        sk = gaussian_jl_sketch(factor_of(L), s=256, seed=seed)
+        sk = sketch(factor_of(L), "gaussian_jl", s=256, seed=seed)
         V = np.linalg.svd(L, full_matrices=False)[2].T
         phi = materialize_sketch_matrix(SketchConfig(kind="gaussian_jl", s=256, seed=seed), T)
         G = (phi.T @ V).T @ (phi.T @ V)

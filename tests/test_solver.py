@@ -367,6 +367,25 @@ class TestCompactFactor:
         solve(build_baseline(factor), fs, cfg=SolverConfig(tol=1e-8))
         assert len(seen) > 2 and set(seen) == {(DenseHessian, 30, 30)}
 
+    @pytest.mark.parametrize("kind", ["baseline", "sketch", "str"])
+    def test_hessian_is_twice_the_model_covariance(self, kind):
+        # One place forms L_eff @ L_eff.T + gamma * I: the solver's Hessian is
+        # exactly twice FactorModel.covariance, bit for bit.
+        factor, _ = _wide_instance(30, seed=2)
+        cfg = SketchConfig(kind="countsketch", s=80, seed=5)
+        if kind == "baseline":
+            m = build_baseline(factor)
+        elif kind == "sketch":
+            m = build_sketch(factor, cfg)
+        else:
+            m = build_str(factor, cfg, ell=20, gamma=0.05)  # ell > n/2: a dense Hessian
+        sigma = m.covariance()
+        H = gradient_operator(m).H
+        assert m.gamma == (0.05 if kind == "str" else 0.0)
+        np.testing.assert_array_equal(H.view(np.int64), (2.0 * sigma).view(np.int64))
+        explicit = m.L_eff @ m.L_eff.T + m.gamma * np.eye(m.n)
+        np.testing.assert_array_equal(sigma.view(np.int64), explicit.view(np.int64))
+
     @settings(max_examples=60, deadline=None)
     @given(st.data())
     def test_compact_covariance_is_exact(self, data):
