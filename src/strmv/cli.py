@@ -188,16 +188,27 @@ def _cmd_project(args) -> int:
 
 
 def _cmd_solve(args) -> int:
+    import math
+
     from .bench import ModelSpec, _model_from_spec, feasible_from_factor, rows_to_csv
+    from .errors import ArgumentError
     from .panel import center_and_factor, load_panel
     from .projection import FeasibleSet
     from .solver import SolverConfig, solve
 
     # Flags are checked before the panel is read, so a bad one is a usage error.
+    # A finite target above max(mu) needs the data, so it stays a data error.
     spec = ModelSpec(
         kind=args.model, sketch_kind=args.sketch, s=args.s, kappa_target=args.kappa_target
     )
     scfg = SolverConfig(tol=args.tol, max_iters=args.max_iters)
+    if args.r_target is not None and not math.isfinite(args.r_target):
+        raise ArgumentError(f"--r-target must be finite, got R_target={args.r_target}")
+    if args.r_target is None and not 0.0 <= args.r_target_percentile <= 100.0:
+        raise ArgumentError(
+            f"r_target_percentile must be in [0, 100], got {args.r_target_percentile}")
+    if spec.kind != "baseline" and args.seed < 0:  # a baseline draws nothing
+        raise ArgumentError(f"sketch seed must be nonnegative, got {args.seed}")
     factor = center_and_factor(load_panel(args.panel))
     if args.r_target is not None:
         fs = FeasibleSet(mu=factor.mean, R_target=args.r_target)

@@ -7,7 +7,14 @@ unbiased sample covariance is exactly L @ L.T without ever forming it.
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import io
+import os
+import pickle
+import shutil
+import tempfile
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -108,9 +115,16 @@ def load_panel(path) -> ReturnPanel:
     skipped. Empty cells are filled with 0.0; any other unparseable cell is an
     error (silent coercion hides data problems).
 
-    One ``np.loadtxt`` call parses a well-formed file. When it rejects the
-    file (an empty cell, a bad cell, a ragged row), the per-cell parse reads
-    it again to fill empty cells or to name the offending row and column.
+    CSV I/O uses one process per CPU this process may run on, so ``taskset``
+    limits it (``strmv --threads`` pins BLAS only). A file without a ``"``
+    byte is cut at line breaks into one byte range per process: this process
+    parses the first range and a forked child each other one, with the same
+    ``np.loadtxt`` call reading straight from the file. A file with a quote
+    is one range, since a quoted asset id can hold a line break. When any
+    range fails, this process parses the whole file with that call; when it
+    rejects the file (an empty cell, a bad cell, a ragged row), the per-cell
+    parse reads it again to fill empty cells or to name the offending row and
+    column. So every fill and every message is the one-range one.
     """
     try:
         with open(path, newline="") as fh:
@@ -121,18 +135,18 @@ def load_panel(path) -> ReturnPanel:
             if first is None:
                 raise DataFormatError(f"{path}: expected a header row plus data rows")
             width = len(first)
-            fh.seek(0)
+
+            def read(span):
+                return _read_rows(path, span, header_lines, width, fh.encoding)
+
             try:
-                table = np.loadtxt(
-                    fh, delimiter=",", skiprows=header_lines, quotechar='"',
-                    comments=None, ndmin=1,
-                    dtype=[("id", object), ("r", np.float64, (width - 1,))],
-                )
+                blocks = _read_blocks(read, _row_spans(path, _process_count()))
             except ValueError:
                 fh.seek(0)
                 asset_ids, returns = _parse_cells(path, csv.reader(fh), width)
             else:
-                asset_ids, returns = table["id"].tolist(), np.ascontiguousarray(table["r"])
+                asset_ids = [aid for ids, _ in blocks for aid in ids]
+                returns = np.concatenate([rows for _, rows in blocks])
     except UnicodeDecodeError as exc:
         raise DataFormatError(f"{path}: {exc}") from None
     if returns.shape[0] < 2 or returns.shape[1] < 2:
@@ -140,6 +154,150 @@ def load_panel(path) -> ReturnPanel:
             f"{path}: panel must be at least 2x2, got {returns.shape[0]}x{returns.shape[1]}"
         )
     return ReturnPanel(asset_ids=asset_ids, returns=returns)
+
+
+def _process_count() -> int:
+    """Processes for CSV I/O: the CPUs this process may run on, or 1 where the
+    platform cannot report them or cannot fork."""
+    if not (hasattr(os, "sched_getaffinity") and hasattr(os, "fork")):
+        return 1
+    return max(1, len(os.sched_getaffinity(0)))
+
+
+def _fork_map(fn, items: list) -> list:
+    """``[fn(item) for item in items]``: the first item here, each other one in
+    a forked child that sends back its result or its exception through a pipe.
+
+    Every child is waited for on every path. Then the first exception in item
+    order is raised.
+    """
+    if len(items) == 1:
+        return [fn(items[0])]
+    import multiprocessing  # here, so that a process without CSV I/O does not load it
+
+    ctx = multiprocessing.get_context("fork")  # no Pool: it starts threads here
+    children = []
+    try:
+        for item in items[1:]:
+            read_fd, write_fd = os.pipe()
+            child = ctx.Process(target=_send_outcome, args=(fn, item, write_fd))
+            try:
+                child.start()
+            except BaseException:
+                os.close(read_fd)
+                raise
+            finally:
+                os.close(write_fd)
+            children.append((child, read_fd))
+        results = [fn(items[0])]
+    finally:
+        outcomes = [_receive_outcome(child, read_fd) for child, read_fd in children]
+    for ok, value in outcomes:
+        if not ok:
+            raise value
+        results.append(value)
+    return results
+
+
+def _send_outcome(fn, item, write_fd: int) -> None:
+    """A child's body. multiprocessing ends a forked child with ``os._exit``,
+    so no atexit handler of the parent runs in it."""
+    try:
+        outcome = (True, fn(item))
+    except Exception as exc:
+        outcome = (False, exc)
+    with open(write_fd, "wb") as out:
+        pickle.dump(outcome, out, protocol=pickle.HIGHEST_PROTOCOL)
+
+
+def _receive_outcome(child, read_fd: int) -> tuple:
+    """A child's ``(ok, result or exception)``, after the child has ended.
+
+    ``pickle.load`` from the pipe reads a large array straight into its
+    buffer; ``multiprocessing.Connection`` would grow a copy chunk by chunk.
+    """
+    with open(read_fd, "rb") as pipe:
+        try:
+            return pickle.load(pipe)
+        except Exception as exc:  # nothing usable came: fail this part, wait for the rest
+            problem = f"{type(exc).__name__}: {exc}"
+        finally:
+            child.join()
+    return False, ChildProcessError(
+        f"CSV worker {child.pid} exited with code {child.exitcode} ({problem})")
+
+
+def _row_spans(path, parts: int) -> list[tuple[int, int]]:
+    """Byte ranges that cut a CSV file into at most ``parts`` runs of whole
+    lines, the first one holding the header; one range when it holds ``"``."""
+    with open(path, "rb") as fh:
+        size = fh.seek(0, os.SEEK_END)
+        fh.seek(0)
+        if parts == 1 or any(b'"' in chunk for chunk in iter(lambda: fh.read(1 << 20), b"")):
+            return [(0, size)]
+        data = _past_line_break(fh, 0)
+        cuts = [_past_line_break(fh, data + i * (size - data) // parts) for i in range(1, parts)]
+    bounds = [0, *cuts, size]
+    return [(a, b) for a, b in zip(bounds, bounds[1:]) if b > a]
+
+
+def _past_line_break(fh, pos: int) -> int:
+    """The offset just past the first CR, LF or CRLF at or after ``pos``, or
+    the end of the file."""
+    fh.seek(pos)
+    while chunk := fh.read(1 << 16):
+        breaks = [i for i in (chunk.find(b"\n"), chunk.find(b"\r")) if i >= 0]
+        if breaks:
+            end = pos + min(breaks) + 1
+            if chunk[min(breaks)] == ord("\r"):  # a LF right after belongs to it
+                fh.seek(end)
+                end += fh.read(1) == b"\n"
+            return end
+        pos += len(chunk)
+    return pos
+
+
+class _Span(io.RawIOBase):
+    """The next ``size`` bytes of an unbuffered binary file."""
+
+    def __init__(self, raw, size: int):
+        self._raw, self._left = raw, size
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buf) -> int:
+        n = self._raw.readinto(memoryview(buf)[: self._left])
+        self._left -= n
+        return n
+
+
+def _read_rows(path, span, header_lines: int, width: int, encoding: str):
+    """``(asset ids, returns)`` of the rows in one byte range, by one
+    ``np.loadtxt`` call that reads the file; ValueError if it rejects them."""
+    start, end = span
+    with open(path, "rb", buffering=0) as raw:
+        raw.seek(start)
+        text = io.TextIOWrapper(io.BufferedReader(_Span(raw, end - start)),
+                                encoding=encoding, newline="")
+        with text, warnings.catch_warnings():
+            # A range of blank lines holds no rows; that is not worth a warning.
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            table = np.loadtxt(
+                text, delimiter=",", skiprows=header_lines if start == 0 else 0,
+                quotechar='"', comments=None, ndmin=1,
+                dtype=[("id", object), ("r", np.float64, (width - 1,))],
+            )
+    return table["id"].tolist(), table["r"]
+
+
+def _read_blocks(read, spans: list) -> list:
+    """``read`` of every span, each in its own process; if any fails, ``read``
+    of the whole file here, which raises what the one-range read raises."""
+    if len(spans) > 1:
+        with contextlib.suppress(Exception):
+            return _fork_map(read, spans)
+    return [read((0, spans[-1][1]))]
 
 
 def _parse_cells(path, reader, width: int) -> tuple[list[str], np.ndarray]:
@@ -184,11 +342,49 @@ def save_panel(panel: ReturnPanel, path) -> None:
 
     Byte for byte what ``csv.writer`` writes for the header plus one
     ``[asset_id, repr(value), ...]`` row per asset.
+
+    CSV I/O uses one process per CPU this process may run on, at most one per
+    asset, so ``taskset`` limits it (``strmv --threads`` pins BLAS only). The
+    rows are cut into that many contiguous parts: this process writes the
+    header and the first part, and a forked child formats each other part
+    into an anonymous temporary file, appended here in order. The whole file
+    is written under a temporary name in the target's directory and renamed
+    onto ``path`` once complete, so a failed save leaves any earlier file at
+    ``path`` as it was. ``path`` resolves through symlinks and must not name
+    anything but a regular file.
     """
-    with open(path, "w", newline="") as fh:
-        csv.writer(fh).writerow(["asset"] + [f"p{t + 1}" for t in range(panel.T)])
-        for aid, row in zip(panel.asset_ids, panel.returns):
-            fh.write(",".join([_csv_field(aid), *map(repr, row.tolist())]) + "\r\n")
+    target = os.path.realpath(path)
+    if os.path.exists(target) and not os.path.isfile(target):
+        raise OSError(f"{path}: not a regular file")
+    directory, name = os.path.split(target)
+    parts = max(1, min(_process_count(), panel.n))
+    bounds = [i * panel.n // parts for i in range(parts + 1)]
+    partial = os.path.join(directory, f".{name}.{os.urandom(8).hex()}.tmp")
+    fh = open(partial, "x", newline="")
+    try:
+        with fh, contextlib.ExitStack() as stack:
+            outs = [fh] + [
+                stack.enter_context(tempfile.TemporaryFile(
+                    "w+", encoding=fh.encoding, newline="", dir=directory))
+                for _ in range(1, parts)
+            ]
+
+            def write_rows(i):
+                out, lo, hi = outs[i], bounds[i], bounds[i + 1]
+                for aid, row in zip(panel.asset_ids[lo:hi], panel.returns[lo:hi]):
+                    out.write(",".join([_csv_field(aid), *map(repr, row.tolist())]) + "\r\n")
+                out.flush()
+
+            csv.writer(fh).writerow(["asset"] + [f"p{t + 1}" for t in range(panel.T)])
+            fh.flush()  # so that no child holds a copy of unwritten bytes
+            _fork_map(write_rows, list(range(parts)))
+            for out in outs[1:]:
+                out.seek(0)
+                shutil.copyfileobj(out.buffer, fh.buffer)
+        os.replace(partial, target)
+    except BaseException:
+        os.unlink(partial)
+        raise
 
 
 def center_and_factor(panel: ReturnPanel) -> CovarianceFactor:

@@ -428,7 +428,10 @@ class TestExitCodes:
         assert "tol must be positive and finite, got inf" in proc.stderr
         assert "Traceback" not in proc.stderr
 
-    @pytest.mark.parametrize("flag,value", [("--tol", "inf"), ("--max-iters", "0")])
+    @pytest.mark.parametrize("flag,value", [
+        ("--tol", "inf"), ("--max-iters", "0"), ("--r-target", "nan"),
+        ("--r-target-percentile", "150"), ("--seed", "-1"),
+    ])
     def test_solve_bad_flag_is_1_before_the_panel_is_read(self, tmp_path, capsys, flag, value):
         # The panel does not exist: the flag is refused first, as a usage error.
         assert main(["solve", "--panel", str(tmp_path / "missing.csv"), flag, value]) == 1

@@ -1,10 +1,13 @@
 import csv
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import strmv.panel
 from strmv.errors import DataFormatError, DimensionError, NumericError
 from strmv.panel import (
     ReturnPanel,
@@ -334,21 +337,171 @@ def csv_texts(draw):
 def test_loadtxt_path_matches_per_cell_parse(tmp_path, monkeypatch, text):
     # The per-cell parse is the reference: whatever the one-call path accepts
     # it must read the same, and whatever it rejects goes to the reference.
+    # Cut into 2 or 3 parts, the file reads as it does in one.
     path = tmp_path / "panel.csv"
     path.write_bytes(text.encode())
 
-    def outcome():
-        try:
-            panel = load_panel(path)
-        except Exception as exc:  # the reference fixes the exception class and text
-            return type(exc), str(exc)
+    def outcome(cpus):
+        with monkeypatch.context() as m:
+            use_cpus(m, cpus)
+            try:
+                panel = load_panel(path)
+            except Exception as exc:  # the reference fixes the exception class and text
+                return type(exc), str(exc)
         return panel.asset_ids, panel.returns.tolist()
 
-    fast = outcome()
+    fast = outcome(1)
+    assert outcome(2) == fast
+    assert outcome(3) == fast
 
     def reject(*args, **kwargs):
         raise ValueError("forced per-cell parse")
 
     with monkeypatch.context() as m:
         m.setattr(np, "loadtxt", reject)
-        assert outcome() == fast
+        assert outcome(2) == fast
+
+
+def use_cpus(monkeypatch, cpus):
+    """Make CSV I/O see ``cpus`` CPUs, so it cuts a file into that many parts."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+
+
+def assert_clean(directory, names):
+    """No CSV worker left running and no file in ``directory`` but ``names``."""
+    assert multiprocessing.active_children() == []
+    assert sorted(os.listdir(directory)) == sorted(names)
+
+
+# Every id holds a byte csv.writer quotes, so one sits next to every part boundary.
+ODD_IDS = ['a,b', 'q"q', "c\rr", "l\nf", '"', ",", "\r\n", 'x,"\r\ny', "é,\n"]
+PART_CPUS = [1, 2, 3, 9]  # 9 = one part per asset
+
+
+class TestParts:
+    """CSV I/O in one process per CPU gives the file and the panel of one."""
+
+    @pytest.fixture
+    def odd_panel(self):
+        values = EXTREME_FLOATS + [0.1, -1e-300]
+        rows = np.resize(np.array(values), (len(ODD_IDS), 4))
+        return ReturnPanel(asset_ids=list(ODD_IDS), returns=rows)
+
+    def test_save_bytes_identical_across_part_counts(self, tmp_path, monkeypatch, odd_panel):
+        files = {}
+        for cpus in PART_CPUS:
+            use_cpus(monkeypatch, cpus)
+            save_panel(odd_panel, tmp_path / f"{cpus}.csv")
+            files[cpus] = (tmp_path / f"{cpus}.csv").read_bytes()
+            again = load_panel(tmp_path / f"{cpus}.csv")
+            assert again.asset_ids == ODD_IDS
+            assert np.array_equal(again.returns, odd_panel.returns)
+            assert np.array_equal(np.signbit(again.returns), np.signbit(odd_panel.returns))
+        assert all(data == files[1] for data in files.values())
+        assert_clean(tmp_path, [f"{cpus}.csv" for cpus in PART_CPUS])
+
+    @pytest.mark.parametrize("eol", ["\r\n", "\n", "\r"], ids=["crlf", "lf", "cr"])
+    def test_load_identical_across_part_counts(self, tmp_path, monkeypatch, eol):
+        panel = generate_synthetic(SyntheticSpec(n=9, T=6, seed=3))
+        rows = panel.returns.copy()
+        rows[::2, 1] = -0.0
+        rows[1::3, 2] = 5e-324
+        ids = [f"#{i}" for i in range(9)]
+        lines = ["asset," + ",".join(f"p{t}" for t in range(6))]
+        for i, (aid, row) in enumerate(zip(ids, rows)):
+            lines += [""] * (i % 3 == 1)  # blank lines carry no row
+            lines.append(",".join([aid, *map(repr, row.tolist())]))
+        path = tmp_path / "plain.csv"
+        path.write_bytes((eol.join(lines) + eol).encode())
+        for cpus in PART_CPUS:
+            use_cpus(monkeypatch, cpus)
+            spans = strmv.panel._row_spans(path, strmv.panel._process_count())
+            assert min(cpus, 4) <= len(spans) <= cpus  # byte cuts can meet in one line
+            again = load_panel(path)
+            assert again.asset_ids == ids
+            assert np.array_equal(again.returns, rows)
+            assert np.array_equal(np.signbit(again.returns), np.signbit(rows))
+        assert_clean(tmp_path, ["plain.csv"])
+
+    def test_panel_without_assets_writes_the_header(self, tmp_path, monkeypatch):
+        use_cpus(monkeypatch, 2)
+        save_panel(ReturnPanel(asset_ids=[], returns=np.zeros((0, 2))), tmp_path / "empty.csv")
+        assert (tmp_path / "empty.csv").read_bytes() == b"asset,p1,p2\r\n"
+
+    def test_a_quote_keeps_the_file_in_one_part(self, tmp_path, odd_panel):
+        save_panel(odd_panel, tmp_path / "odd.csv")
+        assert len(strmv.panel._row_spans(tmp_path / "odd.csv", 3)) == 1
+
+    @pytest.fixture
+    def saved(self, tmp_path):
+        panel = generate_synthetic(SyntheticSpec(n=50, T=300, seed=4))
+        save_panel(panel, tmp_path / "big.csv")
+        return panel, tmp_path / "big.csv"
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_errors_in_the_last_part_are_the_one_part_errors(self, saved, monkeypatch, cpus):
+        panel, path = saved
+        use_cpus(monkeypatch, cpus)
+        clean = path.read_bytes()
+        set_cell(path, 51, 250, "oops")
+        with pytest.raises(DataFormatError, match="'oops' at row 51, column 250"):
+            load_panel(path)
+        assert_clean(path.parent, ["big.csv"])
+        path.write_bytes(clean)
+        edit_csv(path, 51, lambda cells: ",".join(cells[:-1]))
+        with pytest.raises(DataFormatError, match="row 51 has 300 columns, expected 301"):
+            load_panel(path)
+        assert_clean(path.parent, ["big.csv"])
+        path.write_bytes(clean)
+        set_cell(path, 51, 250, "")
+        expected = panel.returns.copy()
+        expected[49, 248] = 0.0
+        again = load_panel(path)
+        assert again.asset_ids == panel.asset_ids
+        np.testing.assert_array_equal(again.returns, expected)
+        assert_clean(path.parent, ["big.csv"])
+
+    @pytest.mark.parametrize("cpus", PART_CPUS)
+    def test_failed_save_leaves_the_previous_file(self, tmp_path, monkeypatch, odd_panel, cpus):
+        use_cpus(monkeypatch, cpus)
+        path = tmp_path / "panel.csv"
+        path.write_bytes(b"previous")
+        field = strmv.panel._csv_field
+
+        def fail_on_last_row(text):
+            if text == ODD_IDS[-1]:
+                raise OSError("disk full")
+            return field(text)
+
+        monkeypatch.setattr(strmv.panel, "_csv_field", fail_on_last_row)
+        with pytest.raises(OSError, match="disk full"):
+            save_panel(odd_panel, path)
+        assert path.read_bytes() == b"previous"
+        assert_clean(tmp_path, ["panel.csv"])
+        monkeypatch.setattr(strmv.panel, "_csv_field", field)
+        save_panel(odd_panel, path)
+        assert load_panel(path).asset_ids == ODD_IDS
+        assert_clean(tmp_path, ["panel.csv"])
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_a_worker_that_dies_is_waited_for(self, tmp_path, monkeypatch, saved, cpus):
+        panel, path = saved
+        use_cpus(monkeypatch, cpus)
+        here = os.getpid()
+
+        def die_in_a_worker(real):
+            def call(*args):
+                if os.getpid() != here:
+                    os._exit(3)
+                return real(*args)
+            return call
+
+        # A save fails and leaves the file as it was; a load reads the whole file here.
+        monkeypatch.setattr(strmv.panel, "_csv_field", die_in_a_worker(strmv.panel._csv_field))
+        with pytest.raises(ChildProcessError, match="exited with code 3"):
+            save_panel(generate_synthetic(SyntheticSpec(n=6, T=4)), path)
+        monkeypatch.setattr(strmv.panel, "_read_rows", die_in_a_worker(strmv.panel._read_rows))
+        again = load_panel(path)
+        assert again.asset_ids == panel.asset_ids
+        np.testing.assert_array_equal(again.returns, panel.returns)
+        assert_clean(tmp_path, ["big.csv"])
