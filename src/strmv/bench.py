@@ -627,7 +627,8 @@ def run_solver_benchmark(cfg: ExperimentConfig) -> BenchReport:
 
 def _median_gradient_time(op: Operator, x: np.ndarray) -> float:
     """Median microseconds per gradient evaluation over 100 calls, on the
-    operator a solve takes its gradients on."""
+    operator a solve takes its gradients on, at ``x``. On a ``DenseHessian``
+    an ``x`` holding at most n/4 assets costs the held-row product."""
     times = np.empty(100)
     for i in range(times.size):
         t0 = time.perf_counter_ns()

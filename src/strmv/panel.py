@@ -120,11 +120,12 @@ def load_panel(path) -> ReturnPanel:
     byte is cut at line breaks into one byte range per process: this process
     parses the first range and a forked child each other one, with the same
     ``np.loadtxt`` call reading straight from the file. A file with a quote
-    is one range, since a quoted asset id can hold a line break. When any
-    range fails, this process parses the whole file with that call; when it
-    rejects the file (an empty cell, a bad cell, a ragged row), the per-cell
-    parse reads it again to fill empty cells or to name the offending row and
-    column. So every fill and every message is the one-range one.
+    is one range, since a quoted asset id can hold a line break. When that
+    call rejects a range or the whole file (an empty cell, a bad cell, a
+    ragged row), the per-cell parse reads the whole file to fill empty cells
+    or to name the offending row and column; a range that fails otherwise (a
+    worker that dies) makes this process read the whole file with that call
+    first. So every fill and every message is the one-range one.
     """
     try:
         with open(path, newline="") as fh:
@@ -292,11 +293,18 @@ def _read_rows(path, span, header_lines: int, width: int, encoding: str):
 
 
 def _read_blocks(read, spans: list) -> list:
-    """``read`` of every span, each in its own process; if any fails, ``read``
-    of the whole file here, which raises what the one-range read raises."""
+    """``read`` of every span, each in its own process. A range that
+    ``np.loadtxt`` rejects raises its ValueError here: the whole file holds
+    that row too, so the one-range read would reject it as well. If a range
+    fails otherwise, ``read`` of the whole file here, which raises what the
+    one-range read raises."""
     if len(spans) > 1:
-        with contextlib.suppress(Exception):
+        try:
             return _fork_map(read, spans)
+        except ValueError:
+            raise
+        except Exception:
+            pass
     return [read((0, spans[-1][1]))]
 
 

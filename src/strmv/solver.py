@@ -19,7 +19,10 @@ linear term, so f(x_k) = x_k . grad f(x_k) / 2. A factor with at most n/2
 columns is multiplied as it is, by two matrix-vector products. A wider one
 costs less as the dense Hessian H = 2*(L_eff @ L_eff.T + gamma*I), formed
 once per solve by ``FactorModel.covariance``, after which a gradient is the
-single pass H @ x.
+single pass H @ x. Iterates of a binding long-only problem are sparse, so
+when x holds at most n/4 assets the product reads only their rows of the
+symmetric H: H[held].T @ x[held] costs n*|held| reads instead of n^2, and
+leaves out only terms H_ij * 0.
 """
 
 from __future__ import annotations
@@ -100,6 +103,8 @@ class DenseHessian:
 
     It reads as the model where the solver reads one: ``gamma`` and
     ``singular_values`` are the model's, and ``n`` = ``columns`` is H's order.
+    H is symmetric and C-ordered, so ``gradient`` reads the rows of the
+    assets an iterate holds, each a contiguous run, as their columns.
     """
 
     H: np.ndarray
@@ -122,12 +127,21 @@ def gradient(model: Operator, x: np.ndarray) -> np.ndarray:
     """grad f(x) = 2 * L_eff @ (L_eff.T @ x) + 2 * gamma * x.
 
     On a factor model: two matrix-vector products plus an axpy; the dense
-    covariance is never formed. On a ``DenseHessian``: the one product H @ x.
+    covariance is never formed. On a ``DenseHessian``: the one product H @ x,
+    or, when x holds at most n/4 nonzero weights, H[held].T @ x[held] over
+    the held rows alone. That sum leaves out only terms H_ij * 0, so it
+    differs from H @ x by summation order.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (model.n,):
         raise DimensionError(f"x has shape {x.shape}, model is {model.n}-dimensional")
     if isinstance(model, DenseHessian):
+        held = np.flatnonzero(x)
+        # Measured crossover, 1 BLAS thread, x86-64: at n/4 held, the gather
+        # and product take 64 against 124 us (n = 600) and 1.17 against
+        # 1.48 ms (n = 2000); at 0.4n the full product is faster.
+        if 4 * held.size <= model.n:
+            return model.H[held].T @ x[held]
         return model.H @ x
     g = 2.0 * (model.L_eff @ (model.L_eff.T @ x))
     if model.gamma:

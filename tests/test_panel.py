@@ -461,6 +461,46 @@ class TestParts:
         np.testing.assert_array_equal(again.returns, expected)
         assert_clean(path.parent, ["big.csv"])
 
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_a_rejected_part_is_parsed_cell_by_cell_at_once(
+            self, saved, monkeypatch, tmp_path_factory, cpus):
+        # np.loadtxt reads each part once and never the whole file after a
+        # part rejects a cell; the fill and the message stay the one-part ones.
+        panel, path = saved
+        log = tmp_path_factory.mktemp("calls") / "loadtxt"
+        real = np.loadtxt
+
+        def counted(*args, **kwargs):
+            with open(log, "a") as fh:  # in this process and in every worker
+                fh.write(".")
+            return real(*args, **kwargs)
+
+        def load(parts):
+            use_cpus(monkeypatch, parts)
+            log.write_text("")
+            try:
+                outcome = load_panel(path)
+            except DataFormatError as exc:
+                outcome = str(exc)
+            return outcome, len(log.read_text())
+
+        monkeypatch.setattr(np, "loadtxt", counted)
+        parts = len(strmv.panel._row_spans(path, cpus))
+        assert parts == cpus
+        set_cell(path, 51, 301, "")
+        one, one_calls = load(1)
+        many, calls = load(cpus)
+        assert (one_calls, calls) == (1, parts)
+        assert many.asset_ids == one.asset_ids == panel.asset_ids
+        np.testing.assert_array_equal(many.returns, one.returns)
+        assert one.returns[49, 299] == 0.0
+        set_cell(path, 51, 301, "oops")
+        one, one_calls = load(1)
+        many, calls = load(cpus)
+        assert (one_calls, calls) == (1, parts)
+        assert many == one and "'oops' at row 51, column 301" in one
+        assert_clean(path.parent, ["big.csv"])
+
     @pytest.mark.parametrize("cpus", PART_CPUS)
     def test_failed_save_leaves_the_previous_file(self, tmp_path, monkeypatch, odd_panel, cpus):
         use_cpus(monkeypatch, cpus)

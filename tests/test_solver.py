@@ -461,6 +461,76 @@ class TestCompactFactor:
             solve(FactorModel(L_eff=L[:, 5:8], gamma=0.0, kind="baseline"), fs)
 
 
+class _CountedProducts(np.ndarray):
+    """An H that records how ``gradient`` reads it: the sizes of its row
+    gathers and the number of full products. Both return plain arrays."""
+
+    gathers: list = []
+    full: list = []
+
+    def __getitem__(self, key):
+        if isinstance(key, np.ndarray):
+            self.gathers.append(key.size)
+        return self.view(np.ndarray)[key]
+
+    def __matmul__(self, other):
+        self.full.append(1)
+        return self.view(np.ndarray) @ other
+
+
+class TestHeldRows:
+    """On a dense Hessian, an iterate holding at most n/4 assets is multiplied
+    by its held rows alone: H[held].T @ x[held], which leaves out only terms
+    H_ij * 0 of H @ x."""
+
+    @pytest.mark.parametrize("n", [40, 600])
+    def test_matches_the_full_product(self, n):
+        rng = np.random.default_rng(n)
+        A = rng.standard_normal((n, n))
+        H = A @ A.T + np.eye(n)  # symmetric positive definite
+        op = DenseHessian(H=H, gamma=0.0, singular_values=None)
+        for count in (0, 1, n // 4, n // 4 + 1, n):
+            held = rng.choice(n, count, replace=False)
+            x = np.zeros(n)
+            x[held] = rng.standard_normal(count)  # negative weights as well
+            x[np.setdiff1d(np.arange(n), held)[::2]] = -0.0
+            g = gradient(op, x)
+            assert g.shape == (n,)
+            if count == 0:
+                assert np.array_equal(g, np.zeros(n))
+            err = np.abs(g - H @ x).max()
+            assert err <= 1e-12 * np.abs(H).max() * np.abs(x).sum(), count
+
+    def test_desk_solve_matches_the_full_product(self, monkeypatch):
+        import strmv.solver as solver
+
+        factor, fs = _wide_instance(200, seed=2)  # 85th-percentile target, T = 4n
+        baseline = build_baseline(factor)
+        cfg = SolverConfig(tol=1e-7, residual_check_stride=5)
+
+        def counted_operator(model, _original=solver.gradient_operator):
+            op = _original(model)
+            return dataclasses.replace(op, H=op.H.view(_CountedProducts))
+
+        monkeypatch.setattr(solver, "gradient_operator", counted_operator)
+        monkeypatch.setattr(_CountedProducts, "gathers", [])
+        monkeypatch.setattr(_CountedProducts, "full", [])
+        held_rows = solve(baseline, fs, cfg=cfg)
+        gathers, full = _CountedProducts.gathers, _CountedProducts.full
+        assert gathers and all(4 * size <= baseline.n for size in gathers)
+        assert len(gathers) + len(full) == held_rows.iterations + 1
+
+        original = solver.gradient
+        monkeypatch.setattr(
+            solver, "gradient",
+            lambda op, x: op.H.view(np.ndarray) @ x if isinstance(op, DenseHessian)
+            else original(op, x))
+        full_product = solve(baseline, fs, cfg=cfg)
+        assert held_rows.termination == full_product.termination == "tolerance"
+        assert held_rows.iterations == full_product.iterations
+        np.testing.assert_allclose(held_rows.x, full_product.x, rtol=0, atol=1e-12)
+
+
 def _reference_solve(model, fs, alpha, momentum, tol, max_iters):
     """The accelerated loop with no gradient reuse: a gradient on the dense
     covariance at every extrapolated point y and at every residual check."""
