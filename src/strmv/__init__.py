@@ -46,9 +46,7 @@ from .panel import (
 from .projection import (
     FeasibleSet,
     ProjectionDiagnostics,
-    dykstra_project,
     project_feasible,
-    project_halfspace,
     project_simplex,
 )
 from .sketch import (

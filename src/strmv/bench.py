@@ -35,7 +35,7 @@ from .panel import (
     load_panel,
 )
 from .projection import FeasibleSet
-from .sketch import SketchConfig, _splitmix64, recommended_sketch_size
+from .sketch import SKETCH_KINDS, SketchConfig, _splitmix64, recommended_sketch_size
 from .solver import (
     Operator,
     SolverConfig,
@@ -116,6 +116,10 @@ class ModelSpec:
     def __post_init__(self):
         if self.kind not in MODEL_KINDS:
             raise ArgumentError(f"unknown model kind {self.kind!r}; expected one of {MODEL_KINDS}")
+        if self.sketch_kind not in SKETCH_KINDS:
+            raise ArgumentError(
+                f"unknown sketch kind {self.sketch_kind!r}; expected one of {SKETCH_KINDS}"
+            )
         if self.s_over_ell is not None and not self.s_over_ell > 0.0:
             raise ArgumentError(f"s_over_ell must be > 0, got {self.s_over_ell}")
 

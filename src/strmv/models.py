@@ -164,7 +164,7 @@ def build_str(
     else:
         gamma, kappa_target = float(gamma), None
     model = FactorModel(
-        L_eff=svd.U[:, :ell] * svd.S[:ell],
+        L_eff=svd.factor(ell),
         gamma=gamma,
         kind="str",
         provenance={

@@ -10,8 +10,9 @@ breakpoint view of the continuous quadratic knapsack, on top of sorted
 simplex thresholding) finds the root exactly up to roundoff. A guess of
 the root's support, such as the previous solver iterate's, settles it in
 closed form when the guess is right and otherwise starts the search from
-a nearby point (Kiwiel 2008). There is no tolerance and no fallback;
-Dykstra's alternating projections remain as an independent reference.
+a nearby point (Kiwiel 2008). There is no tolerance and no fallback. The
+independent reference, Dykstra's alternating projections, lives in the tests
+(tests/reference.py).
 """
 
 from __future__ import annotations
@@ -28,10 +29,6 @@ from .errors import (
     NumericError,
     ProjectionFailureError,
 )
-
-#: Sweep budget and stopping tolerance of the Dykstra reference projection.
-DYKSTRA_MAX_ITERS = 10_000
-DYKSTRA_TOL = 1e-10
 
 
 @dataclass
@@ -117,16 +114,6 @@ def project_simplex(v: np.ndarray) -> np.ndarray:
     rho = cand[-1]
     tau = cssv[rho] / (rho + 1.0)
     return np.maximum(v - tau, 0.0)
-
-
-def project_halfspace(y: np.ndarray, fs: FeasibleSet) -> np.ndarray:
-    """Closed-form projection onto the return halfspace."""
-    y = np.asarray(y, dtype=np.float64)
-    mu = fs.mu
-    gap = fs.R_target - float(mu @ y)
-    if gap <= 0.0:  # always so when mu = 0, since then R_target <= 0
-        return y.copy()
-    return y + (gap / float(mu @ mu)) * mu
 
 
 def _flat_nu(v: np.ndarray, mu: np.ndarray) -> float:
@@ -297,32 +284,3 @@ def _settled(v, mu, R, nu, x, diag):
     diag.nu_star = nu
     diag.return_residual = abs(ret - R)
     return x, diag
-
-
-def dykstra_project(v: np.ndarray, fs: FeasibleSet) -> np.ndarray:
-    """Dykstra alternating projections between the simplex and the halfspace.
-
-    Converges to the exact projection onto the intersection; stops when the
-    simplex-side iterate moves less than DYKSTRA_TOL between sweeps. Kept as
-    an independent reference for ``project_feasible``.
-    """
-    v = np.asarray(v, dtype=np.float64)
-    x = v.copy()
-    p = np.zeros_like(v)
-    q = np.zeros_like(v)
-    y_prev = None
-    for _ in range(DYKSTRA_MAX_ITERS):
-        y = project_simplex(x + p)
-        p = x + p - y
-        x = project_halfspace(y + q, fs)
-        q = y + q - x
-        # Both half-iterates converge to the projection; requiring them to
-        # agree guards against stalls where the simplex side parks on a
-        # vertex for several sweeps while the corrections still evolve.
-        change = float(np.linalg.norm(y - y_prev)) if y_prev is not None else np.inf
-        if change <= DYKSTRA_TOL and float(np.linalg.norm(y - x)) <= DYKSTRA_TOL:
-            return y
-        y_prev = y
-    raise ProjectionFailureError(
-        f"Dykstra did not converge within {DYKSTRA_MAX_ITERS} sweeps"
-    )

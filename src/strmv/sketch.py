@@ -3,8 +3,7 @@
 ``apply_sketch`` is the one entry point. Two embeddings are provided: a
 dense Gaussian projection with entries N(0, 1/s), and CountSketch, where each
 input column is scattered with a random sign into one of s output columns.
-Both are fully deterministic per seed. A third kind, "identity", is a debug
-injection (requires s == T) used to validate pipelines without distortion.
+Both are fully deterministic per seed.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ import numpy as np
 from .errors import ArgumentError, DimensionError
 from .panel import CovarianceFactor
 
-SKETCH_KINDS = ("gaussian_jl", "countsketch", "identity")
+SKETCH_KINDS = ("gaussian_jl", "countsketch")
 
 #: Multiplier in the sketch-size rule s = ceil(c * (r + ln(1/delta)) / eps^2).
 #: The underlying guarantee only fixes the rate; this constant was calibrated
@@ -130,18 +129,14 @@ def _gaussian_jl(L: np.ndarray, s: int, seed: int) -> np.ndarray:
 def apply_sketch(factor: CovarianceFactor, cfg: SketchConfig) -> SketchedFactor:
     """Ltilde = L @ Phi for the configured kind, without forming Phi.
 
-    A sketch needs 1 <= s <= T, and the identity kind s == T. CountSketch
-    applies in O(nnz(L)); the Gaussian projection costs n*T*s.
+    A sketch needs 1 <= s <= T. CountSketch applies in O(nnz(L)); the
+    Gaussian projection costs n*T*s.
     """
     L = factor.L
     n, T = L.shape
-    if cfg.kind == "identity" and cfg.s != T:
-        raise DimensionError("identity sketch requires s == T")
     if not 1 <= cfg.s <= T:
         raise DimensionError(f"sketch size must satisfy 1 <= s <= T={T}, got s={cfg.s}")
-    if cfg.kind == "identity":
-        Ltilde, ops = L.copy(), 0
-    elif cfg.kind == "gaussian_jl":
+    if cfg.kind == "gaussian_jl":
         Ltilde, ops = _gaussian_jl(L, cfg.s, cfg.seed), n * T * cfg.s
     else:
         h, signs = countsketch_arrays(T, cfg.s, cfg.seed)
@@ -162,20 +157,3 @@ def recommended_sketch_size(r_effective: int, epsilon: float, delta: float) -> i
     if r_effective < 0:
         raise ArgumentError(f"r_effective must be nonnegative, got {r_effective}")
     return math.ceil(DEFAULT_SIZE_CONSTANT * (r_effective + math.log(1.0 / delta)) / epsilon**2)
-
-
-def materialize_sketch_matrix(cfg: SketchConfig, T: int) -> np.ndarray:
-    """Dense T x s Phi for debugging; refuses more than 10^6 entries."""
-    if T * cfg.s > 10**6:
-        raise ArgumentError(f"refusing to materialize {T}x{cfg.s} sketch matrix")
-    if cfg.kind == "gaussian_jl":
-        rng = np.random.default_rng(cfg.seed)
-        return rng.standard_normal((T, cfg.s)) / math.sqrt(cfg.s)
-    if cfg.kind == "countsketch":
-        h, signs = countsketch_arrays(T, cfg.s, cfg.seed)
-        phi = np.zeros((T, cfg.s))
-        phi[np.arange(T), h] = signs
-        return phi
-    if cfg.s != T:
-        raise DimensionError("identity sketch requires s == T")
-    return np.eye(T)

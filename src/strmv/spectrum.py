@@ -16,6 +16,7 @@ knee are still handled.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -36,20 +37,36 @@ KNEE_RHO = 0.9
 
 @dataclass
 class ThinSVD:
-    """Left singular vectors and values of a matrix, down to the rank floor.
+    """Singular values of a matrix down to the rank floor, and its left
+    singular vectors on demand.
 
     Built by ``thin_svd`` from one eigensolve of the smaller Gram matrix: S
     is exact to machine precision at the head and to about 1e-9 relative at
     the RANK_TOL floor. U is orthonormal to machine precision unless the
     matrix is tall; then U = A @ V / S, orthonormal to about 1e-9 at the floor.
+    U is formed on first access; ``factor`` forms only the columns it returns.
     """
 
-    U: np.ndarray  # (n, r), orthonormal columns
     S: np.ndarray  # (r,), descending positive
+    A: np.ndarray  # the (m, k) matrix
+    Q: np.ndarray  # (min(m, k), r) Gram eigenvectors: V when A is tall, else U
+    tall: bool  # A has more rows than columns
 
     @property
     def rank(self) -> int:
         return self.S.shape[0]
+
+    @cached_property
+    def U(self) -> np.ndarray:
+        """(m, r) left singular vectors, orthonormal columns."""
+        return (self.A @ self.Q) / self.S if self.tall else self.Q
+
+    def factor(self, k: int) -> np.ndarray:
+        """U[:, :k] * S[:k], without the other columns of U: A @ V[:, :k] when
+        A is tall, which also skips the division by S and the product by it."""
+        if self.tall:
+            return self.A @ self.Q[:, :k]
+        return self.Q[:, :k] * self.S[:k]
 
 
 @dataclass
@@ -112,19 +129,17 @@ def thin_svd(A: np.ndarray) -> ThinSVD:
 
     One symmetric eigensolve of the smaller Gram matrix replaces the SVD of
     the (m, k) matrix A. For m <= k, U and lam = S^2 are the eigenpairs of
-    A @ A.T. For a tall A, V and lam come from A.T @ A, and U = A @ V / S.
-    The Gram route resolves sigma_i to about eps * (sigma_1/sigma_i)^2
-    relative: machine precision at the head, about 1e-9 at the floor. Below
-    the floor it cannot resolve sigma, and a tall A's U stops being
-    orthonormal, so the floor is the rank.
+    A @ A.T. For a tall A, V and lam come from A.T @ A, and U = A @ V / S,
+    formed only when read. The Gram route resolves sigma_i to about
+    eps * (sigma_1/sigma_i)^2 relative: machine precision at the head, about
+    1e-9 at the floor. Below the floor it cannot resolve sigma, and a tall
+    A's U stops being orthonormal, so the floor is the rank.
     """
     A, tall, G = _gram(A)
     lam, Q = np.linalg.eigh(G)
     lam, Q = lam[::-1], Q[:, ::-1]
     r = _numerical_rank(lam)
-    S = np.sqrt(lam[:r])
-    U = (A @ Q[:, :r]) / S if tall else Q[:, :r]
-    return ThinSVD(U=U, S=S)
+    return ThinSVD(S=np.sqrt(lam[:r]), A=A, Q=Q[:, :r], tall=tall)
 
 
 def cumulative_energy(eigenvalues: np.ndarray) -> np.ndarray:

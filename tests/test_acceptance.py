@@ -23,15 +23,12 @@ from strmv.models import (
 )
 from strmv.oracle import QPInstance, project_exact, solve_exact
 from strmv.panel import CovarianceFactor, SyntheticSpec, center_and_factor, generate_synthetic
-from strmv.projection import FeasibleSet, dykstra_project, project_feasible
-from strmv.sketch import (
-    SketchConfig,
-    apply_sketch,
-    materialize_sketch_matrix,
-    recommended_sketch_size,
-)
+from strmv.projection import FeasibleSet, project_feasible
+from strmv.sketch import SketchConfig, apply_sketch, recommended_sketch_size
 from strmv.solver import SolverConfig, gradient, objective, solve
 from strmv.spectrum import cumulative_energy, energy_rank
+
+from reference import dykstra_project, materialize_sketch_matrix
 
 
 def report(criterion, ok, detail):

@@ -77,8 +77,8 @@ class TestApproximationSweep:
         with pytest.raises(RuntimeError):
             run_approximation_sweep(small_cfg(repetitions=1))
 
-    def test_identity_sketch_has_no_spectral_error(self):
-        # the debug identity injection reproduces the covariance exactly
+    def test_identity_sketch_has_no_spectral_error(self, unsketched):
+        # a sketch model of the unsketched factor reproduces the covariance exactly
         from strmv.bench import _model_from_spec
         from strmv.metrics import relative_spectral_error
 
@@ -87,7 +87,7 @@ class TestApproximationSweep:
         )
         factor = center_and_factor(panel)
         model = _model_from_spec(
-            factor, ModelSpec(kind="sketch", sketch_kind="identity", s=48), seed=0
+            factor, ModelSpec(kind="sketch", sketch_kind="gaussian_jl", s=48), seed=0
         )
         err = relative_spectral_error(model.covariance(), factor.L @ factor.L.T)
         assert err <= 1e-10
@@ -164,6 +164,14 @@ class TestModelFromSpec:
             ModelSpec(kind="str", s_over_ell=ratio, eta=0.9)
         with pytest.raises(ArgumentError, match="s_over_ell_grid values must be > 0"):
             small_cfg(s_over_ell_grid=[2.0, ratio])
+
+    @pytest.mark.parametrize("kind", ["bogus", "identity"])
+    def test_unknown_sketch_kind_rejected_at_construction(self, kind):
+        # before any panel is generated or baseline solved
+        from strmv.errors import ArgumentError
+
+        with pytest.raises(ArgumentError, match=f"unknown sketch kind '{kind}'"):
+            ModelSpec(kind="str", sketch_kind=kind)
 
 
 class TestRateExperiment:

@@ -104,21 +104,21 @@ class TestAnnualize:
 
 
 class TestConditioningReport:
-    def test_str_closed_form(self):
+    def test_str_closed_form(self, unsketched):
         rng = np.random.default_rng(3)
         L = rng.standard_normal((6, 12))
         f = factor_of(L)
-        m = build_str(f, SketchConfig(kind="identity", s=12, seed=0), ell=3, gamma=1.0)
+        m = build_str(f, SketchConfig(kind="gaussian_jl", s=12, seed=0), ell=3, gamma=1.0)
         rep = conditioning_report(m)
         sigma1 = m.singular_values[0]
         assert rep.kappa == pytest.approx(sigma1**2 + 1.0)
         eig = np.linalg.eigvalsh(m.covariance())
         assert rep.kappa == pytest.approx(eig[-1] / eig[0], rel=1e-10)
 
-    def test_target_kappa_is_exact(self):
+    def test_target_kappa_is_exact(self, unsketched):
         rng = np.random.default_rng(4)
         f = factor_of(rng.standard_normal((5, 20)))
-        m = build_str(f, SketchConfig(kind="identity", s=20, seed=0), ell=3,
+        m = build_str(f, SketchConfig(kind="gaussian_jl", s=20, seed=0), ell=3,
                       kappa_target=100.0)
         assert conditioning_report(m).kappa == pytest.approx(100.0)
 

@@ -11,9 +11,11 @@ from strmv.models import (
     ridge_for_target_kappa,
 )
 from strmv.panel import CovarianceFactor
-from strmv.sketch import SketchConfig, materialize_sketch_matrix
+from strmv.sketch import SketchConfig
 from strmv.solver import gradient, objective
 from strmv.spectrum import thin_svd
+
+from reference import materialize_sketch_matrix
 
 
 def factor_of(L):
@@ -42,11 +44,11 @@ class TestBaselineAndSketch:
         m = build_baseline(factor_of(np.zeros((3, 4))))
         assert objective(m, np.ones(3)) == 0.0
 
-    def test_identity_sketch_reproduces_objective(self):
+    def test_identity_sketch_reproduces_objective(self, unsketched):
         rng = np.random.default_rng(0)
         L = rng.standard_normal((4, 6))
         f = factor_of(L)
-        m = build_sketch(f, SketchConfig(kind="identity", s=6, seed=0))
+        m = build_sketch(f, SketchConfig(kind="gaussian_jl", s=6, seed=0))
         base = build_baseline(f)
         for _ in range(5):
             x = rng.standard_normal(4)
@@ -101,9 +103,9 @@ class TestRidgeFormulas:
         with pytest.raises(ArgumentError, match="kappa_target must be finite, got inf"):
             ridge_for_target_kappa(1.0, float("inf"))
 
-    def test_policy_validation(self):
+    def test_policy_validation(self, unsketched):
         L = random_low_rank(6, 10, 2, seed=0)
-        cfg = SketchConfig(kind="identity", s=10, seed=0)
+        cfg = SketchConfig(kind="gaussian_jl", s=10, seed=0)
         with pytest.raises(ArgumentError):
             build_str(factor_of(L), cfg, gamma=0.0)
         with pytest.raises(ArgumentError):
@@ -111,32 +113,32 @@ class TestRidgeFormulas:
 
 
 class TestBuildStr:
-    def test_exact_rank_recovery(self):
+    def test_exact_rank_recovery(self, unsketched):
         L = random_low_rank(6, 10, 2, seed=0, sig=np.array([3.0, 1.5]))
         f = factor_of(L)
         m = build_str(
             f,
-            SketchConfig(kind="identity", s=10, seed=0),
+            SketchConfig(kind="gaussian_jl", s=10, seed=0),
             gamma=0.1,
         )
         assert m.provenance["ell"] == 2
         sigma1 = np.linalg.norm(L, 2)
         assert np.linalg.norm(m.L_eff @ m.L_eff.T - L @ L.T, 2) <= 1e-8 * sigma1**2
 
-    def test_lifted_eigenvalues(self):
+    def test_lifted_eigenvalues(self, unsketched):
         L = random_low_rank(6, 10, 2, seed=1, sig=np.array([3.0, 1.5]))
         m = build_str(
             factor_of(L),
-            SketchConfig(kind="identity", s=10, seed=0),
+            SketchConfig(kind="gaussian_jl", s=10, seed=0),
             gamma=0.1,
         )
         eig = np.linalg.eigvalsh(m.covariance())
         expected = np.sort(np.r_[np.full(4, 0.1), 1.5**2 + 0.1, 3.0**2 + 0.1])
         np.testing.assert_allclose(eig, expected, rtol=1e-10)
 
-    def test_kappa_identity(self):
+    def test_kappa_identity(self, unsketched):
         L = random_low_rank(8, 16, 3, seed=2)
-        m = build_str(factor_of(L), SketchConfig(kind="identity", s=16, seed=0))
+        m = build_str(factor_of(L), SketchConfig(kind="gaussian_jl", s=16, seed=0))
         eig = np.linalg.eigvalsh(m.covariance())
         kappa = eig[-1] / eig[0]
         closed = (m.singular_values[0] ** 2 + m.gamma) / m.gamma
@@ -170,32 +172,32 @@ class TestBuildStr:
             FactorModel(L_eff=np.eye(2), gamma=0.0, kind="baseline",
                         singular_values=[1.0, 1.0])
 
-    def test_kept_spectrum_is_typed(self):
+    def test_kept_spectrum_is_typed(self, unsketched):
         L = random_low_rank(8, 20, 5, seed=3)
-        m = build_str(factor_of(L), SketchConfig(kind="identity", s=20, seed=0), ell=3)
+        m = build_str(factor_of(L), SketchConfig(kind="gaussian_jl", s=20, seed=0), ell=3)
         np.testing.assert_allclose(m.singular_values,
                                    np.linalg.svd(L, compute_uv=False)[:3], rtol=1e-12)
         assert not m.singular_values.flags.writeable
         assert set(m.provenance) == {"sketch", "ell", "gamma", "kappa_target"}
         assert m.provenance["kappa_target"] == 1e3
-        pinned = build_str(factor_of(L), SketchConfig(kind="identity", s=20, seed=0),
+        pinned = build_str(factor_of(L), SketchConfig(kind="gaussian_jl", s=20, seed=0),
                            ell=3, gamma=0.5)
         assert (pinned.provenance["gamma"], pinned.provenance["kappa_target"]) == (0.5, None)
 
-    def test_degenerate_spectrum(self):
+    def test_degenerate_spectrum(self, unsketched):
         with pytest.raises(DegenerateSpectrumError):
-            build_str(factor_of(np.zeros((3, 5))), SketchConfig(kind="identity", s=5, seed=0))
+            build_str(factor_of(np.zeros((3, 5))), SketchConfig(kind="gaussian_jl", s=5, seed=0))
 
-    def test_ell_override(self):
+    def test_ell_override(self, unsketched):
         L = random_low_rank(8, 20, 5, seed=3)
-        m = build_str(factor_of(L), SketchConfig(kind="identity", s=20, seed=0), ell=2)
+        m = build_str(factor_of(L), SketchConfig(kind="gaussian_jl", s=20, seed=0), ell=2)
         assert m.columns == 2 and m.provenance["ell"] == 2
         assert "ell_requested" not in m.provenance
 
-    def test_ell_above_rank_is_clamped_visibly(self, caplog):
+    def test_ell_above_rank_is_clamped_visibly(self, caplog, unsketched):
         L = random_low_rank(8, 20, 5, seed=3)
         with caplog.at_level("WARNING", logger="strmv.models"):
-            m = build_str(factor_of(L), SketchConfig(kind="identity", s=20, seed=0), ell=7)
+            m = build_str(factor_of(L), SketchConfig(kind="gaussian_jl", s=20, seed=0), ell=7)
         assert m.columns == 5 and m.provenance["ell"] == 5
         assert m.provenance["ell_requested"] == 7
         assert len(caplog.records) == 1 and "ell=7" in caplog.records[0].getMessage()

@@ -363,8 +363,11 @@ def test_loadtxt_path_matches_per_cell_parse(tmp_path, monkeypatch, text):
 
 
 def use_cpus(monkeypatch, cpus):
-    """Make CSV I/O see ``cpus`` CPUs, so it cuts a file into that many parts."""
+    """Make CSV I/O see ``cpus`` CPUs and split any file or panel, however
+    small, so it cuts one into that many parts."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    monkeypatch.setattr(strmv.panel, "_LOAD_PART_BYTES", 1)
+    monkeypatch.setattr(strmv.panel, "_SAVE_PART_CELLS", 1)
 
 
 def assert_clean(directory, names):
@@ -376,6 +379,24 @@ def assert_clean(directory, names):
 # Every id holds a byte csv.writer quotes, so one sits next to every part boundary.
 ODD_IDS = ['a,b', 'q"q', "c\rr", "l\nf", '"', ",", "\r\n", 'x,"\r\ny', "é,\n"]
 PART_CPUS = [1, 2, 3, 9]  # 9 = one part per asset
+
+
+def test_a_small_round_trip_starts_no_process(tmp_path, monkeypatch):
+    # A worker costs more than the 130 kB it would handle; a part per CPU
+    # here would fork.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    forks = []
+
+    def no_fork():
+        forks.append(1)
+        raise OSError("a CSV worker was started")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    panel = generate_synthetic(SyntheticSpec(n=40, T=160, seed=0))
+    save_panel(panel, tmp_path / "small.csv")
+    again = load_panel(tmp_path / "small.csv")
+    assert forks == []
+    np.testing.assert_array_equal(again.returns, panel.returns)
 
 
 class TestParts:
@@ -415,7 +436,7 @@ class TestParts:
         path.write_bytes((eol.join(lines) + eol).encode())
         for cpus in PART_CPUS:
             use_cpus(monkeypatch, cpus)
-            spans = strmv.panel._row_spans(path, strmv.panel._process_count())
+            spans = strmv.panel._row_spans(path, cpus)
             assert min(cpus, 4) <= len(spans) <= cpus  # byte cuts can meet in one line
             again = load_panel(path)
             assert again.asset_ids == ids

