@@ -21,7 +21,6 @@ from .metrics import (
     INTERVALS_PER_YEAR,
     PortfolioStats,
     annualize,
-    conditioning_report,
     objective_gap,
     relative_spectral_error,
 )
@@ -30,10 +29,9 @@ from .models import (
     build_baseline,
     build_sketch,
     build_str,
-    kappa_improvement_threshold,
     ridge_for_target_kappa,
 )
-from .oracle import OracleSolution, QPInstance, project_exact, solve_exact
+from .oracle import OracleSolution, QPInstance, solve_exact
 from .panel import (
     CovarianceFactor,
     ReturnPanel,
@@ -72,7 +70,6 @@ from .spectrum import (
     energy_rank,
     select_truncation_level,
     thin_svd,
-    truncation_error_bound,
 )
 
 __version__ = "0.1.0"

@@ -342,8 +342,8 @@ def _run_model(factor, mspec, seed, dense_singvals, fs, baseline, f_ref, cfg, re
     ``f_ref``.
 
     Returns (model, result, score, times): ``score`` holds the gap, iteration
-    count, termination and momentum fields of a row, ``times`` its wall-clock
-    fields.
+    count, termination, momentum and kappa fields of a row, ``times`` its
+    wall-clock fields.
     """
     t0 = time.perf_counter()
     model = _model_from_spec(factor, mspec, seed, dense_singvals)
@@ -355,6 +355,7 @@ def _run_model(factor, mspec, seed, dense_singvals, fs, baseline, f_ref, cfg, re
         "termination": result.termination,
         "momentum": result.momentum,
         "restarts": result.restarts,
+        "kappa": result.kappa if math.isfinite(result.kappa) else None,  # JSON has no inf
     }
     times = {
         "build_time_s": build_time,

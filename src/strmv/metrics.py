@@ -1,5 +1,5 @@
-"""Experiment metrics: spectral errors, objective gaps, conditioning, and
-annualized out-of-sample portfolio statistics."""
+"""Experiment metrics: spectral errors, objective gaps, and annualized
+out-of-sample portfolio statistics."""
 
 from __future__ import annotations
 
@@ -9,8 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ArgumentError, DimensionError, NumericError
-from .models import FactorModel
-from .spectrum import singular_values, symmetric_eigenvalues
+from .spectrum import symmetric_eigenvalues
 
 #: 5-minute intervals per trading year: 48 per day times 244 trading days.
 INTERVALS_PER_YEAR = 48 * 244
@@ -27,22 +26,6 @@ class PortfolioStats:
             "annualized_return_pct": self.annualized_return,
             "annualized_vol_pct": self.annualized_vol,
             "intervals_per_year": self.intervals_per_year,
-        }
-
-
-@dataclass
-class ConditioningReport:
-    lambda_min: float
-    lambda_max: float
-    kappa: float  # inf when the model is rank deficient with no ridge
-    finite: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "lambda_min": self.lambda_min,
-            "lambda_max": self.lambda_max,
-            "kappa": self.kappa if self.finite else None,
-            "finite": self.finite,
         }
 
 
@@ -91,22 +74,3 @@ def annualize(test_returns_per_interval: np.ndarray) -> PortfolioStats:
     ann_vol = float(r.std(ddof=1)) * math.sqrt(INTERVALS_PER_YEAR) * 100.0
     return PortfolioStats(annualized_return=ann_ret, annualized_vol=ann_vol)
 
-
-def conditioning_report(model: FactorModel) -> ConditioningReport:
-    """Extreme eigenvalues and condition number of the model covariance.
-
-    With sv the factor's singular values (stored on a str model, else from
-    ``singular_values``): lam_max = sv_1^2 + gamma, and lam_min = sv_n^2 +
-    gamma when the factor has at least n columns, else gamma. A ridgeless
-    model with lam_min = 0 reports an infinite condition number.
-    """
-    sv = model.singular_values
-    if sv is None:
-        sv = singular_values(model.L_eff)
-    s_1 = float(sv[0]) if sv.size else 0.0
-    # With fewer columns than assets, L_eff @ L_eff.T is singular: sv_n = 0.
-    s_n = float(sv[model.n - 1]) if 0 < model.n <= model.columns else 0.0
-    lam_max, lam_min = s_1**2 + model.gamma, s_n**2 + model.gamma
-    finite = lam_min > 0.0
-    kappa = lam_max / lam_min if finite else math.inf
-    return ConditioningReport(lambda_min=lam_min, lambda_max=lam_max, kappa=kappa, finite=finite)

@@ -117,23 +117,6 @@ def ridge_for_target_kappa(sigma1: float, kappa_target: float) -> float:
     return sigma1**2 / (kappa_target - 1.0)
 
 
-def kappa_improvement_threshold(lambda_min: float, lambda_max: float, epsilon: float) -> float:
-    """Smallest ridge guaranteeing a strict conditioning improvement.
-
-    Any gamma strictly above (1+eps)*lam_min*lam_max / (lam_max - (1+eps)*lam_min)
-    gives kappa(lifted) < kappa(original). The denominator is nonpositive when
-    the original matrix is too well conditioned for the bound to bind.
-    """
-    if lambda_min <= 0.0 or lambda_max <= 0.0:
-        raise ArgumentError("eigenvalues must be positive")
-    denom = lambda_max - (1.0 + epsilon) * lambda_min
-    if denom <= 0.0:
-        raise ArgumentError(
-            "threshold undefined: lambda_max must exceed (1+epsilon)*lambda_min"
-        )
-    return (1.0 + epsilon) * lambda_min * lambda_max / denom
-
-
 def build_str(
     factor: CovarianceFactor,
     cfg: SketchConfig,

@@ -183,10 +183,3 @@ def solve_exact(inst: QPInstance) -> OracleSolution:
     best.subsets_visited = visited
     best.subsets_skipped = skipped
     return best
-
-
-def project_exact(v: np.ndarray, fs: FeasibleSet) -> np.ndarray:
-    """Exact projection onto the feasible set: argmin ||x - v||^2 over F."""
-    v = np.asarray(v, dtype=np.float64)
-    inst = QPInstance(Q=2.0 * np.eye(v.size), c=-2.0 * v, fs=fs)
-    return solve_exact(inst).x

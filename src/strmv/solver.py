@@ -4,12 +4,19 @@ Each iteration takes a gradient at the extrapolated point, a projected step
 of fixed length alpha = 1/L_f onto the feasible set, and a momentum update:
 the standard t_k sequence in the convex regime, or a constant momentum built
 from the curvature bound in the strongly convex regime. The default momentum
-("auto") picks the regime from m_f: constant momentum when m_f > 0,
+("auto") picks the regime from the ridge: constant momentum when gamma > 0,
 otherwise the t_k sequence with gradient restart (O'Donoghue & Candes 2015),
 which resets the momentum whenever the step and the last move point against
 each other; "fista" runs the t_k sequence without restart. Termination uses
 the projected-gradient residual ||P_F(x - alpha*grad f(x)) - x||, which
 vanishes exactly at KKT points.
+
+A full-rank ridgeless model has an exact m_f > 0, yet "auto" keeps restart
+for it. Constant momentum from the global m_f pays only near kappa <~ 2e3
+and costs up to 9x beyond, while restart adapts to the curvature on the
+active face. Baseline on a centered n = 200, T = 201 panel (decay 0.9,
+floor 0.0316, 85th-percentile target, tol 1e-7, kappa = 6.7e5): restart
+stops after 340 iterations, constant momentum after 3180.
 
 Each iteration costs one gradient, taken at the new iterate x_k: f is
 quadratic, so the gradient at the extrapolated point y = x_k + beta*(x_k -
@@ -37,7 +44,7 @@ import numpy as np
 from .errors import ArgumentError, DimensionError
 from .models import FactorModel
 from .projection import FeasibleSet, project_feasible
-from .spectrum import singular_values, symmetric_eigenvalues
+from .spectrum import RANK_TOL, singular_values, symmetric_eigenvalues
 
 MOMENTUM_MODES = ("auto", "fista")
 
@@ -62,6 +69,7 @@ class SolverConfig:
 class CurvatureConstants:
     L_f: float
     m_f: float
+    kappa: float  # L_f / m_f; inf when m_f = 0
 
 
 @dataclass
@@ -73,6 +81,7 @@ class SolveResult:
     step_used: float
     L_f_estimate: float
     m_f: float
+    kappa: float  # L_f / m_f; inf when m_f = 0, written as null
     wall_time: float
     termination: str  # "tolerance" | "max_iters"
     momentum: str  # "strongly_convex" | "fista" | "fista_restart"
@@ -88,6 +97,7 @@ class SolveResult:
             "step_used": self.step_used,
             "L_f_estimate": self.L_f_estimate,
             "m_f": self.m_f,
+            "kappa": self.kappa if math.isfinite(self.kappa) else None,
             "wall_time_s": self.wall_time,
             "termination": self.termination,
             "momentum": self.momentum,
@@ -123,6 +133,14 @@ class DenseHessian:
 Operator = Union[FactorModel, DenseHessian]
 
 
+def _checked_point(model: Operator, x: np.ndarray) -> np.ndarray:
+    """x as float64, or DimensionError unless it is one weight per asset."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.shape != (model.n,):
+        raise DimensionError(f"x has shape {x.shape}, model is {model.n}-dimensional")
+    return x
+
+
 def gradient(model: Operator, x: np.ndarray) -> np.ndarray:
     """grad f(x) = 2 * L_eff @ (L_eff.T @ x) + 2 * gamma * x.
 
@@ -132,9 +150,7 @@ def gradient(model: Operator, x: np.ndarray) -> np.ndarray:
     the held rows alone. That sum leaves out only terms H_ij * 0, so it
     differs from H @ x by summation order.
     """
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (model.n,):
-        raise DimensionError(f"x has shape {x.shape}, model is {model.n}-dimensional")
+    x = _checked_point(model, x)
     if isinstance(model, DenseHessian):
         held = np.flatnonzero(x)
         # Measured crossover, 1 BLAS thread, x86-64: at n/4 held, the gather
@@ -150,6 +166,7 @@ def gradient(model: Operator, x: np.ndarray) -> np.ndarray:
 
 
 def objective(model: FactorModel, x: np.ndarray) -> float:
+    x = _checked_point(model, x)
     z = model.L_eff.T @ x
     val = float(z @ z)
     if model.gamma:
@@ -157,33 +174,46 @@ def objective(model: FactorModel, x: np.ndarray) -> float:
     return val
 
 
-def estimate_spectral_norm(model: Operator) -> float:
-    """||L_eff||_2, exact to roundoff, by one eigensolve in ``strmv.spectrum``.
+def _extreme_pair(sv: np.ndarray, n: int) -> tuple[float, float]:
+    """(sigma_1, sigma_n) of a descending spectrum; sigma_n = 0 when it holds
+    fewer than n values, as a factor with fewer than n columns does."""
+    return (float(sv[0]) if sv.size else 0.0), (float(sv[n - 1]) if 0 < n <= sv.size else 0.0)
 
-    On a ``DenseHessian`` it comes from the top eigenvalue of the H already
-    formed, 2 * (||L_eff||^2 + gamma); on a factor, from the Gram matrix of
-    its columns. A non-finite operator raises NumericError.
+
+def estimate_spectral_norm(model: Operator) -> tuple[float, float]:
+    """The extreme singular values (sigma_1, sigma_n) of L_eff, exact to
+    roundoff, by one eigensolve in ``strmv.spectrum``.
+
+    On a ``DenseHessian`` both come from the first and last eigenvalues of the
+    H already formed, 2 * (sigma^2 + gamma); on a factor, from the Gram matrix
+    of its columns, and sigma_n = 0 when it has fewer than n columns. A
+    non-finite operator raises NumericError.
     """
     if isinstance(model, DenseHessian):
-        return math.sqrt(max(0.5 * symmetric_eigenvalues(model.H)[0] - model.gamma, 0.0))
-    return float(singular_values(model.L_eff).max(initial=0.0))
+        lam = symmetric_eigenvalues(model.H)
+        return tuple(math.sqrt(max(0.5 * v - model.gamma, 0.0)) for v in (lam[0], lam[-1]))
+    return _extreme_pair(singular_values(model.L_eff), model.n)
 
 
 def curvature_constants(model: Operator) -> CurvatureConstants:
-    """Smoothness and strong-convexity constants from the factor spectrum.
+    """Smoothness and strong-convexity constants, and kappa = L_f/m_f, from
+    one spectrum: a model's stored singular values, else the one eigensolve
+    of ``estimate_spectral_norm``.
 
-    L_f = 2*(||L_eff||^2 + gamma), exact for every model: a str model stores
-    L_eff = U_ell * S_ell, so its norm is the first stored singular value;
-    other models take it from ``estimate_spectral_norm``. m_f = 2*gamma: any
-    factor with fewer columns than rows has a zero smallest covariance
-    eigenvalue, and for the full baseline computing it is as hard as the
-    problem itself.
+    L_f = 2*(sigma_1^2 + gamma). m_f = 2*(sigma_n^2 + gamma), where sigma_n
+    counts only when the factor has at least n columns and sigma_n^2 >=
+    RANK_TOL * sigma_1^2: below that floor it is roundoff (a centered panel
+    with T <= n has rank below n). Otherwise m_f = 2*gamma exactly, as on the
+    factor path and for every str model with ell < n.
     """
     if model.singular_values is not None:
-        sigma_1 = float(model.singular_values[0])
+        sigma_1, sigma_n = _extreme_pair(model.singular_values, model.n)
     else:
-        sigma_1 = estimate_spectral_norm(model)
-    return CurvatureConstants(L_f=2.0 * (sigma_1**2 + model.gamma), m_f=2.0 * model.gamma)
+        sigma_1, sigma_n = estimate_spectral_norm(model)
+    if sigma_n**2 < RANK_TOL * sigma_1**2:
+        sigma_n = 0.0
+    L_f, m_f = 2.0 * (sigma_1**2 + model.gamma), 2.0 * (sigma_n**2 + model.gamma)
+    return CurvatureConstants(L_f=L_f, m_f=m_f, kappa=L_f / m_f if m_f > 0 else math.inf)
 
 
 def gradient_operator(model: FactorModel) -> Operator:
@@ -239,7 +269,7 @@ def solve(
 
     momentum = cfg.momentum_mode
     if momentum == "auto":
-        momentum = "strongly_convex" if m_f > 0 else "fista_restart"
+        momentum = "strongly_convex" if model.gamma > 0 else "fista_restart"
     if momentum == "strongly_convex":
         root = math.sqrt(alpha * m_f)
         beta_const = (1.0 - root) / (1.0 + root)
@@ -255,7 +285,8 @@ def solve(
         return SolveResult(
             x=x, objective=objective(model, x), iterations=iterations,
             residual_trace=np.asarray(residuals), step_used=alpha,
-            L_f_estimate=L_f, m_f=m_f, wall_time=time.perf_counter() - start,
+            L_f_estimate=L_f, m_f=m_f, kappa=consts.kappa,
+            wall_time=time.perf_counter() - start,
             termination=termination, momentum=momentum, restarts=restarts,
             objective_trace=np.asarray(obj_trace),
         )

@@ -199,17 +199,3 @@ def select_truncation_level(singular_values: np.ndarray) -> int:
     if both.any():
         return int(np.nonzero(both)[0][-1]) + 1
     return int(np.nonzero(head)[0][-1]) + 1
-
-
-def truncation_error_bound(
-    sketched_eigs: np.ndarray, ell: int, epsilon: float
-) -> float:
-    """Computable bound on the (ell+1)-th true eigenvalue: lam~_{ell+1}/(1-eps)."""
-    if not 0.0 <= epsilon < 1.0:
-        raise ArgumentError(f"epsilon must be in [0,1), got {epsilon}")
-    lam = np.asarray(sketched_eigs, dtype=np.float64)
-    if ell < 0:
-        raise ArgumentError(f"ell must be nonnegative, got {ell}")
-    if ell >= lam.size:
-        return 0.0
-    return float(lam[ell] / (1.0 - epsilon))

@@ -1,10 +1,13 @@
-"""Independent references the tests compare the package against.
+"""Independent references and bounds the tests compare the package against.
 
 ``dykstra_project`` reaches the exact projection onto the feasible set by
 alternating projections, a route that shares nothing with the package's
-Newton search but ``project_simplex``. ``materialize_sketch_matrix`` forms
-the dense Phi that ``apply_sketch`` never forms, so a test can sketch by a
-plain product and measure a sketch's subspace distortion.
+Newton search but ``project_simplex``; ``project_exact`` reaches it through
+the enumeration oracle. ``materialize_sketch_matrix`` forms the dense Phi
+that ``apply_sketch`` never forms, so a test can sketch by a plain product
+and measure a sketch's subspace distortion. ``kappa_improvement_threshold``
+and ``truncation_error_bound`` are the paper's bounds that the tests check
+built models against.
 """
 
 import math
@@ -12,6 +15,7 @@ import math
 import numpy as np
 
 from strmv.errors import ArgumentError, ProjectionFailureError
+from strmv.oracle import QPInstance, solve_exact
 from strmv.projection import FeasibleSet, project_simplex
 from strmv.sketch import SketchConfig, countsketch_arrays
 
@@ -71,3 +75,41 @@ def dykstra_project(v: np.ndarray, fs: FeasibleSet) -> np.ndarray:
     raise ProjectionFailureError(
         f"Dykstra did not converge within {DYKSTRA_MAX_ITERS} sweeps"
     )
+
+
+def kappa_improvement_threshold(lambda_min: float, lambda_max: float, epsilon: float) -> float:
+    """Smallest ridge guaranteeing a strict conditioning improvement.
+
+    Any gamma strictly above (1+eps)*lam_min*lam_max / (lam_max - (1+eps)*lam_min)
+    gives kappa(lifted) < kappa(original). The denominator is nonpositive when
+    the original matrix is too well conditioned for the bound to bind.
+    """
+    if lambda_min <= 0.0 or lambda_max <= 0.0:
+        raise ArgumentError("eigenvalues must be positive")
+    denom = lambda_max - (1.0 + epsilon) * lambda_min
+    if denom <= 0.0:
+        raise ArgumentError(
+            "threshold undefined: lambda_max must exceed (1+epsilon)*lambda_min"
+        )
+    return (1.0 + epsilon) * lambda_min * lambda_max / denom
+
+
+def truncation_error_bound(
+    sketched_eigs: np.ndarray, ell: int, epsilon: float
+) -> float:
+    """Computable bound on the (ell+1)-th true eigenvalue: lam~_{ell+1}/(1-eps)."""
+    if not 0.0 <= epsilon < 1.0:
+        raise ArgumentError(f"epsilon must be in [0,1), got {epsilon}")
+    lam = np.asarray(sketched_eigs, dtype=np.float64)
+    if ell < 0:
+        raise ArgumentError(f"ell must be nonnegative, got {ell}")
+    if ell >= lam.size:
+        return 0.0
+    return float(lam[ell] / (1.0 - epsilon))
+
+
+def project_exact(v: np.ndarray, fs: FeasibleSet) -> np.ndarray:
+    """Exact projection onto the feasible set: argmin ||x - v||^2 over F."""
+    v = np.asarray(v, dtype=np.float64)
+    inst = QPInstance(Q=2.0 * np.eye(v.size), c=-2.0 * v, fs=fs)
+    return solve_exact(inst).x

@@ -15,20 +15,20 @@ import pytest
 
 from strmv.bench import strip_timings
 from strmv.metrics import objective_gap, relative_spectral_error
-from strmv.models import (
-    build_baseline,
-    build_sketch,
-    build_str,
-    kappa_improvement_threshold,
-)
-from strmv.oracle import QPInstance, project_exact, solve_exact
+from strmv.models import build_baseline, build_sketch, build_str
+from strmv.oracle import QPInstance, solve_exact
 from strmv.panel import CovarianceFactor, SyntheticSpec, center_and_factor, generate_synthetic
 from strmv.projection import FeasibleSet, project_feasible
 from strmv.sketch import SketchConfig, apply_sketch, recommended_sketch_size
 from strmv.solver import SolverConfig, gradient, objective, solve
 from strmv.spectrum import cumulative_energy, energy_rank
 
-from reference import dykstra_project, materialize_sketch_matrix
+from reference import (
+    dykstra_project,
+    kappa_improvement_threshold,
+    materialize_sketch_matrix,
+    project_exact,
+)
 
 
 def report(criterion, ok, detail):

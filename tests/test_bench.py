@@ -222,6 +222,10 @@ class TestSolverBenchmark:
                                      "str-gaussian_jl": "strongly_convex"}[r["model"]]
             assert r["restarts"] >= 0
             assert r["termination"] == "tolerance"
+            # Both panels have T > n, so every model is full rank or ridged.
+            assert r["kappa"] > 1.0
+            if r["model"] != "baseline":
+                assert r["kappa"] <= 1e3 * (1 + 1e-12)  # the default kappa_target
 
 
 class TestRealPanel:

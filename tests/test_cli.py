@@ -118,6 +118,26 @@ class TestSubcommands:
         else:
             assert sv is None
 
+    def test_solve_writes_infinite_kappa_as_null(self, tmp_path):
+        # 20 columns for 40 assets: the sketch model has no curvature, and
+        # its kappa must come out as JSON null, not the non-JSON Infinity.
+        panel = tmp_path / "panel.csv"
+        assert main(["synth", "--n", "40", "--T", "160", "--decay", "0.9", "--floor",
+                     "0.02", "--out", str(panel)]) == 0
+        out = tmp_path / "result.json"
+
+        def refuse(name):
+            raise ValueError(f"non-JSON constant {name}")
+
+        assert main(["solve", "--panel", str(panel), "--model", "sketch", "--s", "20",
+                     "--out", str(out)]) == 0
+        payload = json.loads(out.read_text(), parse_constant=refuse)
+        assert payload["kappa"] is None and payload["m_f"] == 0.0
+        assert main(["solve", "--panel", str(panel), "--model", "baseline",
+                     "--out", str(out)]) == 0
+        payload = json.loads(out.read_text(), parse_constant=refuse)
+        assert payload["kappa"] > 1.0 and payload["momentum"] == "fista_restart"
+
     def test_solve_max_iters_warns(self, panel_csv, tmp_path):
         out = tmp_path / "result.json"
         proc = run_cli("solve", "--panel", str(panel_csv), "--model", "baseline",

@@ -9,7 +9,6 @@ from strmv.errors import ArgumentError, DimensionError, NumericError
 from strmv.metrics import (
     INTERVALS_PER_YEAR,
     annualize,
-    conditioning_report,
     objective_gap,
     relative_spectral_error,
 )
@@ -18,6 +17,7 @@ from strmv.oracle import QPInstance, solve_exact
 from strmv.panel import CovarianceFactor
 from strmv.projection import FeasibleSet
 from strmv.sketch import SketchConfig
+from strmv.solver import curvature_constants
 
 
 def factor_of(L):
@@ -104,39 +104,41 @@ class TestAnnualize:
 
 
 class TestConditioningReport:
+    """The model's conditioning as a solve reports it: L_f, m_f and kappa
+    from ``curvature_constants``, on the Hessian 2 * covariance."""
+
     def test_str_closed_form(self, unsketched):
         rng = np.random.default_rng(3)
         L = rng.standard_normal((6, 12))
         f = factor_of(L)
         m = build_str(f, SketchConfig(kind="gaussian_jl", s=12, seed=0), ell=3, gamma=1.0)
-        rep = conditioning_report(m)
+        consts = curvature_constants(m)
         sigma1 = m.singular_values[0]
-        assert rep.kappa == pytest.approx(sigma1**2 + 1.0)
+        assert consts.kappa == pytest.approx(sigma1**2 + 1.0)
         eig = np.linalg.eigvalsh(m.covariance())
-        assert rep.kappa == pytest.approx(eig[-1] / eig[0], rel=1e-10)
+        assert consts.kappa == pytest.approx(eig[-1] / eig[0], rel=1e-10)
 
     def test_target_kappa_is_exact(self, unsketched):
         rng = np.random.default_rng(4)
         f = factor_of(rng.standard_normal((5, 20)))
         m = build_str(f, SketchConfig(kind="gaussian_jl", s=20, seed=0), ell=3,
                       kappa_target=100.0)
-        assert conditioning_report(m).kappa == pytest.approx(100.0)
+        assert curvature_constants(m).kappa == pytest.approx(100.0)
 
     def test_rank_deficient_flags_infinite(self):
         m = FactorModel(L_eff=np.random.default_rng(5).standard_normal((6, 3)),
                         gamma=0.0, kind="sketch")
-        rep = conditioning_report(m)
-        assert not rep.finite and math.isinf(rep.kappa)
+        consts = curvature_constants(m)
+        assert consts.m_f == 0.0 and math.isinf(consts.kappa)
 
     @pytest.mark.parametrize("shape", [(6, 6), (6, 10)])
     def test_full_rank_ridgeless_matches_dense(self, shape):
         m = FactorModel(L_eff=np.random.default_rng(6).standard_normal(shape),
                         gamma=0.0, kind="baseline")
-        rep = conditioning_report(m)
+        consts = curvature_constants(m)
         eig = np.linalg.eigvalsh(m.covariance())
-        assert rep.finite
         np.testing.assert_allclose(
-            [rep.lambda_min, rep.lambda_max, rep.kappa],
+            [consts.m_f / 2, consts.L_f / 2, consts.kappa],
             [eig[0], eig[-1], eig[-1] / eig[0]],
             rtol=1e-10,
         )
@@ -147,10 +149,9 @@ class TestConditioningReport:
         s = 1.0 + np.arange(n) / n
         perm = np.random.default_rng(7).permutation(n)
         m = FactorModel(L_eff=np.diag(s)[:, perm], gamma=0.0, kind="sketch")
-        rep = conditioning_report(m)
-        assert rep.finite
+        consts = curvature_constants(m)
         np.testing.assert_allclose(
-            [rep.lambda_min, rep.lambda_max, rep.kappa],
+            [consts.m_f / 2, consts.L_f / 2, consts.kappa],
             [1.0, s[-1] ** 2, s[-1] ** 2],
             rtol=1e-10,
         )

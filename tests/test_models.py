@@ -7,7 +7,6 @@ from strmv.models import (
     build_baseline,
     build_sketch,
     build_str,
-    kappa_improvement_threshold,
     ridge_for_target_kappa,
 )
 from strmv.panel import CovarianceFactor
@@ -15,7 +14,7 @@ from strmv.sketch import SketchConfig
 from strmv.solver import gradient, objective
 from strmv.spectrum import thin_svd
 
-from reference import materialize_sketch_matrix
+from reference import kappa_improvement_threshold, materialize_sketch_matrix
 
 
 def factor_of(L):

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from strmv.errors import ArgumentError, InfeasibleTargetError, NumericError
-from strmv.oracle import QPInstance, project_exact, solve_exact
+from strmv.oracle import QPInstance, solve_exact
 from strmv.projection import FeasibleSet, project_feasible, project_simplex
+
+from reference import project_exact
 
 
 class TestSolveExact:

@@ -9,10 +9,9 @@ from strmv.errors import (
     NumericError,
     ProjectionFailureError,
 )
-from strmv.oracle import project_exact
 from strmv.projection import FeasibleSet, project_feasible, project_simplex
 
-from reference import dykstra_project, project_halfspace
+from reference import dykstra_project, project_exact, project_halfspace
 
 
 class TestSimplex:

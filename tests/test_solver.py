@@ -58,6 +58,12 @@ class TestGradient:
         with pytest.raises(DimensionError):
             gradient(m, np.zeros(3))
 
+    @pytest.mark.parametrize("shape", [(5,), (6, 2)])
+    def test_objective_dimension_mismatch(self, shape):
+        m = build_baseline(factor_of(np.random.default_rng(0).standard_normal((6, 8))))
+        with pytest.raises(DimensionError):
+            objective(m, np.ones(shape))
+
     def test_never_materializes_covariance(self):
         # n x m factor with m tiny: the gradient must cost O(n m), which we
         # check indirectly by matching the explicit covariance product.
@@ -70,21 +76,28 @@ class TestGradient:
 
 
 class TestSpectralNorm:
-    """Models without a stored spectrum get ||L_eff||_2 exactly, from one
-    eigensolve on whichever operator ``solve`` iterates on."""
+    """Models without a stored spectrum get the extreme singular values
+    (sigma_1, sigma_n) of L_eff exactly, from one eigensolve on whichever
+    operator ``solve`` iterates on."""
 
     def test_diagonal(self):
         m = build_baseline(factor_of(np.diag([3.0, 1.0])))
-        assert estimate_spectral_norm(m) == pytest.approx(3.0, rel=1e-15)
+        for op in (m, gradient_operator(m)):
+            assert estimate_spectral_norm(op) == pytest.approx((3.0, 1.0), rel=1e-15)
 
     def test_isotropic(self):
         m = build_baseline(factor_of(2.5 * np.eye(3)))
-        assert estimate_spectral_norm(m) == pytest.approx(2.5, rel=1e-15)
+        assert estimate_spectral_norm(m) == pytest.approx((2.5, 2.5), rel=1e-15)
 
     def test_zero_factor(self):
         m = build_baseline(factor_of(np.zeros((3, 4))))
-        assert estimate_spectral_norm(m) == 0.0
-        assert estimate_spectral_norm(gradient_operator(m)) == 0.0
+        assert estimate_spectral_norm(m) == (0.0, 0.0)
+        assert estimate_spectral_norm(gradient_operator(m)) == (0.0, 0.0)
+
+    def test_fewer_columns_than_assets_has_no_sigma_n(self):
+        m = build_sketch(factor_of(np.random.default_rng(2).standard_normal((6, 12))),
+                         SketchConfig(kind="countsketch", s=3, seed=0))
+        assert estimate_spectral_norm(m)[1] == 0.0
 
     @pytest.mark.parametrize("kind, path", [
         ("baseline", DenseHessian),  # 120 columns > n/2 = 15
@@ -98,8 +111,8 @@ class TestSpectralNorm:
         assert type(op) is path
         exact = 2.0 * np.linalg.norm(m.L_eff, 2) ** 2
         assert curvature_constants(op).L_f == pytest.approx(exact, rel=1e-12)
-        assert estimate_spectral_norm(op) == pytest.approx(np.linalg.norm(m.L_eff, 2),
-                                                           rel=1e-12)
+        assert estimate_spectral_norm(op)[0] == pytest.approx(np.linalg.norm(m.L_eff, 2),
+                                                              rel=1e-12)
 
     def test_step_is_at_most_one_over_l(self):
         # A slowly decaying spectrum, on which a 10-step power estimate of the
@@ -120,18 +133,42 @@ class TestCurvature:
         m = str_model(np.random.default_rng(0).standard_normal((5, 2)), gamma=0.1)
         consts = curvature_constants(m)
         assert consts.m_f == pytest.approx(0.2)
+        assert consts.kappa == consts.L_f / consts.m_f
 
-    def test_full_rank_baseline_has_no_strong_convexity(self):
-        # m_f is 2*gamma even when the factor has full row rank.
+    def test_full_rank_baseline_has_exact_strong_convexity(self):
+        # A factor of full row rank has m_f = 2 * sigma_n^2 on both operators.
         m = build_baseline(factor_of(np.diag([3.0, 1.0])))
-        consts = curvature_constants(m)
-        assert consts.L_f == 18.0
-        assert consts.m_f == 0.0
+        for op in (m, gradient_operator(m)):
+            consts = curvature_constants(op)
+            assert (consts.L_f, consts.m_f) == pytest.approx((18.0, 2.0), rel=1e-15)
+            assert consts.kappa == pytest.approx(9.0, rel=1e-15)
 
     def test_rank_deficient_sketch(self):
         m = FactorModel(L_eff=np.random.default_rng(1).standard_normal((5, 3)),
                         gamma=0.0, kind="sketch")
         assert curvature_constants(m).m_f == 0.0
+
+    @pytest.mark.parametrize("T", [30, 40])
+    def test_centered_panel_with_t_at_most_n_has_no_curvature(self, T):
+        # Centering leaves rank T - 1 < n = 40, yet T > n/2 columns put the
+        # solve on the dense Hessian, whose last eigenvalue is roundoff.
+        spec = SyntheticSpec(n=40, T=T, singular_decay=0.9, noise_floor=0.03, seed=0)
+        factor = center_and_factor(generate_synthetic(spec))
+        m = build_baseline(factor)
+        op = gradient_operator(m)
+        assert isinstance(op, DenseHessian)
+        assert np.linalg.eigvalsh(op.H)[0] != 0.0  # roundoff, not curvature
+        consts = curvature_constants(op)
+        assert consts.m_f == 0.0 and math.isinf(consts.kappa)
+        fs = FeasibleSet(mu=factor.mean, R_target=float(np.percentile(factor.mean, 60)))
+        res = solve(m, fs, cfg=SolverConfig(tol=1e-8))
+        assert res.m_f == 0.0 and res.to_dict()["kappa"] is None
+
+    def test_str_with_ell_at_n_reads_sigma_n(self):
+        m = str_model(np.diag([2.0, 1.0, 0.5]), gamma=0.25)
+        consts = curvature_constants(m)
+        assert consts.m_f == pytest.approx(2.0 * (0.25 + 0.25), rel=1e-15)
+        assert consts.kappa == pytest.approx((4.0 + 0.25) / (0.25 + 0.25), rel=1e-15)
 
 
 class TestSolve:
@@ -302,6 +339,50 @@ class TestMomentumRegime:
         assert consts.L_f == 2.0 * (m.singular_values[0] ** 2 + m.gamma)
         assert consts.m_f == 2.0 * m.gamma
         assert solve(m, fs, cfg=SolverConfig(tol=1e-8)).L_f_estimate == consts.L_f
+
+    def test_default_str_solve_reports_its_kappa_target(self):
+        m, fs = _str_desk_model(60, seed=3)
+        res = solve(m, fs, cfg=SolverConfig(tol=1e-9))
+        assert m.provenance["kappa_target"] == 1e3
+        assert res.kappa == pytest.approx(1e3, rel=1e-12)
+        assert res.m_f == 2.0 * m.gamma
+
+    def test_full_rank_ridgeless_baseline_keeps_restart(self):
+        # Exact m_f > 0, but kappa = 6.7e5: constant momentum from it took
+        # 3180 iterations where restart takes 340 (solver module docstring).
+        spec = SyntheticSpec(n=200, T=201, singular_decay=0.9, noise_floor=0.0316, seed=0)
+        factor = center_and_factor(generate_synthetic(spec))
+        fs = FeasibleSet(mu=factor.mean, R_target=float(np.percentile(factor.mean, 85)))
+        res = solve(build_baseline(factor), fs,
+                    cfg=SolverConfig(tol=1e-7, residual_check_stride=5))
+        assert res.m_f > 0.0 and 1e5 < res.kappa < 1e6
+        assert res.kappa == res.L_f_estimate / res.m_f
+        assert res.momentum == "fista_restart" and res.termination == "tolerance"
+
+    @pytest.mark.parametrize("kind, eigensolves", [
+        ("baseline", {"symmetric_eigenvalues": 1}),  # dense Hessian
+        ("sketch", {"singular_values": 1}),  # s = 12 <= n/2: factor path
+        ("str", {}),  # stored spectrum
+    ])
+    def test_one_curvature_eigensolve_per_solve(self, monkeypatch, kind, eigensolves):
+        import strmv.solver as solver
+
+        calls = {}
+        for name in ("symmetric_eigenvalues", "singular_values"):
+            original = getattr(solver, name)
+
+            def counted(A, _name=name, _original=original):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _original(A)
+
+            monkeypatch.setattr(solver, name, counted)
+        factor, fs = _wide_instance(30, seed=3)
+        cfg = SketchConfig(kind="countsketch", s=12, seed=3)
+        m = {"baseline": lambda: build_baseline(factor),
+             "sketch": lambda: build_sketch(factor, cfg),
+             "str": lambda: build_str(factor, cfg)}[kind]()
+        solve(m, fs, cfg=SolverConfig(tol=1e-8))
+        assert calls == eigensolves
 
     def test_restart_beats_plain_fista_on_a_binding_baseline(self):
         spec = SyntheticSpec(n=200, T=800, singular_decay=0.9, noise_floor=0.03, seed=0)

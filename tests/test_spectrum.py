@@ -12,8 +12,9 @@ from strmv.spectrum import (
     singular_values,
     symmetric_eigenvalues,
     thin_svd,
-    truncation_error_bound,
 )
+
+from reference import truncation_error_bound
 
 
 def log_spaced(m, k, seed=0):
