@@ -36,21 +36,12 @@ from .panel import (
 )
 from .projection import FeasibleSet
 from .sketch import SKETCH_KINDS, SketchConfig, _splitmix64, recommended_sketch_size
-from .solver import (
-    Operator,
-    SolverConfig,
-    gradient,
-    gradient_operator,
-    objective,
-    solve,
-)
+from .solver import SolverConfig, objective, solve
 from .spectrum import cumulative_energy, energy_rank, singular_values
 
 #: Report fields that are wall-clock measurements and therefore not part of
 #: the bit-reproducibility contract.
-TIMING_KEYS = frozenset(
-    {"build_time_s", "solve_time_s", "total_time_s", "wall_time_s", "grad_us_per_iter"}
-)
+TIMING_KEYS = frozenset({"build_time_s", "solve_time_s", "total_time_s", "wall_time_s"})
 
 #: Iterations of each fixed-step run in the rate experiment.
 RATE_ITERS = 500
@@ -129,6 +120,18 @@ class ModelSpec:
         return f"{self.kind}-{self.sketch_kind}"
 
 
+#: Top-level config keys each experiment reads. A config file that sets any
+#: other is refused, since the run would ignore it.
+CONFIG_KEYS = {
+    "approx": ("synthetic", "models", "eta_grid", "s_over_ell_grid", "solver", "repetitions",
+               "seed", "r_target_percentile"),
+    "rate": ("synthetic", "seed", "r_target_percentile"),
+    "solver": ("synthetic", "models", "sizes", "T_over_n", "solver", "repetitions",
+               "seed", "r_target_percentile"),
+    "real": ("panel_path", "models", "solver", "repetitions", "seed", "r_target_percentile"),
+}
+
+
 @dataclass
 class ExperimentConfig:
     synthetic: Optional[SyntheticSpec] = None
@@ -157,9 +160,18 @@ class ExperimentConfig:
             raise ArgumentError(f"s_over_ell_grid values must be > 0, got {self.s_over_ell_grid}")
 
     @classmethod
-    def from_dict(cls, raw: dict) -> "ExperimentConfig":
+    def from_dict(cls, raw: dict, experiment: str) -> "ExperimentConfig":
+        """The config ``raw`` describes for ``experiment``, which refuses a
+        key it does not read (``CONFIG_KEYS``)."""
         if not isinstance(raw, dict):
             raise ArgumentError(f"config must be an object, got {raw!r}")
+        fields = {f.name for f in dataclasses.fields(cls)}
+        unread = sorted((set(raw) & fields) - set(CONFIG_KEYS[experiment]))
+        if unread:
+            raise ArgumentError(
+                f"the {experiment} experiment does not read config keys {unread}; "
+                f"it reads {list(CONFIG_KEYS[experiment])}"
+            )
         raw = dict(raw)
         synth = raw.pop("synthetic", None)
         if synth is not None:
@@ -172,13 +184,13 @@ class ExperimentConfig:
         return _from_keys(cls, raw, "top-level", synthetic=synth, models=models, solver=solver)
 
     @classmethod
-    def from_json(cls, path) -> "ExperimentConfig":
+    def from_json(cls, path, experiment: str) -> "ExperimentConfig":
         try:
             with open(path) as fh:
                 raw = json.load(fh)
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ArgumentError(f"{path}: not a JSON config: {exc}") from None
-        return cls.from_dict(raw)
+        return cls.from_dict(raw, experiment)
 
 
 def _from_keys(kind, raw: dict, section: str, **parsed):
@@ -221,9 +233,6 @@ class BenchReport:
     summary: list[dict]
     environment: dict
     seed_ledger: dict
-
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
 
 
 def strip_timings(obj):
@@ -321,9 +330,9 @@ def _model_from_spec(
 
 
 def _timed_solve(model, fs, cfg, repeats: Optional[int] = None):
-    """One solve and its own ``wall_time``; with ``repeats``, one warm-up solve
-    is discarded first and the median ``wall_time`` of ``repeats`` solves is
-    kept.
+    """One solve and its own ``wall_time_s``; with ``repeats``, one warm-up
+    solve is discarded first and the median ``wall_time_s`` of ``repeats``
+    solves is kept.
 
     The solve itself is deterministic, so metrics come from the last run.
     """
@@ -332,7 +341,7 @@ def _timed_solve(model, fs, cfg, repeats: Optional[int] = None):
     times = []
     for _ in range(repeats or 1):
         result = solve(model, fs, cfg=cfg)
-        times.append(result.wall_time)
+        times.append(result.wall_time_s)
     return result, float(np.median(times))
 
 
@@ -355,7 +364,7 @@ def _run_model(factor, mspec, seed, dense_singvals, fs, baseline, f_ref, cfg, re
         "termination": result.termination,
         "momentum": result.momentum,
         "restarts": result.restarts,
-        "kappa": result.kappa if math.isfinite(result.kappa) else None,  # JSON has no inf
+        "kappa": result.kappa,
     }
     times = {
         "build_time_s": build_time,
@@ -624,22 +633,9 @@ def run_solver_benchmark(cfg: ExperimentConfig) -> BenchReport:
                     ),
                     **score,
                     **times,
-                    "grad_us_per_iter": _median_gradient_time(gradient_operator(model), result.x),
                 }
             )
     return _report("solver", cfg, rows)
-
-
-def _median_gradient_time(op: Operator, x: np.ndarray) -> float:
-    """Median microseconds per gradient evaluation over 100 calls, on the
-    operator a solve takes its gradients on, at ``x``. On a ``DenseHessian``
-    an ``x`` holding at most n/4 assets costs the held-row product."""
-    times = np.empty(100)
-    for i in range(times.size):
-        t0 = time.perf_counter_ns()
-        gradient(op, x)
-        times[i] = time.perf_counter_ns() - t0
-    return float(np.median(times)) / 1e3
 
 
 # ---------------------------------------------------------------------------
@@ -690,7 +686,7 @@ def run_real_panel(cfg: ExperimentConfig) -> BenchReport:
                 "r_target": fs.R_target,
                 "r_target_percentile": cfg.r_target_percentile,
                 **score,
-                "portfolio": annualize(result.x @ test).to_dict(),
+                "portfolio": dataclasses.asdict(annualize(result.x @ test)),
                 **times,
             }
         )

@@ -16,7 +16,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import asdict, is_dataclass, replace
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -106,8 +106,16 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _emit(payload: dict, out_path) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True)
+def _json_value(obj):
+    """A result dataclass as its fields; an ndarray or numpy scalar as a list
+    or Python number."""
+    if is_dataclass(obj):
+        return asdict(obj)
+    return obj.tolist()
+
+
+def _emit(payload, out_path) -> None:
+    text = json.dumps(payload, indent=2, sort_keys=True, default=_json_value)
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text + "\n")
@@ -146,7 +154,7 @@ def _cmd_spectrum(args) -> int:
     from .spectrum import report_from_singular_values, singular_values
 
     factor = center_and_factor(load_panel(args.panel))
-    _emit(report_from_singular_values(singular_values(factor.L)).to_dict(), args.out)
+    _emit(report_from_singular_values(singular_values(factor.L)), args.out)
     return EXIT_OK
 
 
@@ -183,7 +191,7 @@ def _cmd_project(args) -> int:
         raise ArgumentError("provide --v and --mu, or --from-csv")
     fs = FeasibleSet(mu=mu, R_target=args.r_target)
     x, diag = project_feasible(v, fs)
-    _emit({"x": x.tolist(), "diagnostics": diag.to_dict()}, args.out)
+    _emit({"x": x, "diagnostics": diag}, args.out)
     return EXIT_OK
 
 
@@ -214,7 +222,6 @@ def _cmd_solve(args) -> int:
         fs = FeasibleSet(mu=factor.mean, R_target=args.r_target)
     else:
         fs = feasible_from_factor(factor, args.r_target_percentile)
-    r_target = fs.R_target
     model = _model_from_spec(factor, spec, args.seed)
     result = solve(model, fs, cfg=scfg)
     if result.termination == "max_iters":
@@ -223,12 +230,8 @@ def _cmd_solve(args) -> int:
             f"{result.residual_trace[-1]:.3g} > {args.tol:g}",
             file=sys.stderr,
         )
-    payload = result.to_dict()
-    payload["model"] = args.model
-    payload["r_target"] = r_target
-    payload["provenance"] = model.provenance
-    sv = model.singular_values
-    payload["singular_values"] = sv.tolist() if sv is not None else None
+    payload = {**asdict(result), "model": args.model, "r_target": fs.R_target,
+               "provenance": model.provenance, "singular_values": model.singular_values}
     if args.residual_csv:
         rows_to_csv([{"check": i, "residual": r}
                      for i, r in enumerate(result.residual_trace.tolist())], args.residual_csv)
@@ -238,9 +241,13 @@ def _cmd_solve(args) -> int:
 
 def _cmd_bench(args) -> int:
     from . import bench
+    from .errors import ArgumentError
 
+    if args.trace_out and args.experiment != "rate":
+        raise ArgumentError(
+            f"--trace-out is read only by the rate experiment, not {args.experiment}")
     if args.config:
-        cfg = bench.ExperimentConfig.from_json(args.config)
+        cfg = bench.ExperimentConfig.from_json(args.config, args.experiment)
     else:
         cfg = bench.ExperimentConfig()
     if args.seed is not None:
@@ -256,7 +263,7 @@ def _cmd_bench(args) -> int:
     report = runners[args.experiment](cfg)
     if args.csv_out:
         bench.rows_to_csv(report.rows, args.csv_out)
-    _emit(report.to_dict(), args.out)
+    _emit(report, args.out)
     return EXIT_OK
 
 

@@ -17,16 +17,9 @@ INTERVALS_PER_YEAR = 48 * 244
 
 @dataclass
 class PortfolioStats:
-    annualized_return: float  # percent
-    annualized_vol: float  # percent
+    annualized_return_pct: float
+    annualized_vol_pct: float
     intervals_per_year: int = INTERVALS_PER_YEAR
-
-    def to_dict(self) -> dict:
-        return {
-            "annualized_return_pct": self.annualized_return,
-            "annualized_vol_pct": self.annualized_vol,
-            "intervals_per_year": self.intervals_per_year,
-        }
 
 
 def _symmetric_norm(M: np.ndarray) -> float:
@@ -72,5 +65,5 @@ def annualize(test_returns_per_interval: np.ndarray) -> PortfolioStats:
         raise ArgumentError("volatility needs at least 2 intervals")
     ann_ret = float(r.mean()) * INTERVALS_PER_YEAR * 100.0
     ann_vol = float(r.std(ddof=1)) * math.sqrt(INTERVALS_PER_YEAR) * 100.0
-    return PortfolioStats(annualized_return=ann_ret, annualized_vol=ann_vol)
+    return PortfolioStats(annualized_return_pct=ann_ret, annualized_vol_pct=ann_vol)
 

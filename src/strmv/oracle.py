@@ -12,15 +12,12 @@ the iterative solver and the projection routines.
 from __future__ import annotations
 
 import itertools
-import logging
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ArgumentError, DimensionError, InfeasibleTargetError, NumericError
 from .projection import FeasibleSet
-
-logger = logging.getLogger(__name__)
 
 MAX_ORACLE_DIM = 14
 
@@ -60,8 +57,6 @@ class OracleSolution:
     value: float
     active_bounds: tuple[int, ...]  # indices pinned at zero
     return_active: bool
-    subsets_visited: int
-    subsets_skipped: int
 
 
 def _candidate(
@@ -135,15 +130,11 @@ def solve_exact(inst: QPInstance) -> OracleSolution:
     mu, R = fs.mu, fs.R_target
     n = fs.n
     best: OracleSolution | None = None
-    visited = 0
-    skipped = 0
     for size in range(n + 1):
         for zero_set in itertools.combinations(range(n), size):
             for return_active in (False, True):
-                visited += 1
                 got = _candidate(Q, c, mu, R, zero_set, return_active)
                 if got is None:
-                    skipped += 1
                     continue
                 x, nu, scale = got
                 # The return target must hold to the solve's roundoff on both
@@ -171,15 +162,9 @@ def solve_exact(inst: QPInstance) -> OracleSolution:
                         value=value,
                         active_bounds=tuple(zero_set),
                         return_active=return_active,
-                        subsets_visited=0,
-                        subsets_skipped=0,
                     )
     if best is None:
         raise InfeasibleTargetError(
             "no feasible KKT point found; the return target is unattainable"
         )
-    if skipped:
-        logger.debug("oracle skipped %d singular/unusable subsets", skipped)
-    best.subsets_visited = visited
-    best.subsets_skipped = skipped
     return best

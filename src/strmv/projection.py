@@ -77,15 +77,6 @@ class ProjectionDiagnostics:
     fallback_used: bool = False
     return_residual: float = 0.0
 
-    def to_dict(self) -> dict:
-        return {
-            "constraint_active": self.constraint_active,
-            "nu_star": self.nu_star,
-            "bisection_iters": self.bisection_iters,
-            "fallback_used": self.fallback_used,
-            "return_residual": self.return_residual,
-        }
-
 
 def project_simplex(v: np.ndarray) -> np.ndarray:
     """Euclidean projection onto {x >= 0, sum x = 1} by sorted thresholding.

@@ -69,7 +69,7 @@ class SolverConfig:
 class CurvatureConstants:
     L_f: float
     m_f: float
-    kappa: float  # L_f / m_f; inf when m_f = 0
+    kappa: Optional[float]  # L_f / m_f; None when m_f = 0
 
 
 @dataclass
@@ -81,29 +81,12 @@ class SolveResult:
     step_used: float
     L_f_estimate: float
     m_f: float
-    kappa: float  # L_f / m_f; inf when m_f = 0, written as null
-    wall_time: float
+    kappa: Optional[float]  # L_f / m_f; None when m_f = 0
+    wall_time_s: float
     termination: str  # "tolerance" | "max_iters"
     momentum: str  # "strongly_convex" | "fista" | "fista_restart"
     restarts: int
     objective_trace: np.ndarray  # f(x_k) for k = 0..iterations
-
-    def to_dict(self) -> dict:
-        return {
-            "x": self.x.tolist(),
-            "objective": self.objective,
-            "iterations": self.iterations,
-            "residual_trace": self.residual_trace.tolist(),
-            "step_used": self.step_used,
-            "L_f_estimate": self.L_f_estimate,
-            "m_f": self.m_f,
-            "kappa": self.kappa if math.isfinite(self.kappa) else None,
-            "wall_time_s": self.wall_time,
-            "termination": self.termination,
-            "momentum": self.momentum,
-            "restarts": self.restarts,
-            "objective_trace": self.objective_trace.tolist(),
-        }
 
 
 @dataclass(frozen=True)
@@ -213,7 +196,7 @@ def curvature_constants(model: Operator) -> CurvatureConstants:
     if sigma_n**2 < RANK_TOL * sigma_1**2:
         sigma_n = 0.0
     L_f, m_f = 2.0 * (sigma_1**2 + model.gamma), 2.0 * (sigma_n**2 + model.gamma)
-    return CurvatureConstants(L_f=L_f, m_f=m_f, kappa=L_f / m_f if m_f > 0 else math.inf)
+    return CurvatureConstants(L_f=L_f, m_f=m_f, kappa=L_f / m_f if m_f > 0 else None)
 
 
 def gradient_operator(model: FactorModel) -> Operator:
@@ -241,7 +224,7 @@ def solve(
     binds, each projection starts from the previous projection's support,
     which moves little between iterates (``project_feasible``). Gradients
     are taken on ``gradient_operator(model)``, one per iterate, and the
-    objective on the model's own factor. ``wall_time`` covers the whole
+    objective on the model's own factor. ``wall_time_s`` covers the whole
     call, the Hessian's formation and the curvature estimate included.
     """
     start = time.perf_counter()
@@ -286,7 +269,7 @@ def solve(
             x=x, objective=objective(model, x), iterations=iterations,
             residual_trace=np.asarray(residuals), step_used=alpha,
             L_f_estimate=L_f, m_f=m_f, kappa=consts.kappa,
-            wall_time=time.perf_counter() - start,
+            wall_time_s=time.perf_counter() - start,
             termination=termination, momentum=momentum, restarts=restarts,
             objective_trace=np.asarray(obj_trace),
         )

@@ -16,7 +16,6 @@ knee are still handled.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -37,14 +36,14 @@ KNEE_RHO = 0.9
 
 @dataclass
 class ThinSVD:
-    """Singular values of a matrix down to the rank floor, and its left
-    singular vectors on demand.
+    """Singular values of a matrix down to the rank floor, and its leading
+    scaled left singular vectors on demand (``factor``).
 
     Built by ``thin_svd`` from one eigensolve of the smaller Gram matrix: S
     is exact to machine precision at the head and to about 1e-9 relative at
-    the RANK_TOL floor. U is orthonormal to machine precision unless the
-    matrix is tall; then U = A @ V / S, orthonormal to about 1e-9 at the floor.
-    U is formed on first access; ``factor`` forms only the columns it returns.
+    the RANK_TOL floor. The left vectors U are orthonormal to machine
+    precision unless the matrix is tall; then U = A @ V / S, orthonormal to
+    about 1e-9 at the floor. ``factor`` forms only the columns it returns.
     """
 
     S: np.ndarray  # (r,), descending positive
@@ -55,11 +54,6 @@ class ThinSVD:
     @property
     def rank(self) -> int:
         return self.S.shape[0]
-
-    @cached_property
-    def U(self) -> np.ndarray:
-        """(m, r) left singular vectors, orthonormal columns."""
-        return (self.A @ self.Q) / self.S if self.tall else self.Q
 
     def factor(self, k: int) -> np.ndarray:
         """U[:, :k] * S[:k], without the other columns of U: A @ V[:, :k] when
@@ -76,15 +70,6 @@ class SpectrumReport:
     energy: np.ndarray
     numerical_rank: int
     degenerate: bool = False
-
-    def to_dict(self) -> dict:
-        return {
-            "singular_values": self.singular_values.tolist(),
-            "eigenvalues": self.eigenvalues.tolist(),
-            "energy": self.energy.tolist(),
-            "numerical_rank": self.numerical_rank,
-            "degenerate": self.degenerate,
-        }
 
 
 def _numerical_rank(lam: np.ndarray) -> int:
@@ -130,7 +115,7 @@ def thin_svd(A: np.ndarray) -> ThinSVD:
     One symmetric eigensolve of the smaller Gram matrix replaces the SVD of
     the (m, k) matrix A. For m <= k, U and lam = S^2 are the eigenpairs of
     A @ A.T. For a tall A, V and lam come from A.T @ A, and U = A @ V / S,
-    formed only when read. The Gram route resolves sigma_i to about
+    never formed whole. The Gram route resolves sigma_i to about
     eps * (sigma_1/sigma_i)^2 relative: machine precision at the head, about
     1e-9 at the floor. Below the floor it cannot resolve sigma, and a tall
     A's U stops being orthonormal, so the floor is the rank.

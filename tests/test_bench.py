@@ -1,3 +1,4 @@
+import dataclasses
 from pathlib import Path
 
 import numpy as np
@@ -50,7 +51,7 @@ class TestApproximationSweep:
             assert row["full_model_gap"] >= 0
             assert row["termination"] == "tolerance"
             assert list(row)[-1] == "total_time_s"
-        validate(report.to_dict(), REPORT_SCHEMA)
+        validate(dataclasses.asdict(report), REPORT_SCHEMA)
 
     def test_identity_cap_reaches_T(self):
         # an s/ell ratio large enough to clip at T keeps the row valid
@@ -128,7 +129,7 @@ class TestApproximationSweep:
     def test_reproducible_from_seed(self):
         a = run_approximation_sweep(small_cfg())
         b = run_approximation_sweep(small_cfg())
-        assert strip_timings(a.to_dict()) == strip_timings(b.to_dict())
+        assert strip_timings(dataclasses.asdict(a)) == strip_timings(dataclasses.asdict(b))
 
 
 class TestModelFromSpec:
@@ -210,7 +211,7 @@ class TestSolverBenchmark:
             repetitions=2,
         )
         report = run_solver_benchmark(cfg)
-        validate(report.to_dict(), REPORT_SCHEMA)
+        validate(dataclasses.asdict(report), REPORT_SCHEMA)
         small = [r for r in report.rows if r["n"] == 8]
         big = [r for r in report.rows if r["n"] == 20]
         assert all(r["model_gap"] is not None and r["model_gap"] <= 1e-6 for r in small)
@@ -250,7 +251,7 @@ class TestRealPanel:
             assert row["termination"] == "tolerance"
             assert row["portfolio"]["intervals_per_year"] == 11712
             assert row["r_target_percentile"] == 60.0
-        validate(report.to_dict(), REPORT_SCHEMA)
+        validate(dataclasses.asdict(report), REPORT_SCHEMA)
 
     def test_degenerate_panel_all_zero(self, tmp_path):
         rows = "\n".join(f"A{i}," + ",".join(["0.0"] * 12) for i in range(4))
@@ -274,7 +275,7 @@ class TestConfigAndHelpers:
             "repetitions": 2,
             "seed": 11,
         }
-        cfg = ExperimentConfig.from_dict(raw)
+        cfg = ExperimentConfig.from_dict(raw, "solver")
         assert cfg.synthetic.n == 8
         assert cfg.models[0].sketch_kind == "countsketch"
         assert cfg.solver.tol == 1e-7
@@ -282,14 +283,14 @@ class TestConfigAndHelpers:
     def test_committed_configs_load(self):
         paths = sorted((Path(__file__).parent.parent / "configs").glob("*.json"))
         assert paths
-        for path in paths:
-            ExperimentConfig.from_json(path)
+        for path in paths:  # each named for its experiment, and sets only keys it reads
+            ExperimentConfig.from_json(path, path.stem.split("_")[0])
 
     def test_unknown_keys_rejected(self):
         from strmv.errors import ArgumentError
 
         with pytest.raises(ArgumentError):
-            ExperimentConfig.from_dict({"bogus": 1})
+            ExperimentConfig.from_dict({"bogus": 1}, "solver")
 
     def test_derive_seed_stable(self):
         assert derive_seed(7, 1, 2) == derive_seed(7, 1, 2)
@@ -323,7 +324,7 @@ class TestConfigAndHelpers:
         assert lines[2].startswith("b,0.2,")
 
     def test_timed_solve_keeps_the_solves_own_wall_times(self, monkeypatch):
-        # One warm-up solve, then the median wall_time of the timed solves,
+        # One warm-up solve, then the median wall_time_s of the timed solves,
         # and the last solve's result.
         import types
 
@@ -331,8 +332,8 @@ class TestConfigAndHelpers:
 
         walls = iter([9.0, 1.0, 3.0, 2.5, 5.0])
         monkeypatch.setattr(bench, "solve", lambda model, fs, cfg: types.SimpleNamespace(
-            wall_time=next(walls)))
+            wall_time_s=next(walls)))
         result, t = bench._timed_solve(None, None, None, repeats=3)
-        assert t == 2.5 and result.wall_time == 2.5
+        assert t == 2.5 and result.wall_time_s == 2.5
         result, t = bench._timed_solve(None, None, None)  # no warm-up
-        assert t == result.wall_time == 5.0
+        assert t == result.wall_time_s == 5.0

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from strmv.bench import strip_timings
+from strmv.bench import CONFIG_KEYS, BenchReport, strip_timings
 from strmv.cli import _THREAD_VARS, main
 from strmv.panel import (
     SyntheticSpec,
@@ -21,7 +22,9 @@ from strmv.panel import (
     load_panel,
     save_panel,
 )
-from strmv.spectrum import RANK_TOL, report_from_singular_values
+from strmv.projection import ProjectionDiagnostics
+from strmv.solver import SolveResult
+from strmv.spectrum import RANK_TOL, SpectrumReport, report_from_singular_values
 
 
 def run_cli(*args):
@@ -210,7 +213,7 @@ class TestSubcommands:
         assert proc.returncode == 0, proc.stderr
         assert json.loads(out.read_text())["kind"] == "solver"
         header = rows.read_text().splitlines()[0].split(",")
-        assert header[:3] == ["model", "n", "T"] and "grad_us_per_iter" in header
+        assert header[:3] == ["model", "n", "T"] and "solve_time_s" in header
 
     def test_bench_real_csv_out(self, tmp_path):
         panel = tmp_path / "panel.csv"
@@ -261,6 +264,65 @@ class TestSubcommands:
             assert main(["bench", "real", "--config", str(cfg_path), "--out", str(out)]) == 0
             rows.append(strip_timings(json.loads(out.read_text())["rows"]))
         assert rows[0] == rows[1]
+
+
+def field_names(record) -> set:
+    return {f.name for f in dataclasses.fields(record)}
+
+
+def read_strict(path):
+    """A report read as strict JSON: NaN and Infinity are refused."""
+
+    def refuse(name):
+        raise ValueError(f"non-JSON constant {name}")
+
+    return json.loads(path.read_text(), parse_constant=refuse)
+
+
+class TestReportsAreTheirRecords:
+    """Every report is strict JSON that holds its record's fields."""
+
+    @pytest.mark.parametrize("T", [48, 4], ids=["str_T_gt_n", "baseline_T_lt_n"])
+    def test_solve(self, tmp_path, T):
+        panel, out = tmp_path / "panel.csv", tmp_path / "solve.json"
+        assert main(["synth", "--n", "8", "--T", str(T), "--decay", "0.7",
+                     "--out", str(panel)]) == 0
+        model = "str" if T > 8 else "baseline"
+        assert main(["solve", "--panel", str(panel), "--model", model,
+                     "--out", str(out)]) == 0
+        payload = read_strict(out)
+        assert set(payload) == field_names(SolveResult) | {
+            "model", "r_target", "provenance", "singular_values"}
+        assert (payload["kappa"] is None) == (T < 8)
+
+    def test_project_and_spectrum(self, panel_csv, tmp_path):
+        out = tmp_path / "project.json"
+        assert main(["project", "--v", "0.5,0.5", "--mu", "1,0", "--r-target", "0.9",
+                     "--out", str(out)]) == 0
+        payload = read_strict(out)
+        assert set(payload) == {"x", "diagnostics"}
+        assert set(payload["diagnostics"]) == field_names(ProjectionDiagnostics)
+        out = tmp_path / "spectrum.json"
+        assert main(["spectrum", "--panel", str(panel_csv), "--out", str(out)]) == 0
+        assert set(read_strict(out)) == field_names(SpectrumReport)
+
+    @pytest.mark.parametrize("experiment", ["approx", "rate", "solver", "real"])
+    def test_bench(self, panel_csv, tmp_path, experiment):
+        cfg = {
+            "approx": {"synthetic": {"n": 6, "T": 24}, "eta_grid": [0.9], "repetitions": 1},
+            "rate": {},
+            "solver": {"sizes": [6], "repetitions": 1},
+            # s = 4 < n = 8: the sketch model has no curvature, so its kappa is null.
+            "real": {"panel_path": str(panel_csv), "repetitions": 1,
+                     "models": [{"kind": "baseline"}, {"kind": "sketch", "s": 4}]},
+        }[experiment]
+        cfg_path, out = tmp_path / "cfg.json", tmp_path / "report.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["bench", experiment, "--config", str(cfg_path), "--out", str(out)]) == 0
+        report = read_strict(out)
+        assert set(report) == field_names(BenchReport) and report["kind"] == experiment
+        if experiment == "real":
+            assert [r["kappa"] is None for r in report["rows"]] == [False, True]
 
 
 class TestExitCodes:
@@ -604,9 +666,37 @@ class TestExitCodes:
     ])
     def test_config_error_exit_code(self, tmp_path, capsys, experiment, cfg, code, message):
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps({"sizes": [8], "repetitions": 1, **cfg}))
+        base = {k: v for k, v in {"sizes": [8], "repetitions": 1}.items()
+                if k in CONFIG_KEYS[experiment]}
+        cfg_path.write_text(json.dumps({**base, **cfg}))
         assert main(["bench", experiment, "--config", str(cfg_path)]) == code
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("experiment,cfg,unread", [
+        ("rate", {"repetitions": 7, "models": [{"kind": "str"}], "sizes": [3],
+                  "eta_grid": [0.5], "panel_path": "nope.csv"},
+         "['eta_grid', 'models', 'panel_path', 'repetitions', 'sizes']"),
+        ("solver", {"panel_path": "nope.csv", "sizes": [8]}, "['panel_path']"),
+        ("approx", {"synthetic": {"n": 6, "T": 24}, "T_over_n": 2}, "['T_over_n']"),
+        ("real", {"panel_path": "nope.csv", "eta_grid": [0.9]}, "['eta_grid']"),
+    ])
+    def test_config_key_the_experiment_does_not_read_is_1(
+        self, tmp_path, capsys, experiment, cfg, unread
+    ):
+        cfg_path, out = tmp_path / "cfg.json", tmp_path / "report.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["bench", experiment, "--config", str(cfg_path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"the {experiment} experiment does not read config keys {unread}" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("experiment", ["approx", "solver", "real"])
+    def test_trace_out_outside_rate_is_1(self, tmp_path, capsys, experiment):
+        trace = tmp_path / "traces.csv"
+        assert main(["bench", experiment, "--trace-out", str(trace)]) == 1
+        err = capsys.readouterr().err
+        assert f"--trace-out is read only by the rate experiment, not {experiment}" in err
+        assert not trace.exists()
 
     @pytest.mark.parametrize("source", ["flag", "config"])
     def test_bench_rate_refuses_solver_settings(self, tmp_path, source):
@@ -615,13 +705,15 @@ class TestExitCodes:
         out = tmp_path / "report.json"
         if source == "flag":
             argv = ["--tol", "0.5"]
+            message = "takes no solver settings or --tol"
         else:
             cfg_path = tmp_path / "cfg.json"
             cfg_path.write_text(json.dumps({"solver": {"max_iters": 3}}))
             argv = ["--config", str(cfg_path)]
+            message = "the rate experiment does not read config keys ['solver']"
         proc = run_cli("bench", "rate", *argv, "--out", str(out))
         assert proc.returncode == 1
-        assert "takes no solver settings or --tol" in proc.stderr
+        assert message in proc.stderr
         assert "Traceback" not in proc.stderr
         assert not out.exists()
 
@@ -691,10 +783,10 @@ _BENCH_MODELS = st.fixed_dictionaries(
     }),
 )
 def test_bench_config_fuzz_exits_with_a_documented_code(tmp_path_factory, experiment, cfg):
-    if experiment == "solver":  # the rate experiment refuses solver settings
-        cfg = {**cfg, "solver": {"max_iters": 2000}}
+    cfg = {**cfg, "solver": {"max_iters": 2000}}
     path = tmp_path_factory.mktemp("fuzz") / "cfg.json"
-    path.write_text(json.dumps(cfg))
+    # Each experiment gets only the keys it reads: it refuses any other.
+    path.write_text(json.dumps({k: v for k, v in cfg.items() if k in CONFIG_KEYS[experiment]}))
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = main(["bench", experiment, "--config", str(path)])
     assert code in (0, 1, 2, 3)
@@ -729,8 +821,9 @@ def test_approx_and_real_config_fuzz_exits_with_a_documented_code(
     tmp_path_factory, tiny_panel, experiment, cfg
 ):
     path = tmp_path_factory.mktemp("fuzz") / "cfg.json"
-    path.write_text(json.dumps({**cfg, "panel_path": str(tiny_panel),
-                                "solver": {"max_iters": 2000}}))
+    cfg = {**cfg, "panel_path": str(tiny_panel), "solver": {"max_iters": 2000}}
+    # Each experiment gets only the keys it reads: it refuses any other.
+    path.write_text(json.dumps({k: v for k, v in cfg.items() if k in CONFIG_KEYS[experiment]}))
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = main(["bench", experiment, "--config", str(path)])
     assert code in (0, 1, 2, 3)

@@ -77,21 +77,21 @@ class TestObjectiveGap:
 class TestAnnualize:
     def test_constant_returns(self):
         stats = annualize(np.full(100, 1e-5))
-        assert stats.annualized_return == pytest.approx(11.712)
-        assert stats.annualized_vol == 0.0
+        assert stats.annualized_return_pct == pytest.approx(11.712)
+        assert stats.annualized_vol_pct == 0.0
         assert stats.intervals_per_year == 11712
 
     def test_zero_returns(self):
         stats = annualize(np.zeros(10))
-        assert stats.annualized_return == 0.0
-        assert stats.annualized_vol == 0.0
+        assert stats.annualized_return_pct == 0.0
+        assert stats.annualized_vol_pct == 0.0
 
     def test_two_point_series(self):
         a = 1e-4
         stats = annualize(np.array([a, -a]))
-        assert stats.annualized_return == pytest.approx(0.0, abs=1e-12)
+        assert stats.annualized_return_pct == pytest.approx(0.0, abs=1e-12)
         # sample std with ddof=1: sqrt(2) * a
-        assert stats.annualized_vol == pytest.approx(
+        assert stats.annualized_vol_pct == pytest.approx(
             a * math.sqrt(2.0) * math.sqrt(11712) * 100.0
         )
 
@@ -129,7 +129,7 @@ class TestConditioningReport:
         m = FactorModel(L_eff=np.random.default_rng(5).standard_normal((6, 3)),
                         gamma=0.0, kind="sketch")
         consts = curvature_constants(m)
-        assert consts.m_f == 0.0 and math.isinf(consts.kappa)
+        assert consts.m_f == 0.0 and consts.kappa is None
 
     @pytest.mark.parametrize("shape", [(6, 6), (6, 10)])
     def test_full_rank_ridgeless_matches_dense(self, shape):

@@ -211,10 +211,11 @@ class TestFactorEquivalence:
         sk = L @ materialize_sketch_matrix(SketchConfig(kind="gaussian_jl", s=20, seed=1), 40)
         svd = thin_svd(sk)
         ell = 3
-        thin = FactorModel(L_eff=svd.U[:, :ell] * svd.S[:ell], gamma=0.05, kind="str",
+        US = svd.factor(ell)  # U_l S_l
+        thin = FactorModel(L_eff=US, gamma=0.05, kind="str",
                            provenance={"ell": ell}, singular_values=svd.S[:ell])
-        V = sk.T @ svd.U[:, :ell] / svd.S[:ell]  # right singular vectors
-        wide_L = (svd.U[:, :ell] * svd.S[:ell]) @ V.T
+        V = sk.T @ (US / svd.S[:ell]) / svd.S[:ell]  # right singular vectors
+        wide_L = US @ V.T
         wide = FactorModel(
             L_eff=wide_L,
             gamma=0.05,
@@ -237,7 +238,7 @@ class TestFactorEquivalence:
         m = build_str(
             factor_of(L), cfg, ell=ell, gamma=gamma,
         )
-        V = (L @ phi).T @ svd.U[:, :ell] / svd.S[:ell]  # right singular vectors
+        V = (L @ phi).T @ (svd.factor(ell) / svd.S[:ell]) / svd.S[:ell]  # right vectors
         Lhat = np.hstack([L @ phi @ V, np.sqrt(gamma) * np.eye(6)])
         np.testing.assert_allclose(Lhat @ Lhat.T, m.covariance(), atol=1e-10)
 

@@ -44,12 +44,6 @@ class TestSolveExact:
         assert fs.mu @ x >= fs.R_target - 1e-12
         np.testing.assert_allclose(x, project_feasible(v, fs)[0], rtol=0, atol=1e-14)
 
-    def test_enumeration_is_exhaustive(self):
-        n = 4
-        fs = FeasibleSet(mu=np.linspace(0, 1, n), R_target=0.3)
-        out = solve_exact(QPInstance(Q=np.eye(n), c=np.zeros(n), fs=fs))
-        assert out.subsets_visited == 2**n * 2
-
     def test_asymmetric_rejected(self):
         fs = FeasibleSet(mu=np.array([1.0, 0.0]), R_target=0.1)
         with pytest.raises(NumericError):

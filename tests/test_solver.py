@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from strmv.cli import _json_value
 from strmv.errors import ArgumentError, DimensionError, InfeasibleTargetError, NumericError
 from strmv.metrics import objective_gap
 from strmv.models import FactorModel, build_baseline, build_sketch, build_str
@@ -28,6 +30,11 @@ from strmv.solver import (
 def factor_of(L):
     L = np.asarray(L, dtype=float)
     return CovarianceFactor(L=L, mean=np.zeros(L.shape[0]))
+
+
+def as_json(result):
+    """A solve result as the CLI writes it, read back."""
+    return json.loads(json.dumps(result, default=_json_value))
 
 
 def str_model(L_eff, gamma):
@@ -159,10 +166,10 @@ class TestCurvature:
         assert isinstance(op, DenseHessian)
         assert np.linalg.eigvalsh(op.H)[0] != 0.0  # roundoff, not curvature
         consts = curvature_constants(op)
-        assert consts.m_f == 0.0 and math.isinf(consts.kappa)
+        assert consts.m_f == 0.0 and consts.kappa is None
         fs = FeasibleSet(mu=factor.mean, R_target=float(np.percentile(factor.mean, 60)))
         res = solve(m, fs, cfg=SolverConfig(tol=1e-8))
-        assert res.m_f == 0.0 and res.to_dict()["kappa"] is None
+        assert res.m_f == 0.0 and res.kappa is None
 
     def test_str_with_ell_at_n_reads_sigma_n(self):
         m = str_model(np.diag([2.0, 1.0, 0.5]), gamma=0.25)
@@ -528,7 +535,7 @@ class TestCompactFactor:
         monkeypatch.setattr(solver, "gradient_operator", slow_operator)
         factor, fs = _wide_instance(6, seed=1)
         result = solve(build_baseline(factor), fs, cfg=SolverConfig(tol=1e-8))
-        assert result.wall_time >= 0.05
+        assert result.wall_time_s >= 0.05
 
     def test_nan_in_a_wide_factor_raises(self):
         factor, fs = _wide_instance(6, seed=1)
@@ -714,7 +721,7 @@ class TestObjectiveTrace:
         res = solve(m, fs, x0=np.array([0.5, 0.5]), cfg=SolverConfig(tol=1e-8))
         assert res.iterations == 0
         np.testing.assert_allclose(res.objective_trace, [res.objective], rtol=1e-12)
-        assert res.to_dict()["objective_trace"] == res.objective_trace.tolist()
+        assert as_json(res)["objective_trace"] == res.objective_trace.tolist()
 
     @pytest.mark.parametrize("kind, dense", [
         ("baseline", True), ("sketch", False), ("str", False),
@@ -726,7 +733,7 @@ class TestObjectiveTrace:
         res = solve(m, fs, cfg=SolverConfig(tol=1e-9))
         assert res.iterations > 0
         assert res.objective_trace[-1] == pytest.approx(res.objective, rel=1e-12)
-        assert res.to_dict()["objective_trace"] == res.objective_trace.tolist()
+        assert as_json(res)["objective_trace"] == res.objective_trace.tolist()
 
 
 @settings(max_examples=30, deadline=None)

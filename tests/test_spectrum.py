@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from strmv.cli import _json_value
 from strmv.errors import ArgumentError, DegenerateSpectrumError, NumericError
 from strmv.spectrum import (
     cumulative_energy,
@@ -26,26 +27,32 @@ def log_spaced(m, k, seed=0):
     return (U * np.logspace(0, -8, p)) @ V.T
 
 
+def left_vectors(out):
+    """The (m, r) left singular vectors of a ``thin_svd`` result."""
+    return out.factor(out.rank) / out.S
+
+
 class TestThinSVD:
     def test_diagonal(self):
         out = thin_svd(np.diag([3.0, 1.0]))
         np.testing.assert_allclose(out.S, [3.0, 1.0])
-        np.testing.assert_allclose(np.abs(out.U), np.eye(2), atol=1e-12)
+        np.testing.assert_allclose(np.abs(left_vectors(out)), np.eye(2), atol=1e-12)
 
     def test_zero_matrix(self):
         out = thin_svd(np.zeros((4, 3)))
         assert out.rank == 0
-        assert out.U.shape == (4, 0) and out.S.shape == (0,)
+        assert left_vectors(out).shape == (4, 0) and out.S.shape == (0,)
 
     def test_reconstruction_and_orthonormality(self):
         rng = np.random.default_rng(0)
         A = rng.standard_normal((6, 4))
         out = thin_svd(A)
-        recon = out.U @ (out.U.T @ A)
+        U = left_vectors(out)
+        recon = U @ (U.T @ A)
         assert np.linalg.norm(recon - A, 2) <= 1e-10 * out.S[0]
-        assert np.abs(out.U.T @ out.U - np.eye(out.rank)).max() <= 1e-10
+        assert np.abs(U.T @ U - np.eye(out.rank)).max() <= 1e-10
         # U.T @ A = S * V.T, so its rows are orthogonal with norms S.
-        VS = A.T @ out.U
+        VS = A.T @ U
         assert np.abs(VS.T @ VS - np.diag(out.S**2)).max() <= 1e-10 * out.S[0] ** 2
         # cross-check singular values against a dense eigensolve of A^T A
         lam = np.linalg.eigvalsh(A.T @ A)[::-1]
@@ -65,7 +72,8 @@ class TestThinSVD:
         # the rank stops at the first sigma_i / sigma_1 < 1e-4
         assert out.rank == int(np.argmax(ref / ref[0] < 1e-4))
         np.testing.assert_allclose(out.S, ref[: out.rank], rtol=1e-8)
-        assert np.abs(out.U.T @ out.U - np.eye(out.rank)).max() <= 1e-8
+        U = left_vectors(out)
+        assert np.abs(U.T @ U - np.eye(out.rank)).max() <= 1e-8
 
     def test_exact_low_rank_tall(self):
         rng = np.random.default_rng(2)
@@ -88,29 +96,31 @@ class TestThinSVD:
         A = rng.standard_normal((shape[0], rank)) @ rng.standard_normal((rank, shape[1]))
         out = thin_svd(A)
         assert out.rank == rank
+        U = left_vectors(out)
         for k in (1, rank // 2, rank):
-            ref = out.U[:, :k] * out.S[:k]
+            ref = U[:, :k] * out.S[:k]
             got = out.factor(k)
             assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
-            if shape[0] < shape[1]:
-                np.testing.assert_array_equal(got, ref)
+            if shape[0] < shape[1]:  # U is the Gram eigenvectors Q
+                np.testing.assert_array_equal(got, out.Q[:, :k] * out.S[:k])
 
     @pytest.mark.parametrize("shape", [(300, 100), (100, 300)], ids=["tall", "wide"])
-    def test_U_is_the_eigenvector_formula(self, shape):
-        # U = A @ V / S for a tall A and the Gram eigenvectors for a wide one,
-        # formed when first read
+    def test_factor_is_the_eigenvector_formula(self, shape):
+        # U * S = A @ V for a tall A, and the Gram eigenvectors times S for a
+        # wide one
         A = log_spaced(*shape)
         tall = shape[0] > shape[1]
         Q = np.linalg.eigh(A.T @ A if tall else A @ A.T)[1]
         out = thin_svd(A)
         r, Q = out.rank, Q[:, ::-1]
-        np.testing.assert_array_equal(out.U, (A @ Q[:, :r]) / out.S if tall else Q[:, :r])
+        np.testing.assert_array_equal(out.factor(r), A @ Q[:, :r] if tall else Q[:, :r] * out.S)
 
     def test_restricted_condition_number(self):
         rng = np.random.default_rng(1)
         A = rng.standard_normal((5, 8))
         out = thin_svd(A)
-        M = out.U.T @ (A @ A.T) @ out.U
+        U = left_vectors(out)
+        M = U.T @ (A @ A.T) @ U
         lam = np.linalg.eigvalsh(M)
         kappa = lam[-1] / lam[0]
         expect = (out.S[0] / out.S[-1]) ** 2
@@ -152,7 +162,7 @@ class TestEnergy:
         import json
 
         report = report_from_singular_values([2.0, 1.0, 0.5])
-        payload = json.dumps(report.to_dict())
+        payload = json.dumps(report, default=_json_value)
         assert "numerical_rank" in payload
 
 
