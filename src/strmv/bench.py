@@ -35,9 +35,9 @@ from .panel import (
     load_panel,
 )
 from .projection import FeasibleSet
-from .sketch import SKETCH_KINDS, SketchConfig, _splitmix64, recommended_sketch_size
+from .sketch import SketchConfig, _splitmix64, recommended_sketch_size
 from .solver import SolverConfig, objective, solve
-from .spectrum import cumulative_energy, energy_rank, singular_values
+from .spectrum import check_eta, cumulative_energy, energy_rank
 
 #: Report fields that are wall-clock measurements and therefore not part of
 #: the bit-reproducibility contract.
@@ -48,32 +48,6 @@ RATE_ITERS = 500
 
 #: Share of a panel's columns, from the front, that the real-panel run trains on.
 TRAIN_FRACTION = 2.0 / 3.0
-
-#: JSON schema every saved report satisfies. Rows are flat records keyed by
-#: model label and derived seed; the real-panel rows nest one portfolio block.
-REPORT_SCHEMA = {
-    "type": "object",
-    "required": ["kind", "rows", "summary", "environment", "seed_ledger"],
-    "properties": {
-        "kind": {"type": "string"},
-        "rows": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "required": ["model", "seed"],
-                "properties": {
-                    "model": {"type": "string"},
-                    "seed": {"type": "integer"},
-                    "portfolio": {"type": "object"},
-                },
-            },
-        },
-        "summary": {"type": "array"},
-        "environment": {"type": "object"},
-        "seed_ledger": {"type": "object"},
-    },
-}
-
 
 def derive_seed(master: int, *parts: int) -> int:
     """Stable per-row seed derivation from the master seed."""
@@ -105,14 +79,23 @@ class ModelSpec:
     gamma: Optional[float] = None  # explicit ridge, overrides kappa_target
 
     def __post_init__(self):
+        # Refuse a setting the kind never reads, and what the builders would refuse
+        # (SketchConfig checks the sketch kind and a set s), before any panel is read.
         if self.kind not in MODEL_KINDS:
             raise ArgumentError(f"unknown model kind {self.kind!r}; expected one of {MODEL_KINDS}")
-        if self.sketch_kind not in SKETCH_KINDS:
-            raise ArgumentError(
-                f"unknown sketch kind {self.sketch_kind!r}; expected one of {SKETCH_KINDS}"
-            )
+        never_read = {"baseline": ("s", "s_over_ell", "eta", "gamma"), "sketch": ("gamma",)}
+        unread = [key for key in never_read.get(self.kind, ()) if getattr(self, key) is not None]
+        if unread:
+            raise ArgumentError(f"{self.kind} models do not read {', '.join(unread)}")
+        SketchConfig(kind=self.sketch_kind, s=1 if self.s is None else self.s)
         if self.s_over_ell is not None and not self.s_over_ell > 0.0:
             raise ArgumentError(f"s_over_ell must be > 0, got {self.s_over_ell}")
+        if self.eta is not None:
+            check_eta(self.eta)
+        if self.gamma is not None:
+            models.check_ridge(self.gamma)
+        elif self.kind == "str":
+            models.check_kappa_target(self.kappa_target)
 
     def label(self) -> str:
         if self.kind == "baseline":
@@ -176,6 +159,9 @@ class ExperimentConfig:
         synth = raw.pop("synthetic", None)
         if synth is not None:
             synth = _from_keys(SyntheticSpec, synth, "synthetic")
+            if synth.seed:  # 0, the default, stays accepted: acceptance criterion 10 sets it
+                raise ArgumentError(f"config key synthetic.seed is not read, got {synth.seed}: "
+                                    "every experiment derives its panel seeds from the master seed")
         models = [
             _from_keys(ModelSpec, m, f"models[{i}]")
             for i, m in enumerate(raw.pop("models", [{}]))
@@ -201,6 +187,10 @@ def _from_keys(kind, raw: dict, section: str, **parsed):
     unknown = set(raw) - {f.name for f in dataclasses.fields(kind)}
     if unknown:
         raise ArgumentError(f"unknown config keys in {section}: {sorted(unknown)}")
+    missing = [f.name for f in dataclasses.fields(kind) if f.name not in raw
+               and f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING]
+    if missing:
+        raise ArgumentError(f"config section {section} is missing required keys {missing}")
     hints = typing.get_type_hints(kind)
     for key, value in raw.items():
         if not _fits(value, hints[key]):
@@ -283,17 +273,12 @@ def feasible_from_factor(factor: CovarianceFactor, percentile: float) -> Feasibl
     return FeasibleSet(mu=mu, R_target=target)
 
 
-def _model_from_spec(
-    factor: CovarianceFactor,
-    mspec: ModelSpec,
-    seed: int,
-    dense_singvals: Optional[np.ndarray] = None,
-) -> FactorModel:
+def _model_from_spec(factor: CovarianceFactor, mspec: ModelSpec, seed: int) -> FactorModel:
     """Construct the model a ModelSpec describes.
 
     For sketch/str models the sketch width comes from, in order: the explicit
-    ``s``, used as given; ``s_over_ell`` times the eta-mapped truncation level
-    of the dense spectrum (requires ``dense_singvals``), clipped into [1, T];
+    ``s``, used as given; ``s_over_ell`` times the truncation level that eta
+    maps to on the factor's dense spectrum, clipped into [1, T];
     otherwise the rule-sized width min(T, recommended_sketch_size(min(n, 50),
     0.5, 0.05)). A sketch model sized from eta records that level as
     ``provenance["ell"]``. The builders are looked up on ``strmv.models`` at
@@ -304,9 +289,7 @@ def _model_from_spec(
 
     ell = None
     if mspec.eta is not None:
-        if dense_singvals is None:
-            raise ArgumentError("eta-mapped sizing needs the dense spectrum")
-        ell = energy_rank(cumulative_energy(dense_singvals**2), mspec.eta)
+        ell = energy_rank(cumulative_energy(factor.singular_values**2), mspec.eta)
 
     T = factor.columns
     if mspec.s is not None:
@@ -345,7 +328,7 @@ def _timed_solve(model, fs, cfg, repeats: Optional[int] = None):
     return result, float(np.median(times))
 
 
-def _run_model(factor, mspec, seed, dense_singvals, fs, baseline, f_ref, cfg, repeats=None):
+def _run_model(factor, mspec, seed, fs, baseline, f_ref, cfg, repeats=None):
     """Build ``mspec``'s model, time its solve (``_timed_solve``) and score the
     solution on the unreduced objective against the reference optimum
     ``f_ref``.
@@ -355,7 +338,7 @@ def _run_model(factor, mspec, seed, dense_singvals, fs, baseline, f_ref, cfg, re
     wall-clock fields.
     """
     t0 = time.perf_counter()
-    model = _model_from_spec(factor, mspec, seed, dense_singvals)
+    model = _model_from_spec(factor, mspec, seed)
     build_time = time.perf_counter() - t0
     result, solve_time = _timed_solve(model, fs, cfg, repeats)
     score = {
@@ -407,8 +390,11 @@ def run_approximation_sweep(cfg: ExperimentConfig) -> BenchReport:
     if cfg.synthetic is None:
         raise ArgumentError("approximation sweep needs a synthetic instance")
     for mi, mspec in enumerate(cfg.models):
+        if mspec.kind == "baseline":
+            raise ArgumentError(f"models[{mi}] is a baseline, which the approximation sweep "
+                                "solves on every panel as its reference and never sweeps")
         pinned = [k for k in ("s", "eta", "s_over_ell") if getattr(mspec, k) is not None]
-        if mspec.kind != "baseline" and pinned:
+        if pinned:
             raise ArgumentError(
                 f"models[{mi}] sets {', '.join(pinned)}: the approximation sweep takes "
                 "eta from eta_grid and s from s_over_ell_grid"
@@ -418,14 +404,11 @@ def run_approximation_sweep(cfg: ExperimentConfig) -> BenchReport:
     for rep in range(cfg.repetitions):
         panel_seed = derive_seed(cfg.seed, 101, rep)
         factor = center_and_factor(generate_synthetic(replace(cfg.synthetic, seed=panel_seed)))
-        dense_singvals = singular_values(factor.L)
         fs = feasible_from_factor(factor, cfg.r_target_percentile)
         baseline = models.build_baseline(factor)
         Sigma = baseline.covariance()
         f_full_star = solve(baseline, fs, cfg=cfg.solver).objective
         for mi, mspec in enumerate(cfg.models):
-            if mspec.kind == "baseline":
-                continue
             for ei, eta in enumerate(cfg.eta_grid):
                 for ri, ratio in enumerate(cfg.s_over_ell_grid):
                     point = replace(mspec, eta=eta, s_over_ell=ratio, s=None)
@@ -433,8 +416,7 @@ def run_approximation_sweep(cfg: ExperimentConfig) -> BenchReport:
                     key = {"model": point.label(), "eta": eta, "s_over_ell": ratio}
                     try:
                         model, _, score, times = _run_model(
-                            factor, point, sketch_seed, dense_singvals,
-                            fs, baseline, f_full_star, cfg.solver,
+                            factor, point, sketch_seed, fs, baseline, f_full_star, cfg.solver,
                         )
                         spec_err = relative_spectral_error(model.covariance(), Sigma)
                     except ArgumentError:  # a config error fails the run
@@ -523,8 +505,7 @@ def run_rate_experiment(cfg: ExperimentConfig, trace_path=None) -> BenchReport:
     panel_seed = derive_seed(cfg.seed, 201)
     factor = center_and_factor(generate_synthetic(replace(spec, seed=panel_seed)))
     fs = feasible_from_factor(factor, cfg.r_target_percentile)
-    dense_singvals = singular_values(factor.L)
-    s1 = float(dense_singvals[0])
+    s1 = float(factor.singular_values[0])
 
     res, convex_gaps = _gap_trace(models.build_baseline(factor), fs, "fista")
     ks = np.arange(10, min(200, convex_gaps.size - 1) + 1)
@@ -552,7 +533,7 @@ def run_rate_experiment(cfg: ExperimentConfig, trace_path=None) -> BenchReport:
         kind="str", sketch_kind="gaussian_jl", s=factor.columns, eta=0.95,
         gamma=0.005 * s1**2,
     )
-    model = _model_from_spec(factor, str_spec, derive_seed(cfg.seed, 202), dense_singvals)
+    model = _model_from_spec(factor, str_spec, derive_seed(cfg.seed, 202))
     res, gaps = _gap_trace(model, fs, "auto")  # constant momentum
     theta = 1.0 - math.sqrt(res.step_used * res.m_f)
     k_fit = 5
@@ -605,7 +586,6 @@ def run_solver_benchmark(cfg: ExperimentConfig) -> BenchReport:
         factor = center_and_factor(
             generate_synthetic(replace(base, n=n, T=T, seed=panel_seed))
         )
-        dense_singvals = singular_values(factor.L)
         fs = feasible_from_factor(factor, cfg.r_target_percentile)
         baseline = models.build_baseline(factor)
         oracle = n <= MAX_ORACLE_DIM
@@ -616,8 +596,8 @@ def run_solver_benchmark(cfg: ExperimentConfig) -> BenchReport:
         for mi, mspec in enumerate(cfg.models):
             model_seed = derive_seed(cfg.seed, 302, n, mi)
             model, result, score, times = _run_model(
-                factor, mspec, model_seed, dense_singvals,
-                fs, baseline, f_full_star, cfg.solver, cfg.repetitions,
+                factor, mspec, model_seed, fs, baseline, f_full_star, cfg.solver,
+                cfg.repetitions,
             )
             rows.append(
                 {
@@ -666,14 +646,11 @@ def run_real_panel(cfg: ExperimentConfig) -> BenchReport:
     fs = feasible_from_factor(factor, cfg.r_target_percentile)
     baseline = models.build_baseline(factor)
     f_full_star = solve(baseline, fs, cfg=cfg.solver).objective
-    eta_mapped = any(m.eta is not None for m in cfg.models)
-    dense_singvals = singular_values(factor.L) if eta_mapped else None
     rows = []
     for mi, mspec in enumerate(cfg.models):
         model_seed = derive_seed(cfg.seed, 401, mi)
         model, result, score, times = _run_model(
-            factor, mspec, model_seed, dense_singvals,
-            fs, baseline, f_full_star, cfg.solver, cfg.repetitions,
+            factor, mspec, model_seed, fs, baseline, f_full_star, cfg.solver, cfg.repetitions,
         )
         rows.append(
             {

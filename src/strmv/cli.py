@@ -151,10 +151,10 @@ def _cmd_synth(args) -> int:
 
 def _cmd_spectrum(args) -> int:
     from .panel import center_and_factor, load_panel
-    from .spectrum import report_from_singular_values, singular_values
+    from .spectrum import report_from_singular_values
 
     factor = center_and_factor(load_panel(args.panel))
-    _emit(report_from_singular_values(singular_values(factor.L)), args.out)
+    _emit(report_from_singular_values(factor.singular_values), args.out)
     return EXIT_OK
 
 

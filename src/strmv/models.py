@@ -10,7 +10,6 @@ gradient) is unchanged while the per-iteration cost falls to O(n * ell).
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -51,10 +50,7 @@ class FactorModel:
         if self.L_eff.ndim != 2:
             raise DimensionError("L_eff must be a matrix")
         if self.kind == "str":
-            if not 0.0 < self.gamma < np.inf:
-                raise ArgumentError(
-                    f"str models require gamma > 0, got {self.gamma}; the ridge must be finite"
-                )
+            check_ridge(self.gamma)
             if self.singular_values is None:
                 raise ArgumentError("str models require singular_values")
             self.singular_values = np.asarray(self.singular_values, dtype=np.float64)
@@ -105,13 +101,22 @@ def build_sketch(factor: CovarianceFactor, cfg: SketchConfig) -> FactorModel:
     )
 
 
+def check_ridge(gamma: float) -> None:
+    if not 0.0 < gamma < np.inf:
+        raise ArgumentError(f"str models require gamma > 0, got {gamma}; the ridge must be finite")
+
+
+def check_kappa_target(kappa_target: float) -> None:
+    if not kappa_target > 1.0:
+        raise ArgumentError(f"kappa_target must exceed 1, got {kappa_target}")
+    if kappa_target == np.inf:
+        raise ArgumentError("kappa_target must be finite, got inf: it would place no ridge")
+
+
 def ridge_for_target_kappa(sigma1: float, kappa_target: float) -> float:
     """gamma = sigma_1^2 / (kappa_target - 1), so kappa of the lifted covariance
     is exactly kappa_target."""
-    if not kappa_target > 1.0:
-        raise ArgumentError(f"kappa_target must exceed 1, got {kappa_target}")
-    if kappa_target == math.inf:
-        raise ArgumentError("kappa_target must be finite, got inf: it would place no ridge")
+    check_kappa_target(kappa_target)
     if sigma1 <= 0.0:
         raise DegenerateSpectrumError("sigma1 must be positive to place a ridge")
     return sigma1**2 / (kappa_target - 1.0)

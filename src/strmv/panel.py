@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import functools
 import io
 import os
 import pickle
@@ -19,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import spectrum
 from .errors import ArgumentError, DataFormatError, DimensionError, NumericError
 
 
@@ -75,6 +77,14 @@ class CovarianceFactor:
     @property
     def columns(self) -> int:
         return self.L.shape[1]
+
+    @functools.cached_property
+    def singular_values(self) -> np.ndarray:
+        """All min(n, T) singular values of L, descending: the panel's dense
+        spectrum, computed on first read and kept."""
+        sv = spectrum.singular_values(self.L)
+        sv.setflags(write=False)
+        return sv
 
 
 @dataclass

@@ -36,7 +36,9 @@ class SketchConfig:
 
     def __post_init__(self):
         if self.kind not in SKETCH_KINDS:
-            raise ArgumentError(f"unknown sketch kind {self.kind!r}")
+            raise ArgumentError(
+                f"unknown sketch kind {self.kind!r}; expected one of {SKETCH_KINDS}"
+            )
         if self.s < 1:
             raise ArgumentError(f"sketch size must be >= 1, got {self.s}")
         if self.seed < 0:

@@ -140,10 +140,14 @@ def cumulative_energy(eigenvalues: np.ndarray) -> np.ndarray:
     return np.cumsum(lam) / total
 
 
-def energy_rank(energy: np.ndarray, eta: float) -> int:
-    """Smallest r (1-based) with E(r) >= eta."""
+def check_eta(eta: float) -> None:
     if not 0.0 < eta < 1.0:
         raise ArgumentError(f"eta must be in (0,1), got {eta}")
+
+
+def energy_rank(energy: np.ndarray, eta: float) -> int:
+    """Smallest r (1-based) with E(r) >= eta."""
+    check_eta(eta)
     energy = np.asarray(energy, dtype=np.float64)
     hits = np.nonzero(energy >= eta)[0]
     if hits.size == 0:

@@ -105,8 +105,9 @@ class TestSubcommands:
     @pytest.mark.parametrize("model", ["str", "baseline", "sketch"])
     def test_solve_reports_typed_spectrum(self, panel_csv, tmp_path, model):
         out = tmp_path / "result.json"
-        proc = run_cli("solve", "--panel", str(panel_csv), "--model", model,
-                       "--s", "24", "--out", str(out))
+        width = [] if model == "baseline" else ["--s", "24"]  # a baseline refuses --s
+        proc = run_cli("solve", "--panel", str(panel_csv), "--model", model, *width,
+                       "--out", str(out))
         assert proc.returncode == 0, proc.stderr
         payload = json.loads(out.read_text())
         assert "sigma1" not in payload["provenance"]
@@ -472,7 +473,7 @@ class TestExitCodes:
     def test_config_percentile_out_of_range_is_1(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({
-            "models": [{"kind": "baseline"}],
+            "models": [{"kind": "str"}],
             "synthetic": {"n": 6, "T": 24},
             "repetitions": 1,
             "r_target_percentile": 150,
@@ -512,13 +513,19 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("flag,value", [
         ("--tol", "inf"), ("--max-iters", "0"), ("--r-target", "nan"),
-        ("--r-target-percentile", "150"), ("--seed", "-1"),
+        ("--r-target-percentile", "150"), ("--seed", "-1"), ("--s", "0"), ("--s", "-3"),
+        ("--kappa-target", "inf"), ("--kappa-target", "0.5"),
     ])
     def test_solve_bad_flag_is_1_before_the_panel_is_read(self, tmp_path, capsys, flag, value):
         # The panel does not exist: the flag is refused first, as a usage error.
         assert main(["solve", "--panel", str(tmp_path / "missing.csv"), flag, value]) == 1
         err = capsys.readouterr().err
         assert "usage error" in err and "No such file" not in err
+
+    def test_solve_baseline_refuses_a_sketch_width(self, tmp_path, capsys):
+        argv = ["solve", "--panel", str(tmp_path / "missing.csv"), "--model", "baseline"]
+        assert main([*argv, "--s", "2"]) == 1
+        assert "baseline models do not read s" in capsys.readouterr().err
 
     @pytest.mark.parametrize("threads", ["0", "-1"])
     def test_threads_below_one_is_1(self, panel_csv, monkeypatch, capsys, threads):
@@ -600,7 +607,7 @@ class TestExitCodes:
         assert not out.exists()
 
     @pytest.mark.parametrize("model,pinned", [
-        ({"kind": "str", "s": 0, "eta": 0.5}, "s, eta"),
+        ({"kind": "str", "s": 5, "eta": 0.5}, "s, eta"),
         ({"kind": "sketch", "s_over_ell": 3.0}, "s_over_ell"),
     ])
     def test_approx_model_pinning_a_grid_value_is_1(self, tmp_path, model, pinned):
@@ -663,6 +670,23 @@ class TestExitCodes:
         ("solver", {"solver": {"alpha": 0.1}}, 1, "unknown config keys in solver: ['alpha']"),
         ("solver", {"solver": {"record_objective": True}}, 1,
          "unknown config keys in solver: ['record_objective']"),
+        # A required field left out is a usage error, not a TypeError traceback.
+        ("solver", {"synthetic": {"singular_decay": 0.8}}, 1,
+         "config section synthetic is missing required keys ['n', 'T']"),
+        ("approx", {"synthetic": {"n": 6}}, 1,
+         "config section synthetic is missing required keys ['T']"),
+        # A setting that nothing reads would be ignored without a word.
+        ("solver", {"models": [{"kind": "sketch", "gamma": 0.1}]}, 1,
+         "sketch models do not read gamma"),
+        ("solver", {"models": [{"kind": "baseline", "s": 5}]}, 1,
+         "baseline models do not read s"),
+        ("solver", {"models": [{"kind": "baseline", "s_over_ell": 2.0, "eta": 0.9,
+                                "gamma": 0.1}]}, 1,
+         "baseline models do not read s_over_ell, eta, gamma"),
+        ("approx", {"synthetic": {"n": 6, "T": 24}, "models": [{"kind": "baseline"}]}, 1,
+         "models[0] is a baseline, which the approximation sweep"),
+        ("rate", {"synthetic": {"n": 6, "T": 24, "seed": 99}}, 1,
+         "config key synthetic.seed is not read, got 99"),
     ])
     def test_config_error_exit_code(self, tmp_path, capsys, experiment, cfg, code, message):
         cfg_path = tmp_path / "cfg.json"
@@ -866,7 +890,9 @@ _BAD_NUMBERS = st.one_of(
 # Pinned because random draws seldom pair a negative seed with a Gaussian sketch.
 @example({"--model": "str", "--sketch": "gaussian_jl"}, {"--seed": "-1"}, "--r-target")
 def test_solve_fuzz_exits_with_a_documented_code(tiny_panel, flags, bad, unused_target):
-    flags = {k: v for k, v in flags.items() if k != unused_target}
+    # A baseline refuses --s, so only a sketched model draws one.
+    unused = {unused_target, "--s"} if flags["--model"] == "baseline" else {unused_target}
+    flags = {k: v for k, v in flags.items() if k not in unused}
     argv = ["solve", f"--panel={tiny_panel}",
             *(f"{flag}={value}" for flag, value in {**flags, **bad}.items())]
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
