@@ -76,17 +76,24 @@ class ModelSpec:
     s_over_ell: Optional[float] = None
     eta: Optional[float] = None  # energy level mapped to ell on the dense spectrum
     kappa_target: float = DEFAULT_KAPPA_TARGET
-    gamma: Optional[float] = None  # explicit ridge, overrides kappa_target
+    gamma: Optional[float] = None  # explicit ridge, in place of kappa_target
 
     def __post_init__(self):
-        # Refuse a setting the kind never reads, and what the builders would refuse
-        # (SketchConfig checks the sketch kind and a set s), before any panel is read.
+        # Refuse, before any panel is read, a setting the kind never reads (any value but
+        # the default) and what a builder would (SketchConfig checks the kind and a set s).
         if self.kind not in MODEL_KINDS:
             raise ArgumentError(f"unknown model kind {self.kind!r}; expected one of {MODEL_KINDS}")
-        never_read = {"baseline": ("s", "s_over_ell", "eta", "gamma"), "sketch": ("gamma",)}
-        unread = [key for key in never_read.get(self.kind, ()) if getattr(self, key) is not None]
+        never_read = {
+            "baseline": ("sketch_kind", "s", "s_over_ell", "eta", "kappa_target", "gamma"),
+            "sketch": ("kappa_target", "gamma"),
+            "str": ("kappa_target",) if self.gamma is not None else ()}[self.kind]
+        unread = [f.name for f in dataclasses.fields(self)
+                  if f.name in never_read and getattr(self, f.name) != f.default]
         if unread:
-            raise ArgumentError(f"{self.kind} models do not read {', '.join(unread)}")
+            holder = "str models with a gamma" if self.kind == "str" else f"{self.kind} models"
+            raise ArgumentError(f"{holder} do not read {', '.join(unread)}")
+        if self.s_over_ell is not None and self.eta is None:
+            raise ArgumentError(f"model {self.label()} sets s_over_ell without eta")
         SketchConfig(kind=self.sketch_kind, s=1 if self.s is None else self.s)
         if self.s_over_ell is not None and not self.s_over_ell > 0.0:
             raise ArgumentError(f"s_over_ell must be > 0, got {self.s_over_ell}")
@@ -94,8 +101,7 @@ class ModelSpec:
             check_eta(self.eta)
         if self.gamma is not None:
             models.check_ridge(self.gamma)
-        elif self.kind == "str":
-            models.check_kappa_target(self.kappa_target)
+        models.check_kappa_target(self.kappa_target)  # only a str model without gamma sets it
 
     def label(self) -> str:
         if self.kind == "baseline":
@@ -109,8 +115,8 @@ CONFIG_KEYS = {
     "approx": ("synthetic", "models", "eta_grid", "s_over_ell_grid", "solver", "repetitions",
                "seed", "r_target_percentile"),
     "rate": ("synthetic", "seed", "r_target_percentile"),
-    "solver": ("synthetic", "models", "sizes", "T_over_n", "solver", "repetitions",
-               "seed", "r_target_percentile"),
+    "solver": ("synthetic", "models", "sizes", "solver", "repetitions", "seed",
+               "r_target_percentile"),
     "real": ("panel_path", "models", "solver", "repetitions", "seed", "r_target_percentile"),
 }
 
@@ -123,7 +129,6 @@ class ExperimentConfig:
     eta_grid: list[float] = field(default_factory=lambda: [0.98])
     s_over_ell_grid: list[float] = field(default_factory=lambda: [2.0])
     sizes: list[int] = field(default_factory=lambda: [8, 10, 12])
-    T_over_n: int = 4
     solver: SolverConfig = field(default_factory=SolverConfig)
     repetitions: int = 3
     seed: int = 0
@@ -135,12 +140,11 @@ class ExperimentConfig:
         for key in ("models", "eta_grid", "s_over_ell_grid", "sizes"):
             if not getattr(self, key):
                 raise ArgumentError(f"{key} must not be empty")
-        if self.T_over_n < 1:
-            raise ArgumentError(f"T_over_n must be >= 1, got {self.T_over_n}")
         if not all(n >= 2 for n in self.sizes):
             raise ArgumentError(f"sizes must be >= 2, got {self.sizes}")
         if not all(ratio > 0.0 for ratio in self.s_over_ell_grid):
             raise ArgumentError(f"s_over_ell_grid values must be > 0, got {self.s_over_ell_grid}")
+        check_percentile(self.r_target_percentile)
 
     @classmethod
     def from_dict(cls, raw: dict, experiment: str) -> "ExperimentConfig":
@@ -264,10 +268,14 @@ def rows_to_csv(rows: list[dict], path) -> None:
 # ---------------------------------------------------------------------------
 
 
-def feasible_from_factor(factor: CovarianceFactor, percentile: float) -> FeasibleSet:
-    """Expected returns from the raw sample means; target at their percentile."""
+def check_percentile(percentile: float) -> None:
     if not 0.0 <= percentile <= 100.0:
         raise ArgumentError(f"r_target_percentile must be in [0, 100], got {percentile}")
+
+
+def feasible_from_factor(factor: CovarianceFactor, percentile: float) -> FeasibleSet:
+    """Expected returns from the raw sample means; target at their percentile."""
+    check_percentile(percentile)
     mu = factor.mean
     target = float(np.percentile(mu, percentile))
     return FeasibleSet(mu=mu, R_target=target)
@@ -294,9 +302,7 @@ def _model_from_spec(factor: CovarianceFactor, mspec: ModelSpec, seed: int) -> F
     T = factor.columns
     if mspec.s is not None:
         s = mspec.s
-    elif mspec.s_over_ell is not None:
-        if ell is None:
-            raise ArgumentError(f"model {mspec.label()} sets s_over_ell without eta")
+    elif mspec.s_over_ell is not None:  # ModelSpec refuses it without eta
         s = min(max(math.ceil(mspec.s_over_ell * ell), 1), T)
     else:
         s = min(T, recommended_sketch_size(min(factor.n, 50), 0.5, 0.05))
@@ -497,7 +503,7 @@ def run_rate_experiment(cfg: ExperimentConfig, trace_path=None) -> BenchReport:
     if cfg.solver != SolverConfig():
         raise ArgumentError(
             "the rate experiment fixes its own step, momentum, tolerance and length "
-            f"({RATE_ITERS} iterations); it takes no solver settings or --tol"
+            f"({RATE_ITERS} iterations); it takes no solver settings"
         )
     spec = cfg.synthetic or SyntheticSpec(n=8, T=40, singular_decay=0.7)
     if spec.n > MAX_ORACLE_DIM:
@@ -529,10 +535,7 @@ def run_rate_experiment(cfg: ExperimentConfig, trace_path=None) -> BenchReport:
 
     # Strongly convex case: ridge large enough for a visible linear rate,
     # truncation below n so the curvature bound 2*gamma is exact.
-    str_spec = ModelSpec(
-        kind="str", sketch_kind="gaussian_jl", s=factor.columns, eta=0.95,
-        gamma=0.005 * s1**2,
-    )
+    str_spec = ModelSpec(kind="str", s=factor.columns, eta=0.95, gamma=0.005 * s1**2)
     model = _model_from_spec(factor, str_spec, derive_seed(cfg.seed, 202))
     res, gaps = _gap_trace(model, fs, "auto")  # constant momentum
     theta = 1.0 - math.sqrt(res.step_used * res.m_f)
@@ -546,7 +549,7 @@ def run_rate_experiment(cfg: ExperimentConfig, trace_path=None) -> BenchReport:
         envelope_ok = bool(np.all(gaps[ks] <= C * theta**ks * (1 + 1e-9) + 1e-18))
     rows.append(
         {
-            "model": "str-gaussian_jl",
+            "model": str_spec.label(),
             "case": "strongly_convex",
             "seed": panel_seed,
             "alpha": res.step_used,
@@ -570,7 +573,7 @@ def run_rate_experiment(cfg: ExperimentConfig, trace_path=None) -> BenchReport:
 
 
 def run_solver_benchmark(cfg: ExperimentConfig) -> BenchReport:
-    """Build/solve timings plus gap columns across problem sizes.
+    """Build/solve timings plus gap columns across problem sizes at the synthetic T/n.
 
     Same-model gaps against the enumeration oracle exist only for sizes the
     oracle can certify (n <= 14); larger rows are timing rows with the gap
@@ -581,7 +584,7 @@ def run_solver_benchmark(cfg: ExperimentConfig) -> BenchReport:
     base = cfg.synthetic or SyntheticSpec(n=8, T=32, singular_decay=0.7)
     rows = []
     for n in cfg.sizes:
-        T = max(cfg.T_over_n * n, 4)
+        T = max(n * base.T // base.n, 4)
         panel_seed = derive_seed(cfg.seed, 301, n)
         factor = center_and_factor(
             generate_synthetic(replace(base, n=n, T=T, seed=panel_seed))

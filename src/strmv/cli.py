@@ -16,7 +16,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict, is_dataclass, replace
+from dataclasses import asdict, fields, is_dataclass
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -56,6 +56,9 @@ def _build_parser() -> _Parser:
         "--threads", type=_thread_count, default=None, help="pin BLAS/OpenMP thread count"
     )
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    # A flag that sets a dataclass field passes a value only when given, so the
+    # field's declared default is the only one (see _from_flags).
+    given = dict(default=argparse.SUPPRESS)
 
     def add_parser(name, **kw):
         return sub.add_parser(name, parents=[threads_parent], **kw)
@@ -63,10 +66,10 @@ def _build_parser() -> _Parser:
     p = add_parser("synth", help="write a synthetic panel as CSV")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--T", type=int, required=True)
-    p.add_argument("--decay", type=float, default=0.5)
-    p.add_argument("--scale", type=float, default=1.0)
-    p.add_argument("--floor", type=float, default=0.0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--decay", type=float, dest="singular_decay", **given)
+    p.add_argument("--scale", type=float, dest="leading_scale", **given)
+    p.add_argument("--floor", type=float, dest="noise_floor", **given)
+    p.add_argument("--seed", type=int, **given)
     p.add_argument("--out", required=True)
 
     p = add_parser("spectrum", help="spectral report of a panel's factor")
@@ -82,14 +85,14 @@ def _build_parser() -> _Parser:
 
     p = add_parser("solve", help="single mean-variance solve")
     p.add_argument("--panel", required=True)
-    p.add_argument("--model", choices=["baseline", "sketch", "str"], default="str")
-    p.add_argument("--sketch", choices=["gaussian_jl", "countsketch"], default="gaussian_jl")
-    p.add_argument("--s", type=int, help="sketch width (default: rule-sized)")
-    p.add_argument("--kappa-target", type=float, default=1e3)
+    p.add_argument("--model", choices=["baseline", "sketch", "str"], dest="kind", **given)
+    p.add_argument("--sketch", choices=["gaussian_jl", "countsketch"], dest="sketch_kind", **given)
+    p.add_argument("--s", type=int, help="sketch width (default: rule-sized)", **given)
+    p.add_argument("--kappa-target", type=float, **given)
     p.add_argument("--r-target", type=float)
     p.add_argument("--r-target-percentile", type=float, default=60.0)
-    p.add_argument("--tol", type=float, default=1e-8)
-    p.add_argument("--max-iters", type=int, default=10_000)
+    p.add_argument("--tol", type=float, **given)
+    p.add_argument("--max-iters", type=int, **given)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
     p.add_argument("--residual-csv", help="write the residual trace as CSV")
@@ -98,7 +101,6 @@ def _build_parser() -> _Parser:
     p.add_argument("experiment", choices=["approx", "rate", "solver", "real"])
     p.add_argument("--config", help="JSON experiment config")
     p.add_argument("--seed", type=int)
-    p.add_argument("--tol", type=float)
     p.add_argument("--out")
     p.add_argument("--csv-out", help="also write the rows as a flat CSV table")
     p.add_argument("--trace-out", help="rate experiment: per-iteration CSV traces")
@@ -134,18 +136,15 @@ def _parse_vector(text: str):
         raise ArgumentError(f"bad vector {text!r}: {exc}") from None
 
 
+def _from_flags(kind, args):
+    """``kind`` from the fields ``args`` holds; a flag left out keeps the field's default."""
+    return kind(**{f.name: getattr(args, f.name) for f in fields(kind) if hasattr(args, f.name)})
+
+
 def _cmd_synth(args) -> int:
     from .panel import SyntheticSpec, generate_synthetic, save_panel
 
-    spec = SyntheticSpec(
-        n=args.n,
-        T=args.T,
-        singular_decay=args.decay,
-        leading_scale=args.scale,
-        noise_floor=args.floor,
-        seed=args.seed,
-    )
-    save_panel(generate_synthetic(spec), args.out)
+    save_panel(generate_synthetic(_from_flags(SyntheticSpec, args)), args.out)
     return EXIT_OK
 
 
@@ -198,7 +197,8 @@ def _cmd_project(args) -> int:
 def _cmd_solve(args) -> int:
     import math
 
-    from .bench import ModelSpec, _model_from_spec, feasible_from_factor, rows_to_csv
+    from .bench import (ModelSpec, _model_from_spec, check_percentile, feasible_from_factor,
+                        rows_to_csv)
     from .errors import ArgumentError
     from .panel import center_and_factor, load_panel
     from .projection import FeasibleSet
@@ -206,15 +206,12 @@ def _cmd_solve(args) -> int:
 
     # Flags are checked before the panel is read, so a bad one is a usage error.
     # A finite target above max(mu) needs the data, so it stays a data error.
-    spec = ModelSpec(
-        kind=args.model, sketch_kind=args.sketch, s=args.s, kappa_target=args.kappa_target
-    )
-    scfg = SolverConfig(tol=args.tol, max_iters=args.max_iters)
+    spec = _from_flags(ModelSpec, args)
+    scfg = _from_flags(SolverConfig, args)
     if args.r_target is not None and not math.isfinite(args.r_target):
         raise ArgumentError(f"--r-target must be finite, got R_target={args.r_target}")
-    if args.r_target is None and not 0.0 <= args.r_target_percentile <= 100.0:
-        raise ArgumentError(
-            f"r_target_percentile must be in [0, 100], got {args.r_target_percentile}")
+    if args.r_target is None:
+        check_percentile(args.r_target_percentile)
     if spec.kind != "baseline" and args.seed < 0:  # a baseline draws nothing
         raise ArgumentError(f"sketch seed must be nonnegative, got {args.seed}")
     factor = center_and_factor(load_panel(args.panel))
@@ -226,11 +223,11 @@ def _cmd_solve(args) -> int:
     result = solve(model, fs, cfg=scfg)
     if result.termination == "max_iters":
         print(
-            f"strmv: warning: stopped at max_iters={args.max_iters} with residual "
-            f"{result.residual_trace[-1]:.3g} > {args.tol:g}",
+            f"strmv: warning: stopped at max_iters={scfg.max_iters} with residual "
+            f"{result.residual_trace[-1]:.3g} > {scfg.tol:g}",
             file=sys.stderr,
         )
-    payload = {**asdict(result), "model": args.model, "r_target": fs.R_target,
+    payload = {**asdict(result), "model": spec.kind, "r_target": fs.R_target,
                "provenance": model.provenance, "singular_values": model.singular_values}
     if args.residual_csv:
         rows_to_csv([{"check": i, "residual": r}
@@ -252,8 +249,6 @@ def _cmd_bench(args) -> int:
         cfg = bench.ExperimentConfig()
     if args.seed is not None:
         cfg.seed = args.seed
-    if args.tol is not None:
-        cfg.solver = replace(cfg.solver, tol=args.tol)  # validates tol
     runners = {
         "approx": bench.run_approximation_sweep,
         "rate": lambda c: bench.run_rate_experiment(c, trace_path=args.trace_out),

@@ -191,6 +191,36 @@ class TestModelFromSpec:
         with pytest.raises(ArgumentError, match=re.escape(message)):
             ModelSpec(kind="str", **settings)
 
+    @pytest.mark.parametrize("settings,message", [
+        ({"kind": "baseline", "sketch_kind": "countsketch"},
+         "baseline models do not read sketch_kind"),
+        ({"kind": "baseline", "kappa_target": 5.0}, "baseline models do not read kappa_target"),
+        ({"kind": "sketch", "kappa_target": 5.0}, "sketch models do not read kappa_target"),
+        ({"kind": "str", "gamma": 0.05, "kappa_target": 50.0},
+         "str models with a gamma do not read kappa_target"),
+        ({"kind": "sketch", "s_over_ell": 2.0},
+         "model sketch-gaussian_jl sets s_over_ell without eta"),
+        ({"kind": "str", "s": 7, "s_over_ell": 2.0},
+         "model str-gaussian_jl sets s_over_ell without eta"),
+    ])
+    def test_what_no_build_reads_is_refused_at_construction(self, settings, message):
+        from strmv.errors import ArgumentError
+
+        with pytest.raises(ArgumentError, match=re.escape(message)):
+            ModelSpec(**settings)
+
+    def test_a_setting_at_its_declared_default_is_accepted(self):
+        # What a flag or config states at the default is what leaving it out gives.
+        stated = ModelSpec(kind="baseline", sketch_kind="gaussian_jl", kappa_target=1e3)
+        assert stated == ModelSpec(kind="baseline")
+        assert ModelSpec(kind="str", gamma=0.05, kappa_target=1e3).gamma == 0.05
+
+    def test_percentile_out_of_range_is_refused_at_construction(self):
+        from strmv.errors import ArgumentError
+
+        with pytest.raises(ArgumentError, match=re.escape("must be in [0, 100], got 150")):
+            ExperimentConfig(r_target_percentile=150)
+
     @pytest.mark.parametrize("kind", ["bogus", "identity"])
     def test_unknown_sketch_kind_rejected_at_construction(self, kind):
         # before any panel is generated or baseline solved
@@ -259,8 +289,8 @@ class TestSolverBenchmark:
     def test_small_and_timing_rows(self):
         cfg = small_cfg(
             models=[ModelSpec(kind="baseline"), ModelSpec(kind="str", s=24)],
+            synthetic=SyntheticSpec(n=8, T=40, singular_decay=0.7, noise_floor=0.02, seed=0),
             sizes=[8, 20],
-            T_over_n=5,
             repetitions=2,
         )
         report = run_solver_benchmark(cfg)
@@ -280,6 +310,15 @@ class TestSolverBenchmark:
             assert r["kappa"] > 1.0
             if r["model"] != "baseline":
                 assert r["kappa"] <= 1e3 * (1 + 1e-12)  # the default kappa_target
+
+    def test_panels_keep_the_synthetic_aspect(self):
+        cfg = small_cfg(
+            synthetic=SyntheticSpec(n=8, T=40, singular_decay=0.7, noise_floor=0.02),
+            models=[ModelSpec(kind="baseline")],
+            sizes=[4, 6],
+            repetitions=1,
+        )
+        assert [(r["n"], r["T"]) for r in run_solver_benchmark(cfg).rows] == [(4, 20), (6, 30)]
 
 
 class TestRealPanel:

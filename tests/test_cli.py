@@ -470,6 +470,26 @@ class TestExitCodes:
         assert "r_target_percentile must be in [0, 100]" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("cfg,message", [
+        ({"models": [{"kind": "baseline", "sketch_kind": "countsketch", "kappa_target": 5}]},
+         "baseline models do not read sketch_kind, kappa_target"),
+        ({"models": [{"kind": "sketch", "kappa_target": 5}]},
+         "sketch models do not read kappa_target"),
+        ({"models": [{"kind": "str", "gamma": 0.05, "kappa_target": 50}]},
+         "str models with a gamma do not read kappa_target"),
+        ({"models": [{"kind": "str", "s_over_ell": 2.0}]},
+         "model str-gaussian_jl sets s_over_ell without eta"),
+        ({"r_target_percentile": 150}, "r_target_percentile must be in [0, 100], got 150"),
+    ])
+    def test_config_setting_no_run_reads_is_1_before_the_panel_is_read(
+        self, tmp_path, capsys, cfg, message
+    ):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"panel_path": str(tmp_path / "missing.csv"), **cfg}))
+        assert main(["bench", "real", "--config", str(cfg_path)]) == 1
+        err = capsys.readouterr().err
+        assert message in err and "No such file" not in err
+
     def test_config_percentile_out_of_range_is_1(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({
@@ -522,6 +542,23 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "usage error" in err and "No such file" not in err
 
+    @pytest.mark.parametrize("flags,message", [
+        (["--model", "baseline", "--sketch", "countsketch"],
+         "baseline models do not read sketch_kind"),
+        (["--model", "baseline", "--kappa-target", "5"],
+         "baseline models do not read kappa_target"),
+        (["--model", "baseline", "--kappa-target", "0.5", "--sketch", "countsketch"],
+         "baseline models do not read sketch_kind, kappa_target"),
+        (["--model", "sketch", "--kappa-target", "5"], "sketch models do not read kappa_target"),
+    ])
+    def test_solve_flag_the_model_never_reads_is_1_before_the_panel_is_read(
+        self, tmp_path, capsys, flags, message
+    ):
+        # A flag that is left out passes nothing, so only a flag that was given is refused.
+        assert main(["solve", "--panel", str(tmp_path / "missing.csv"), *flags]) == 1
+        err = capsys.readouterr().err
+        assert message in err and "No such file" not in err
+
     def test_solve_baseline_refuses_a_sketch_width(self, tmp_path, capsys):
         argv = ["solve", "--panel", str(tmp_path / "missing.csv"), "--model", "baseline"]
         assert main([*argv, "--s", "2"]) == 1
@@ -539,10 +576,13 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("tol", ["nan", "0", "-1", "inf"])
     def test_bench_bad_tol_is_1(self, tmp_path, capsys, tol):
+        # bench has no --tol: a config's solver.tol is the one way to set it.
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"sizes": [8], "repetitions": 1}))
-        assert main(["bench", "solver", "--config", str(cfg_path), f"--tol={tol}"]) == 1
-        assert "tol must be positive" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "solver", "--config", str(cfg_path), f"--tol={tol}"])
+        assert exc.value.code == 1
+        assert f"unrecognized arguments: --tol={tol}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["synth", "solve"])
     def test_negative_seed_is_1(self, panel_csv, tmp_path, capsys, command):
@@ -608,7 +648,9 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("model,pinned", [
         ({"kind": "str", "s": 5, "eta": 0.5}, "s, eta"),
-        ({"kind": "sketch", "s_over_ell": 3.0}, "s_over_ell"),
+        # An s_over_ell needs an eta beside it, or the model itself is refused first.
+        pytest.param({"kind": "sketch", "s_over_ell": 3.0, "eta": 0.5}, "eta, s_over_ell",
+                     id="model1-s_over_ell"),
     ])
     def test_approx_model_pinning_a_grid_value_is_1(self, tmp_path, model, pinned):
         # The sweep sets s, eta and s/ell from its grids; a model that pins one
@@ -663,7 +705,10 @@ class TestExitCodes:
         ("approx", {"models": []}, 1, "models must not be empty"),
         ("approx", {"eta_grid": []}, 1, "eta_grid must not be empty"),
         ("approx", {"s_over_ell_grid": []}, 1, "s_over_ell_grid must not be empty"),
-        ("solver", {"T_over_n": 0}, 1, "T_over_n must be >= 1, got 0"),
+        # Keeps the id of the range check T_over_n had while it was a setting.
+        pytest.param("solver", {"T_over_n": 0}, 1,
+                     "unknown config keys in top-level: ['T_over_n']",
+                     id="solver-cfg19-1-T_over_n must be >= 1, got 0"),
         ("solver", {"sizes": [1]}, 1, "sizes must be >= 2, got [1]"),
         ("solver", {"sizes": [0]}, 1, "sizes must be >= 2, got [0]"),
         ("solver", {"sizes": [-3]}, 1, "sizes must be >= 2, got [-3]"),
@@ -701,7 +746,7 @@ class TestExitCodes:
                   "eta_grid": [0.5], "panel_path": "nope.csv"},
          "['eta_grid', 'models', 'panel_path', 'repetitions', 'sizes']"),
         ("solver", {"panel_path": "nope.csv", "sizes": [8]}, "['panel_path']"),
-        ("approx", {"synthetic": {"n": 6, "T": 24}, "T_over_n": 2}, "['T_over_n']"),
+        ("approx", {"synthetic": {"n": 6, "T": 24}, "sizes": [8]}, "['sizes']"),
         ("real", {"panel_path": "nope.csv", "eta_grid": [0.9]}, "['eta_grid']"),
     ])
     def test_config_key_the_experiment_does_not_read_is_1(
@@ -727,9 +772,9 @@ class TestExitCodes:
         # The rate experiment fixes its own solver settings, so any that a
         # flag or config sets would change nothing.
         out = tmp_path / "report.json"
-        if source == "flag":
+        if source == "flag":  # bench has no --tol, so argparse refuses it
             argv = ["--tol", "0.5"]
-            message = "takes no solver settings or --tol"
+            message = "unrecognized arguments: --tol 0.5"
         else:
             cfg_path = tmp_path / "cfg.json"
             cfg_path.write_text(json.dumps({"solver": {"max_iters": 3}}))
@@ -890,8 +935,10 @@ _BAD_NUMBERS = st.one_of(
 # Pinned because random draws seldom pair a negative seed with a Gaussian sketch.
 @example({"--model": "str", "--sketch": "gaussian_jl"}, {"--seed": "-1"}, "--r-target")
 def test_solve_fuzz_exits_with_a_documented_code(tiny_panel, flags, bad, unused_target):
-    # A baseline refuses --s, so only a sketched model draws one.
-    unused = {unused_target, "--s"} if flags["--model"] == "baseline" else {unused_target}
+    # A model refuses a setting it never reads: only a sketched model draws --sketch
+    # and --s, and only an STR model --kappa-target.
+    unread = {"baseline": {"--sketch", "--s", "--kappa-target"}, "sketch": {"--kappa-target"}}
+    unused = {unused_target, *unread.get(flags["--model"], ())}
     flags = {k: v for k, v in flags.items() if k not in unused}
     argv = ["solve", f"--panel={tiny_panel}",
             *(f"{flag}={value}" for flag, value in {**flags, **bad}.items())]
