@@ -7,7 +7,6 @@ from the reproducibility contract (their key names live in TIMING_KEYS).
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import json
 import math
@@ -113,11 +112,10 @@ class ModelSpec:
 #: other is refused, since the run would ignore it.
 CONFIG_KEYS = {
     "approx": ("synthetic", "models", "eta_grid", "s_over_ell_grid", "solver", "repetitions",
-               "seed", "r_target_percentile"),
-    "rate": ("synthetic", "seed", "r_target_percentile"),
-    "solver": ("synthetic", "models", "sizes", "solver", "repetitions", "seed",
                "r_target_percentile"),
-    "real": ("panel_path", "models", "solver", "repetitions", "seed", "r_target_percentile"),
+    "rate": ("synthetic", "r_target_percentile"),
+    "solver": ("synthetic", "models", "sizes", "solver", "repetitions", "r_target_percentile"),
+    "real": ("panel_path", "models", "solver", "repetitions", "r_target_percentile"),
 }
 
 
@@ -144,6 +142,8 @@ class ExperimentConfig:
             raise ArgumentError(f"sizes must be >= 2, got {self.sizes}")
         if not all(ratio > 0.0 for ratio in self.s_over_ell_grid):
             raise ArgumentError(f"s_over_ell_grid values must be > 0, got {self.s_over_ell_grid}")
+        for eta in self.eta_grid:
+            check_eta(eta)
         check_percentile(self.r_target_percentile)
 
     @classmethod
@@ -236,31 +236,6 @@ def strip_timings(obj):
     if isinstance(obj, list):
         return [strip_timings(v) for v in obj]
     return obj
-
-
-def rows_to_csv(rows: list[dict], path) -> None:
-    """Flatten report rows into one CSV table (nested dicts get dotted keys)."""
-
-    def flatten(row):
-        flat = {}
-        for key, val in row.items():
-            if isinstance(val, dict):
-                for sub, v in val.items():
-                    flat[f"{key}.{sub}"] = v
-            else:
-                flat[key] = val
-        return flat
-
-    flat_rows = [flatten(r) for r in rows]
-    fields: list[str] = []
-    for r in flat_rows:
-        for k in r:
-            if k not in fields:
-                fields.append(k)
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fields)
-        writer.writeheader()
-        writer.writerows(flat_rows)
 
 
 # ---------------------------------------------------------------------------
@@ -481,20 +456,22 @@ def _summarize_sweep(rows: list[dict]) -> list[dict]:
 
 
 def _gap_trace(model, fs, momentum_mode: str):
-    """``RATE_ITERS`` iterations at the solver's step 1/L_f; per-iteration
-    gaps to the oracle optimum, floored at 1e-18 for the log fits."""
+    """``RATE_ITERS`` iterations at the solver's step 1/L_f, fewer if the
+    residual reaches exactly 0; per-iteration gaps to the oracle optimum,
+    floored at 1e-18 for the log fits."""
     run_cfg = SolverConfig(momentum_mode=momentum_mode, max_iters=RATE_ITERS, tol=1e-300)
     res = solve(model, fs, cfg=run_cfg)
     return res, np.maximum(res.objective_trace - _oracle_value(model, fs), 1e-18)
 
 
-def run_rate_experiment(cfg: ExperimentConfig, trace_path=None) -> BenchReport:
+def run_rate_experiment(cfg: ExperimentConfig) -> BenchReport:
     """Per-iteration objective-gap traces for the two curvature regimes.
 
-    Both run at the solver's exact fixed step 1/L_f. The convex case runs
-    the t_k momentum and fits a log-log slope; the ridge-stabilized case runs
-    constant momentum and checks the geometric envelope C * theta^k over
-    k = 5..200, C fitted on k <= 5 as acceptance criterion 4 fits it.
+    Both run at the solver's exact fixed step 1/L_f, and each row carries
+    its gap at every iterate k = 0..iterations as ``gap_trace``. The convex
+    case runs the t_k momentum and fits a log-log slope; the ridge-stabilized
+    case runs constant momentum and checks the geometric envelope C * theta^k
+    over k = 5..200, C fitted on k <= 5 as acceptance criterion 4 fits it.
     Reference optima come from the enumeration oracle, so instances must
     stay small.
     The experiment fixes every solver setting itself, so a config that sets
@@ -526,10 +503,11 @@ def run_rate_experiment(cfg: ExperimentConfig, trace_path=None) -> BenchReport:
             "model": "baseline",
             "case": "convex",
             "seed": panel_seed,
-            "alpha": res.step_used,
+            "alpha": 1.0 / res.L_f,
             "loglog_slope": slope,
             "iterations": res.iterations,
             "final_gap": float(convex_gaps[-1]),
+            "gap_trace": convex_gaps.tolist(),
         }
     ]
 
@@ -538,7 +516,8 @@ def run_rate_experiment(cfg: ExperimentConfig, trace_path=None) -> BenchReport:
     str_spec = ModelSpec(kind="str", s=factor.columns, eta=0.95, gamma=0.005 * s1**2)
     model = _model_from_spec(factor, str_spec, derive_seed(cfg.seed, 202))
     res, gaps = _gap_trace(model, fs, "auto")  # constant momentum
-    theta = 1.0 - math.sqrt(res.step_used * res.m_f)
+    alpha = 1.0 / res.L_f
+    theta = 1.0 - math.sqrt(alpha * res.m_f)
     k_fit = 5
     envelope_ok = True
     if gaps.size > k_fit:
@@ -552,18 +531,14 @@ def run_rate_experiment(cfg: ExperimentConfig, trace_path=None) -> BenchReport:
             "model": str_spec.label(),
             "case": "strongly_convex",
             "seed": panel_seed,
-            "alpha": res.step_used,
+            "alpha": alpha,
             "theta": theta,
             "envelope_ok": envelope_ok,
             "iterations": res.iterations,
             "final_gap": float(gaps[-1]),
+            "gap_trace": gaps.tolist(),
         }
     )
-
-    if trace_path is not None:
-        rows_to_csv([{"case": case, "k": k, "gap": g}
-                     for case, gap_arr in (("convex", convex_gaps), ("strongly_convex", gaps))
-                     for k, g in enumerate(gap_arr.tolist())], trace_path)
     return _report("rate", cfg, rows)
 
 

@@ -89,21 +89,19 @@ def _build_parser() -> _Parser:
     p.add_argument("--sketch", choices=["gaussian_jl", "countsketch"], dest="sketch_kind", **given)
     p.add_argument("--s", type=int, help="sketch width (default: rule-sized)", **given)
     p.add_argument("--kappa-target", type=float, **given)
-    p.add_argument("--r-target", type=float)
-    p.add_argument("--r-target-percentile", type=float, default=60.0)
+    target = p.add_mutually_exclusive_group()
+    target.add_argument("--r-target", type=float)
+    target.add_argument("--r-target-percentile", type=float, default=60.0)
     p.add_argument("--tol", type=float, **given)
     p.add_argument("--max-iters", type=int, **given)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
-    p.add_argument("--residual-csv", help="write the residual trace as CSV")
 
     p = add_parser("bench", help="experiment harness")
     p.add_argument("experiment", choices=["approx", "rate", "solver", "real"])
     p.add_argument("--config", help="JSON experiment config")
     p.add_argument("--seed", type=int)
     p.add_argument("--out")
-    p.add_argument("--csv-out", help="also write the rows as a flat CSV table")
-    p.add_argument("--trace-out", help="rate experiment: per-iteration CSV traces")
 
     return parser
 
@@ -197,8 +195,7 @@ def _cmd_project(args) -> int:
 def _cmd_solve(args) -> int:
     import math
 
-    from .bench import (ModelSpec, _model_from_spec, check_percentile, feasible_from_factor,
-                        rows_to_csv)
+    from .bench import ModelSpec, _model_from_spec, check_percentile, feasible_from_factor
     from .errors import ArgumentError
     from .panel import center_and_factor, load_panel
     from .projection import FeasibleSet
@@ -227,22 +224,14 @@ def _cmd_solve(args) -> int:
             f"{result.residual_trace[-1]:.3g} > {scfg.tol:g}",
             file=sys.stderr,
         )
-    payload = {**asdict(result), "model": spec.kind, "r_target": fs.R_target,
-               "provenance": model.provenance, "singular_values": model.singular_values}
-    if args.residual_csv:
-        rows_to_csv([{"check": i, "residual": r}
-                     for i, r in enumerate(result.residual_trace.tolist())], args.residual_csv)
-    _emit(payload, args.out)
+    _emit({**asdict(result), "model": spec.kind, "r_target": fs.R_target,
+           "provenance": model.provenance, "singular_values": model.singular_values}, args.out)
     return EXIT_OK
 
 
 def _cmd_bench(args) -> int:
     from . import bench
-    from .errors import ArgumentError
 
-    if args.trace_out and args.experiment != "rate":
-        raise ArgumentError(
-            f"--trace-out is read only by the rate experiment, not {args.experiment}")
     if args.config:
         cfg = bench.ExperimentConfig.from_json(args.config, args.experiment)
     else:
@@ -251,14 +240,11 @@ def _cmd_bench(args) -> int:
         cfg.seed = args.seed
     runners = {
         "approx": bench.run_approximation_sweep,
-        "rate": lambda c: bench.run_rate_experiment(c, trace_path=args.trace_out),
+        "rate": bench.run_rate_experiment,
         "solver": bench.run_solver_benchmark,
         "real": bench.run_real_panel,
     }
-    report = runners[args.experiment](cfg)
-    if args.csv_out:
-        bench.rows_to_csv(report.rows, args.csv_out)
-    _emit(report, args.out)
+    _emit(runners[args.experiment](cfg), args.out)
     return EXIT_OK
 
 

@@ -78,8 +78,7 @@ class SolveResult:
     objective: float
     iterations: int
     residual_trace: np.ndarray
-    step_used: float
-    L_f_estimate: float
+    L_f: float  # exact; the step is 1 / L_f (L_f = 0 stops at iteration 0)
     m_f: float
     kappa: Optional[float]  # L_f / m_f; None when m_f = 0
     wall_time_s: float
@@ -267,8 +266,7 @@ def solve(
     def result(iterations: int, termination: str) -> SolveResult:
         return SolveResult(
             x=x, objective=objective(model, x), iterations=iterations,
-            residual_trace=np.asarray(residuals), step_used=alpha,
-            L_f_estimate=L_f, m_f=m_f, kappa=consts.kappa,
+            residual_trace=np.asarray(residuals), L_f=L_f, m_f=m_f, kappa=consts.kappa,
             wall_time_s=time.perf_counter() - start,
             termination=termination, momentum=momentum, restarts=restarts,
             objective_trace=np.asarray(obj_trace),

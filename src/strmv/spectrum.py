@@ -66,10 +66,8 @@ class ThinSVD:
 @dataclass
 class SpectrumReport:
     singular_values: np.ndarray
-    eigenvalues: np.ndarray
     energy: np.ndarray
-    numerical_rank: int
-    degenerate: bool = False
+    numerical_rank: int  # 0 for an all-zero spectrum
 
 
 def _numerical_rank(lam: np.ndarray) -> int:
@@ -130,8 +128,7 @@ def thin_svd(A: np.ndarray) -> ThinSVD:
 def cumulative_energy(eigenvalues: np.ndarray) -> np.ndarray:
     """E(r) = sum of the leading r eigenvalues over the total.
 
-    An all-zero spectrum yields all-zero energy; callers can flag that case
-    through ``SpectrumReport.degenerate``.
+    An all-zero spectrum yields all-zero energy.
     """
     lam = np.asarray(eigenvalues, dtype=np.float64)
     total = lam.sum()
@@ -158,14 +155,8 @@ def energy_rank(energy: np.ndarray, eta: float) -> int:
 def report_from_singular_values(singular_values: np.ndarray) -> SpectrumReport:
     s = np.asarray(singular_values, dtype=np.float64)
     lam = s**2
-    energy = cumulative_energy(lam)
-    return SpectrumReport(
-        singular_values=s,
-        eigenvalues=lam,
-        energy=energy,
-        numerical_rank=_numerical_rank(lam),
-        degenerate=bool(lam.sum() <= 0.0),
-    )
+    return SpectrumReport(singular_values=s, energy=cumulative_energy(lam),
+                          numerical_rank=_numerical_rank(lam))
 
 
 def select_truncation_level(singular_values: np.ndarray) -> int:

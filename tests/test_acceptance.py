@@ -128,7 +128,7 @@ def test_criterion_3_convex_rate():
         x0[0] = 1.0
         cfg = SolverConfig(momentum_mode="fista", tol=1e-300, max_iters=500)
         res = solve(model, fs, x0=x0, cfg=cfg)
-        assert res.step_used == pytest.approx(alpha, rel=1e-12)  # the solver's own 1/L_f
+        assert 1.0 / res.L_f == pytest.approx(alpha, rel=1e-12)  # the solver's own step
         oracle = solve_exact(QPInstance(Q=2.0 * model.covariance(), c=np.zeros(n), fs=fs))
         x0p, _ = project_feasible(x0, fs)
         d0 = float(np.linalg.norm(x0p - oracle.x)) ** 2
@@ -173,7 +173,7 @@ def test_criterion_4_linear_rate():
         fs = FeasibleSet(mu=mu, R_target=float(np.quantile(mu, rng.uniform(0.2, 0.8))))
         cfg = SolverConfig(tol=1e-300, max_iters=200)
         res = solve(model, fs, cfg=cfg)
-        assert res.step_used == pytest.approx(alpha, rel=1e-12)  # the solver's own 1/L_f
+        assert 1.0 / res.L_f == pytest.approx(alpha, rel=1e-12)  # the solver's own step
         fstar = solve_exact(QPInstance(Q=2.0 * model.covariance(), c=np.zeros(n), fs=fs)).value
         gaps = np.asarray(res.objective_trace) - fstar
         C = max(gaps[k] / theta**k for k in range(6))

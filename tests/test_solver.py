@@ -131,8 +131,8 @@ class TestSpectralNorm:
         fs = FeasibleSet(mu=factor.mean, R_target=float(np.percentile(factor.mean, 60)))
         res = solve(m, fs, cfg=SolverConfig(max_iters=1))
         sigma_1 = np.linalg.norm(m.L_eff, 2)
-        assert res.step_used <= 1.0 / (2.0 * sigma_1**2) * (1.0 + 1e-12)
-        assert res.L_f_estimate == pytest.approx(2.0 * sigma_1**2, rel=1e-12)
+        assert 1.0 / res.L_f <= 1.0 / (2.0 * sigma_1**2) * (1.0 + 1e-12)
+        assert res.L_f == pytest.approx(2.0 * sigma_1**2, rel=1e-12)
 
 
 class TestCurvature:
@@ -331,7 +331,6 @@ class TestMomentumRegime:
         default = solve(m, fs, cfg=SolverConfig(tol=1e-9))
         assert default.termination == "tolerance"
         assert default.momentum == "strongly_convex"
-        assert default.step_used == 1.0 / default.L_f_estimate
         assert default.restarts == 0
 
     def test_str_curvature_is_exact_without_power_method(self, monkeypatch):
@@ -345,7 +344,7 @@ class TestMomentumRegime:
         consts = curvature_constants(m)
         assert consts.L_f == 2.0 * (m.singular_values[0] ** 2 + m.gamma)
         assert consts.m_f == 2.0 * m.gamma
-        assert solve(m, fs, cfg=SolverConfig(tol=1e-8)).L_f_estimate == consts.L_f
+        assert solve(m, fs, cfg=SolverConfig(tol=1e-8)).L_f == consts.L_f
 
     def test_default_str_solve_reports_its_kappa_target(self):
         m, fs = _str_desk_model(60, seed=3)
@@ -363,7 +362,7 @@ class TestMomentumRegime:
         res = solve(build_baseline(factor), fs,
                     cfg=SolverConfig(tol=1e-7, residual_check_stride=5))
         assert res.m_f > 0.0 and 1e5 < res.kappa < 1e6
-        assert res.kappa == res.L_f_estimate / res.m_f
+        assert res.kappa == res.L_f / res.m_f
         assert res.momentum == "fista_restart" and res.termination == "tolerance"
 
     @pytest.mark.parametrize("kind, eigensolves", [
@@ -688,7 +687,7 @@ class TestGradientReuse:
         m = built[kind]
         res = solve(m, fs, cfg=SolverConfig(tol=1e-9, momentum_mode=mode, max_iters=5000))
         assert res.momentum == momentum and res.termination == "tolerance"
-        x, iterations = _reference_solve(m, fs, res.step_used, momentum, 1e-9, 5000)
+        x, iterations = _reference_solve(m, fs, 1.0 / res.L_f, momentum, 1e-9, 5000)
         assert res.iterations == iterations
         np.testing.assert_allclose(res.x, x, rtol=0, atol=1e-12)
 
@@ -851,4 +850,4 @@ def test_asset_permutation_maps_through(seed, perm_seed):
                      FeasibleSet(mu=fs.mu[perm], R_target=fs.R_target), cfg=PROPERTY_CFG)
     assert permuted.termination == ref.termination == "tolerance"
     np.testing.assert_allclose(permuted.x, ref.x[perm], atol=1e-7)
-    assert permuted.L_f_estimate == pytest.approx(ref.L_f_estimate, rel=1e-12)
+    assert permuted.L_f == pytest.approx(ref.L_f, rel=1e-12)

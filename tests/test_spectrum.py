@@ -139,7 +139,7 @@ class TestEnergy:
         energy = cumulative_energy([0.0, 0.0])
         np.testing.assert_array_equal(energy, [0.0, 0.0])
         report = report_from_singular_values([0.0, 0.0])
-        assert report.degenerate and report.numerical_rank == 0
+        assert report.numerical_rank == 0
 
     def test_report_and_thin_svd_share_the_rank_floor(self):
         # lam = 1e-6 clears the 1e-8 floor on eigenvalues; lam = 1e-10 does not
