@@ -387,7 +387,6 @@ def run_approximation_sweep(cfg: ExperimentConfig) -> BenchReport:
         factor = center_and_factor(generate_synthetic(replace(cfg.synthetic, seed=panel_seed)))
         fs = feasible_from_factor(factor, cfg.r_target_percentile)
         baseline = models.build_baseline(factor)
-        Sigma = baseline.covariance()
         f_full_star = solve(baseline, fs, cfg=cfg.solver).objective
         for mi, mspec in enumerate(cfg.models):
             for ei, eta in enumerate(cfg.eta_grid):
@@ -399,7 +398,7 @@ def run_approximation_sweep(cfg: ExperimentConfig) -> BenchReport:
                         model, _, score, times = _run_model(
                             factor, point, sketch_seed, fs, baseline, f_full_star, cfg.solver,
                         )
-                        spec_err = relative_spectral_error(model.covariance(), Sigma)
+                        spec_err = relative_spectral_error(model.covariance(), factor.covariance)
                     except ArgumentError:  # a config error fails the run
                         raise
                     except StrmvError as exc:  # a failed row is recorded, not fatal

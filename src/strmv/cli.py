@@ -91,7 +91,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--kappa-target", type=float, **given)
     target = p.add_mutually_exclusive_group()
     target.add_argument("--r-target", type=float)
-    target.add_argument("--r-target-percentile", type=float, default=60.0)
+    target.add_argument("--r-target-percentile", type=float, **given)
     p.add_argument("--tol", type=float, **given)
     p.add_argument("--max-iters", type=int, **given)
     p.add_argument("--seed", type=int, default=0)
@@ -195,7 +195,7 @@ def _cmd_project(args) -> int:
 def _cmd_solve(args) -> int:
     import math
 
-    from .bench import ModelSpec, _model_from_spec, check_percentile, feasible_from_factor
+    from .bench import ExperimentConfig, ModelSpec, _model_from_spec, feasible_from_factor
     from .errors import ArgumentError
     from .panel import center_and_factor, load_panel
     from .projection import FeasibleSet
@@ -205,17 +205,16 @@ def _cmd_solve(args) -> int:
     # A finite target above max(mu) needs the data, so it stays a data error.
     spec = _from_flags(ModelSpec, args)
     scfg = _from_flags(SolverConfig, args)
+    percentile = _from_flags(ExperimentConfig, args).r_target_percentile  # bench's default too
     if args.r_target is not None and not math.isfinite(args.r_target):
         raise ArgumentError(f"--r-target must be finite, got R_target={args.r_target}")
-    if args.r_target is None:
-        check_percentile(args.r_target_percentile)
     if spec.kind != "baseline" and args.seed < 0:  # a baseline draws nothing
         raise ArgumentError(f"sketch seed must be nonnegative, got {args.seed}")
     factor = center_and_factor(load_panel(args.panel))
     if args.r_target is not None:
         fs = FeasibleSet(mu=factor.mean, R_target=args.r_target)
     else:
-        fs = feasible_from_factor(factor, args.r_target_percentile)
+        fs = feasible_from_factor(factor, percentile)
     model = _model_from_spec(factor, spec, args.seed)
     result = solve(model, fs, cfg=scfg)
     if result.termination == "max_iters":

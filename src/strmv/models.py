@@ -15,6 +15,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import spectrum
 from .errors import ArgumentError, DegenerateSpectrumError, DimensionError
 from .panel import CovarianceFactor
 from .sketch import SketchConfig, apply_sketch
@@ -32,16 +33,18 @@ logger = logging.getLogger(__name__)
 class FactorModel:
     """Effective factor plus ridge; gamma > 0 exactly for the str kind.
 
-    A str model also carries ``singular_values``, the kept spectrum of its
-    factor: one value per column, descending, zero past the n-th for a factor
-    wider than tall. Other kinds carry None.
+    Every model carries ``singular_values``, its factor's min(n, columns)
+    singular values, descending: a builder passes those it holds, else they
+    are computed from L_eff here, once. ``gram`` is L_eff @ L_eff.T when a
+    builder holds it (``build_baseline``); ``covariance`` then copies it.
     """
 
     L_eff: np.ndarray  # (n, m)
     gamma: float
     kind: str
     provenance: dict = field(default_factory=dict)
-    singular_values: Optional[np.ndarray] = None
+    singular_values: np.ndarray = None  # None: computed from L_eff
+    gram: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in MODEL_KINDS:
@@ -51,20 +54,16 @@ class FactorModel:
             raise DimensionError("L_eff must be a matrix")
         if self.kind == "str":
             check_ridge(self.gamma)
-            if self.singular_values is None:
-                raise ArgumentError("str models require singular_values")
-            self.singular_values = np.asarray(self.singular_values, dtype=np.float64)
-            if self.singular_values.shape != (self.columns,):
-                raise DimensionError(
-                    f"{self.singular_values.size} singular values for {self.columns} columns"
-                )
-            self.singular_values.setflags(write=False)
-        else:
-            if self.gamma != 0.0:
-                raise ArgumentError(f"{self.kind} models require gamma == 0")
-            if self.singular_values is not None:
-                raise ArgumentError(f"{self.kind} models carry no singular_values")
+        elif self.gamma != 0.0:
+            raise ArgumentError(f"{self.kind} models require gamma == 0")
         self.L_eff.setflags(write=False)
+        sv = self.singular_values
+        self.singular_values = np.asarray(
+            spectrum.singular_values(self.L_eff) if sv is None else sv, dtype=np.float64)
+        if self.singular_values.shape != (min(self.n, self.columns),):
+            raise DimensionError(f"{self.singular_values.size} singular values for a "
+                                 f"{self.n} x {self.columns} factor")
+        self.singular_values.setflags(write=False)
 
     @property
     def n(self) -> int:
@@ -76,7 +75,7 @@ class FactorModel:
 
     def covariance(self) -> np.ndarray:
         """Dense induced covariance L_eff @ L_eff.T + gamma * I (n x n)."""
-        sigma = self.L_eff @ self.L_eff.T
+        sigma = self.L_eff @ self.L_eff.T if self.gram is None else self.gram.copy()
         if self.gamma:
             sigma[np.diag_indices_from(sigma)] += self.gamma
         return sigma
@@ -88,6 +87,8 @@ def build_baseline(factor: CovarianceFactor) -> FactorModel:
         gamma=0.0,
         kind="baseline",
         provenance={"columns": int(factor.columns)},
+        singular_values=factor.singular_values,
+        gram=factor.covariance if factor.columns >= factor.n else None,
     )
 
 

@@ -79,10 +79,19 @@ class CovarianceFactor:
         return self.L.shape[1]
 
     @functools.cached_property
+    def covariance(self) -> np.ndarray:
+        """Sigma = L @ L.T (n x n), formed on first read and kept, read-only."""
+        sigma = self.L @ self.L.T
+        sigma.setflags(write=False)
+        return sigma
+
+    @functools.cached_property
     def singular_values(self) -> np.ndarray:
         """All min(n, T) singular values of L, descending: the panel's dense
-        spectrum, computed on first read and kept."""
-        sv = spectrum.singular_values(self.L)
+        spectrum, computed on first read and kept. They come from the
+        eigenvalues of ``covariance`` when T >= n, else of L.T @ L."""
+        gram = self.covariance if self.columns >= self.n else self.L.T @ self.L
+        sv = spectrum.gram_singular_values(gram)
         sv.setflags(write=False)
         return sv
 

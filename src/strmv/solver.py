@@ -25,11 +25,12 @@ check at x_k reuses grad f(x_k), as does the objective trace: f has no
 linear term, so f(x_k) = x_k . grad f(x_k) / 2. A factor with at most n/2
 columns is multiplied as it is, by two matrix-vector products. A wider one
 costs less as the dense Hessian H = 2*(L_eff @ L_eff.T + gamma*I), formed
-once per solve by ``FactorModel.covariance``, after which a gradient is the
-single pass H @ x. Iterates of a binding long-only problem are sparse, so
-when x holds at most n/4 assets the product reads only their rows of the
-symmetric H: H[held].T @ x[held] costs n*|held| reads instead of n^2, and
-leaves out only terms H_ij * 0.
+once per solve by ``FactorModel.covariance`` (a baseline copies the
+factor's kept Sigma), after which a gradient is the single pass H @ x.
+Iterates of a binding long-only problem are sparse, so when x holds at most
+n/4 assets the product reads only their rows of the symmetric H:
+H[held].T @ x[held] costs n*|held| reads instead of n^2, and leaves out only
+terms H_ij * 0.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ import numpy as np
 from .errors import ArgumentError, DimensionError
 from .models import FactorModel
 from .projection import FeasibleSet, project_feasible
-from .spectrum import RANK_TOL, singular_values, symmetric_eigenvalues
+from .spectrum import RANK_TOL
 
 MOMENTUM_MODES = ("auto", "fista")
 
@@ -101,7 +102,7 @@ class DenseHessian:
 
     H: np.ndarray
     gamma: float
-    singular_values: Optional[np.ndarray]
+    singular_values: np.ndarray
 
     @property
     def n(self) -> int:
@@ -156,31 +157,17 @@ def objective(model: FactorModel, x: np.ndarray) -> float:
     return val
 
 
-def _extreme_pair(sv: np.ndarray, n: int) -> tuple[float, float]:
-    """(sigma_1, sigma_n) of a descending spectrum; sigma_n = 0 when it holds
-    fewer than n values, as a factor with fewer than n columns does."""
-    return (float(sv[0]) if sv.size else 0.0), (float(sv[n - 1]) if 0 < n <= sv.size else 0.0)
-
-
 def estimate_spectral_norm(model: Operator) -> tuple[float, float]:
-    """The extreme singular values (sigma_1, sigma_n) of L_eff, exact to
-    roundoff, by one eigensolve in ``strmv.spectrum``.
-
-    On a ``DenseHessian`` both come from the first and last eigenvalues of the
-    H already formed, 2 * (sigma^2 + gamma); on a factor, from the Gram matrix
-    of its columns, and sigma_n = 0 when it has fewer than n columns. A
-    non-finite operator raises NumericError.
-    """
-    if isinstance(model, DenseHessian):
-        lam = symmetric_eigenvalues(model.H)
-        return tuple(math.sqrt(max(0.5 * v - model.gamma, 0.0)) for v in (lam[0], lam[-1]))
-    return _extreme_pair(singular_values(model.L_eff), model.n)
+    """The extreme singular values (sigma_1, sigma_n) of L_eff, read from the
+    spectrum the model carries; sigma_n = 0 when it holds fewer than n
+    values, as a factor with fewer than n columns does."""
+    sv, n = model.singular_values, model.n
+    return (float(sv[0]) if sv.size else 0.0), (float(sv[n - 1]) if 0 < n <= sv.size else 0.0)
 
 
 def curvature_constants(model: Operator) -> CurvatureConstants:
     """Smoothness and strong-convexity constants, and kappa = L_f/m_f, from
-    one spectrum: a model's stored singular values, else the one eigensolve
-    of ``estimate_spectral_norm``.
+    the spectrum the model carries (``estimate_spectral_norm``): no eigensolve.
 
     L_f = 2*(sigma_1^2 + gamma). m_f = 2*(sigma_n^2 + gamma), where sigma_n
     counts only when the factor has at least n columns and sigma_n^2 >=
@@ -188,10 +175,7 @@ def curvature_constants(model: Operator) -> CurvatureConstants:
     with T <= n has rank below n). Otherwise m_f = 2*gamma exactly, as on the
     factor path and for every str model with ell < n.
     """
-    if model.singular_values is not None:
-        sigma_1, sigma_n = _extreme_pair(model.singular_values, model.n)
-    else:
-        sigma_1, sigma_n = estimate_spectral_norm(model)
+    sigma_1, sigma_n = estimate_spectral_norm(model)
     if sigma_n**2 < RANK_TOL * sigma_1**2:
         sigma_n = 0.0
     L_f, m_f = 2.0 * (sigma_1**2 + model.gamma), 2.0 * (sigma_n**2 + model.gamma)
@@ -224,7 +208,7 @@ def solve(
     which moves little between iterates (``project_feasible``). Gradients
     are taken on ``gradient_operator(model)``, one per iterate, and the
     objective on the model's own factor. ``wall_time_s`` covers the whole
-    call, the Hessian's formation and the curvature estimate included.
+    call, the Hessian's formation included.
     """
     start = time.perf_counter()
     cfg = cfg or SolverConfig()

@@ -1,9 +1,9 @@
 """Thin SVD, singular values and symmetric eigenvalues by one eigensolve each,
 spectral diagnostics, and the truncation-level rule.
 
-Singular values come from the smaller Gram matrix; the solver's exact
-curvature comes from the same checked ``eigvalsh``, so a non-finite input
-raises NumericError rather than LAPACK's LinAlgError.
+Singular values come from the smaller Gram matrix, by a checked
+``eigvalsh``, so a non-finite input raises NumericError rather than LAPACK's
+LinAlgError. Every model's spectrum, which the solver reads, comes from here.
 
 The truncation rule works on covariance eigenvalues (squared singular
 values): keep the largest index i whose eigenvalue still clears the head
@@ -100,11 +100,17 @@ def symmetric_eigenvalues(M: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(_finite(M))[::-1]
 
 
+def gram_singular_values(G: np.ndarray) -> np.ndarray:
+    """The singular values of A, descending, from its Gram matrix G (A @ A.T
+    or A.T @ A): the square roots of G's ``symmetric_eigenvalues``. Below the
+    RANK_TOL floor they are roundoff, returned clipped at 0."""
+    return np.sqrt(np.maximum(symmetric_eigenvalues(G), 0.0))
+
+
 def singular_values(A: np.ndarray) -> np.ndarray:
     """All min(m, k) singular values of the (m, k) matrix A, descending, from
-    the ``symmetric_eigenvalues`` of the smaller Gram matrix; accurate as ``thin_svd``'s
-    S. Below the RANK_TOL floor they are roundoff, returned clipped at 0."""
-    return np.sqrt(np.maximum(symmetric_eigenvalues(_gram(A)[2]), 0.0))
+    the smaller Gram matrix; accurate as ``thin_svd``'s S."""
+    return gram_singular_values(_gram(A)[2])
 
 
 def thin_svd(A: np.ndarray) -> ThinSVD:

@@ -239,31 +239,88 @@ class TestModelFromSpec:
 
 
 class TestOneDenseSpectrumPerPanel:
+    """Each bench panel's Sigma = L @ L.T is formed once, and its dense
+    spectrum comes from one eigensolve of it, whatever the models: the factor
+    keeps both, and the baseline's Hessian copies that Sigma. The spectral
+    error's own eigensolves score a model against Sigma and are not counted."""
+
     @staticmethod
-    def dense_spectra(monkeypatch):
-        """A count of the Gram matrices formed of a bench panel's factor L:
-        one per computation of that panel's dense spectrum."""
+    def panel_work(monkeypatch):
+        """A function returning the counts of bench panels factored, of Sigmas
+        formed of their L, and of eigensolves run on a Sigma or on a Hessian
+        made from it."""
+        import functools
+
         import strmv.bench as bench
         import strmv.spectrum as spectrum
+        from strmv.models import FactorModel
+        from strmv.panel import CovarianceFactor
 
-        factors, grams = [], []
+        factors, formed, dense, solved = [], [], [], []
+        in_metric = []
+
+        def of_panel(A):
+            return any(A is f.L for f in factors)
+
+        def keep(matrix, new=True):
+            dense.append(matrix)
+            if new:
+                formed.append(matrix)
+            return matrix
+
         center, gram = bench.center_and_factor, spectrum._gram
         monkeypatch.setattr(bench, "center_and_factor",
                             lambda panel: factors.append(center(panel)) or factors[-1])
-        monkeypatch.setattr(spectrum, "_gram", lambda A: grams.append(A) or gram(A))
-        return lambda: sum(any(A is f.L for f in factors) for A in grams)
+        form = CovarianceFactor.covariance.func
+        kept = functools.cached_property(lambda factor: keep(form(factor)))
+        kept.__set_name__(CovarianceFactor, "covariance")
+        monkeypatch.setattr(CovarianceFactor, "covariance", kept)
+
+        def counted_gram(A):
+            out = gram(A)
+            if of_panel(A) and not out[1]:  # the n x n Gram L @ L.T
+                keep(out[2])
+            return out
+
+        monkeypatch.setattr(spectrum, "_gram", counted_gram)
+        covariance = FactorModel.covariance
+        monkeypatch.setattr(
+            FactorModel, "covariance",
+            lambda model: (keep(covariance(model), new=model.gram is None)
+                           if of_panel(model.L_eff) else covariance(model)))
+        metric = bench.relative_spectral_error
+
+        def scoring(*args):
+            in_metric.append(True)
+            try:
+                return metric(*args)
+            finally:
+                in_metric.pop()
+
+        monkeypatch.setattr(bench, "relative_spectral_error", scoring)
+        for name in ("eigvalsh", "eigh"):
+            solver = getattr(np.linalg, name)
+
+            def counted(M, *args, _solver=solver, **kwargs):
+                if not in_metric and any(M is D for D in dense):
+                    solved.append(M)
+                return _solver(M, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        return lambda: (len(factors), len(formed), len(solved))
 
     def test_approx_maps_every_point_on_one_spectrum_per_panel(self, monkeypatch):
-        count = self.dense_spectra(monkeypatch)
+        count = self.panel_work(monkeypatch)
         report = run_approximation_sweep(small_cfg(repetitions=2))  # 2 models x 2 ratios
         assert len(report.rows) == 8
-        assert count() == 2
+        assert count() == (2, 2, 2)
 
-    def test_solver_without_eta_computes_none(self, monkeypatch):
-        count = self.dense_spectra(monkeypatch)
+    def test_solver_forms_one_per_panel(self, monkeypatch):
+        # Sizes 8, 10 and 12: the oracle's Q for each baseline copies its Sigma.
+        count = self.panel_work(monkeypatch)
         report = run_solver_benchmark(ExperimentConfig())
         assert len(report.rows) == 3
-        assert count() == 0
+        assert count() == (3, 3, 3)
 
 
 class TestRateExperiment:

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from strmv.bench import CONFIG_KEYS, BenchReport, strip_timings
+from strmv.bench import CONFIG_KEYS, BenchReport, ExperimentConfig, strip_timings
 from strmv.cli import _THREAD_VARS, main
 from strmv.panel import (
     SyntheticSpec,
@@ -115,11 +115,22 @@ class TestSubcommands:
         assert payload["momentum"] == ("strongly_convex" if model == "str"
                                        else "fista_restart")
         assert payload["restarts"] >= 0
-        if model == "str":
-            assert len(sv) == payload["provenance"]["ell"]
-            assert sv == sorted(sv, reverse=True) and sv[-1] > 0
-        else:
-            assert sv is None
+        # min(n, columns) values: ell for STR, n = 8 for the others (T = 48, s = 24).
+        assert len(sv) == (payload["provenance"]["ell"] if model == "str" else 8)
+        assert sv == sorted(sv, reverse=True) and sv[-1] > 0
+        gamma = payload["provenance"]["gamma"] if model == "str" else 0.0
+        assert payload["L_f"] == 2.0 * (sv[0] ** 2 + gamma)
+
+    def test_solve_target_defaults_to_the_experiment_percentile(self, panel_csv, tmp_path):
+        default = ExperimentConfig().r_target_percentile
+        out, pinned = tmp_path / "default.json", tmp_path / "pinned.json"
+        assert main(["solve", "--panel", str(panel_csv), "--out", str(out)]) == 0
+        assert main(["solve", "--panel", str(panel_csv), "--r-target-percentile",
+                     repr(default), "--out", str(pinned)]) == 0
+        payload = json.loads(out.read_text())
+        mu = center_and_factor(load_panel(panel_csv)).mean
+        assert payload["r_target"] == float(np.percentile(mu, default))
+        assert strip_timings(payload) == strip_timings(json.loads(pinned.read_text()))
 
     def test_solve_writes_infinite_kappa_as_null(self, tmp_path):
         # 20 columns for 40 assets: the sketch model has no curvature, and

@@ -12,7 +12,7 @@ from strmv.models import (
 from strmv.panel import CovarianceFactor
 from strmv.sketch import SketchConfig
 from strmv.solver import gradient, objective
-from strmv.spectrum import thin_svd
+from strmv.spectrum import singular_values, thin_svd
 
 from reference import kappa_improvement_threshold, materialize_sketch_matrix
 
@@ -29,6 +29,37 @@ def random_low_rank(n, T, r, seed, sig=None):
     if sig is None:
         sig = 1.0 + rng.uniform(0.0, 1.0, r)
     return (U * sig) @ V.T
+
+
+class TestEveryModelCarriesItsSpectrum:
+    @pytest.mark.parametrize("build", [
+        pytest.param(lambda f: build_baseline(f), id="baseline"),
+        pytest.param(lambda f: build_baseline(factor_of(f.L[:, :20])), id="baseline_T_lt_n"),
+        pytest.param(lambda f: build_sketch(f, SketchConfig("gaussian_jl", 60, 1)),
+                     id="wide_sketch"),
+        pytest.param(lambda f: build_sketch(f, SketchConfig("countsketch", 12, 1)),
+                     id="tall_sketch"),
+        pytest.param(lambda f: build_str(f, SketchConfig("gaussian_jl", 60, 1)), id="str"),
+        pytest.param(lambda f: build_str(f, SketchConfig("countsketch", 12, 1), ell=10),
+                     id="str_tall_sketch"),
+    ])
+    def test_singular_values_are_the_factors(self, build):
+        L = random_low_rank(30, 120, 30, seed=4, sig=0.9 ** np.arange(30))
+        m = build(factor_of(L))
+        expect = singular_values(m.L_eff)
+        assert m.singular_values.shape == (min(m.n, m.columns),)
+        np.testing.assert_allclose(m.singular_values, expect, rtol=0,
+                                   atol=1e-12 * expect[0])
+
+    def test_baseline_reads_the_factors_sigma_and_spectrum(self):
+        f = factor_of(random_low_rank(6, 24, 6, seed=5))
+        m = build_baseline(f)
+        assert m.singular_values is f.singular_values and m.gram is f.covariance
+        assert not f.covariance.flags.writeable
+        np.testing.assert_array_equal(m.covariance(), f.L @ f.L.T)
+        assert m.covariance() is not f.covariance  # a copy, which the solver may scale
+        narrow = build_baseline(factor_of(f.L[:, :4]))  # T < n: Sigma is not formed
+        assert narrow.gram is None and narrow.singular_values.shape == (4,)
 
 
 class TestBaselineAndSketch:
@@ -163,13 +194,17 @@ class TestBuildStr:
             build_str(f, SketchConfig(kind="gaussian_jl", s=3, seed=0), gamma=float("inf"))
 
     def test_singular_values_validated(self):
-        with pytest.raises(ArgumentError):
-            FactorModel(L_eff=np.eye(2), gamma=0.1, kind="str")
+        # min(n, columns) values for every kind; computed when not given.
+        m = FactorModel(L_eff=np.diag([2.0, 1.0]), gamma=0.1, kind="str")
+        np.testing.assert_array_equal(m.singular_values, [2.0, 1.0])
+        assert not m.singular_values.flags.writeable
         with pytest.raises(DimensionError):
             FactorModel(L_eff=np.eye(2), gamma=0.1, kind="str", singular_values=[1.0])
-        with pytest.raises(ArgumentError):
-            FactorModel(L_eff=np.eye(2), gamma=0.0, kind="baseline",
-                        singular_values=[1.0, 1.0])
+        with pytest.raises(DimensionError):
+            FactorModel(L_eff=np.ones((2, 3)), gamma=0.0, kind="sketch",
+                        singular_values=[1.0, 0.0, 0.0])
+        wide = FactorModel(L_eff=np.ones((2, 3)), gamma=0.0, kind="baseline")
+        np.testing.assert_allclose(wide.singular_values, [np.sqrt(6.0), 0.0], atol=1e-7)
 
     def test_kept_spectrum_is_typed(self, unsketched):
         L = random_low_rank(8, 20, 5, seed=3)
@@ -221,7 +256,7 @@ class TestFactorEquivalence:
             gamma=0.05,
             kind="str",
             provenance=thin.provenance,
-            singular_values=np.r_[svd.S[:ell], np.zeros(wide_L.shape[1] - ell)],
+            singular_values=np.r_[svd.S[:ell], np.zeros(wide_L.shape[0] - ell)],
         )
         for _ in range(20):
             x = rng.standard_normal(7)

@@ -39,11 +39,9 @@ def as_json(result):
 
 def str_model(L_eff, gamma):
     L_eff = np.asarray(L_eff, dtype=float)
-    sv = np.linalg.svd(L_eff, compute_uv=False)
-    sv = np.r_[sv, np.zeros(L_eff.shape[1] - sv.size)]  # one per column
     return FactorModel(
-        L_eff=L_eff, gamma=gamma, kind="str",
-        provenance={"ell": L_eff.shape[1]}, singular_values=sv,
+        L_eff=L_eff, gamma=gamma, kind="str", provenance={"ell": L_eff.shape[1]},
+        singular_values=np.linalg.svd(L_eff, compute_uv=False),  # min(n, columns)
     )
 
 
@@ -83,9 +81,9 @@ class TestGradient:
 
 
 class TestSpectralNorm:
-    """Models without a stored spectrum get the extreme singular values
-    (sigma_1, sigma_n) of L_eff exactly, from one eigensolve on whichever
-    operator ``solve`` iterates on."""
+    """Every model carries its spectrum, so the extreme singular values
+    (sigma_1, sigma_n) of L_eff are exact on whichever operator ``solve``
+    iterates on."""
 
     def test_diagonal(self):
         m = build_baseline(factor_of(np.diag([3.0, 1.0])))
@@ -333,13 +331,7 @@ class TestMomentumRegime:
         assert default.momentum == "strongly_convex"
         assert default.restarts == 0
 
-    def test_str_curvature_is_exact_without_power_method(self, monkeypatch):
-        import strmv.solver as solver
-
-        def no_power(*args, **kwargs):
-            raise AssertionError("str curvature needs no power method")
-
-        monkeypatch.setattr(solver, "estimate_spectral_norm", no_power)
+    def test_str_curvature_is_exact_without_power_method(self):
         m, fs = _str_desk_model(40, seed=4)
         consts = curvature_constants(m)
         assert consts.L_f == 2.0 * (m.singular_values[0] ** 2 + m.gamma)
@@ -365,30 +357,34 @@ class TestMomentumRegime:
         assert res.kappa == res.L_f / res.m_f
         assert res.momentum == "fista_restart" and res.termination == "tolerance"
 
-    @pytest.mark.parametrize("kind, eigensolves", [
-        ("baseline", {"symmetric_eigenvalues": 1}),  # dense Hessian
-        ("sketch", {"singular_values": 1}),  # s = 12 <= n/2: factor path
-        ("str", {}),  # stored spectrum
+    @pytest.mark.parametrize("kind", [
+        "baseline",  # dense Hessian
+        "sketch",  # s = 12 <= n/2: factor path
+        "str",
     ])
-    def test_one_curvature_eigensolve_per_solve(self, monkeypatch, kind, eigensolves):
-        import strmv.solver as solver
-
-        calls = {}
-        for name in ("symmetric_eigenvalues", "singular_values"):
-            original = getattr(solver, name)
-
-            def counted(A, _name=name, _original=original):
-                calls[_name] = calls.get(_name, 0) + 1
-                return _original(A)
-
-            monkeypatch.setattr(solver, name, counted)
+    def test_no_eigensolve_inside_solve(self, monkeypatch, kind):
         factor, fs = _wide_instance(30, seed=3)
         cfg = SketchConfig(kind="countsketch", s=12, seed=3)
         m = {"baseline": lambda: build_baseline(factor),
              "sketch": lambda: build_sketch(factor, cfg),
              "str": lambda: build_str(factor, cfg)}[kind]()
-        solve(m, fs, cfg=SolverConfig(tol=1e-8))
-        assert calls == eigensolves
+        refuse_eigensolves(monkeypatch)
+        res = solve(m, fs, cfg=SolverConfig(tol=1e-8))
+        assert res.termination == "tolerance"
+        assert res.L_f == 2.0 * (m.singular_values[0] ** 2 + m.gamma)
+
+    def test_a_second_baseline_solve_forms_no_gram_and_no_spectrum(self, monkeypatch):
+        # The desk_target pattern: every op builds and solves a baseline on
+        # the same factor, whose Sigma and spectrum the first one formed.
+        factor, fs = _wide_instance(30, seed=3)  # T = 4n: the baseline reads Sigma
+        first = solve(build_baseline(factor), fs, cfg=SolverConfig(tol=1e-8))
+        refuse_eigensolves(monkeypatch)
+        second = build_baseline(factor)
+        assert second.singular_values is factor.singular_values
+        second.L_eff = second.L_eff.view(_NoGram)
+        again = solve(second, fs, cfg=SolverConfig(tol=1e-8))
+        assert again.iterations == first.iterations
+        np.testing.assert_array_equal(again.x, first.x)
 
     def test_restart_beats_plain_fista_on_a_binding_baseline(self):
         spec = SyntheticSpec(n=200, T=800, singular_decay=0.9, noise_floor=0.03, seed=0)
@@ -405,6 +401,24 @@ class TestMomentumRegime:
         assert (default.momentum, fista.momentum) == ("fista_restart", "fista")
         assert default.restarts > 0 and fista.restarts == 0
         assert default.objective == pytest.approx(fista.objective, rel=1e-7)
+
+
+def refuse_eigensolves(monkeypatch):
+    """Make every numpy eigensolve and SVD raise from here on."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("an eigensolve ran")
+
+    for name in ("eigvalsh", "eigh", "eig", "eigvals", "svd"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+
+
+class _NoGram(np.ndarray):
+    """A factor that refuses to be multiplied by its own transpose."""
+
+    def __matmul__(self, other):
+        if other.ndim == 2 and np.shares_memory(self, other):
+            raise AssertionError("a Gram matrix of the factor was formed")
+        return self.view(np.ndarray) @ other
 
 
 def _wide_instance(n, seed):
@@ -575,7 +589,8 @@ class TestHeldRows:
         rng = np.random.default_rng(n)
         A = rng.standard_normal((n, n))
         H = A @ A.T + np.eye(n)  # symmetric positive definite
-        op = DenseHessian(H=H, gamma=0.0, singular_values=None)
+        sv = np.sqrt(np.linalg.eigvalsh(H / 2)[::-1])
+        op = DenseHessian(H=H, gamma=0.0, singular_values=sv)
         for count in (0, 1, n // 4, n // 4 + 1, n):
             held = rng.choice(n, count, replace=False)
             x = np.zeros(n)

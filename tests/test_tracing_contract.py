@@ -53,7 +53,7 @@ def test_full_trace_of_projection_and_solve():
     assert rec["projection.fallback_calls"] == 0
     assert rec["solver.iterations"] == result.iterations > 0
     assert rec["solver.gradient_calls"] == result.iterations + 1
-    # The baseline has no stored spectrum: its curvature is one eigensolve,
-    # the one call that solver.curvature_s times.
+    # The baseline carries the factor's spectrum: its curvature is one read of
+    # the stored extremes, the one call that solver.curvature_s times.
     assert [span[tracing.NAME] for span in tracer.spans].count("solver.curvature") == 1
     assert rec["solver.curvature_s"] > 0
