@@ -15,8 +15,9 @@ A full-rank ridgeless model has an exact m_f > 0, yet "auto" keeps restart
 for it. Constant momentum from the global m_f pays only near kappa <~ 2e3
 and costs up to 9x beyond, while restart adapts to the curvature on the
 active face. Baseline on a centered n = 200, T = 201 panel (decay 0.9,
-floor 0.0316, 85th-percentile target, tol 1e-7, kappa = 6.7e5): restart
-stops after 340 iterations, constant momentum after 3180.
+floor 0.0316, 85th-percentile target, tol 1e-7, kappa = 6.7e5): the loop
+alone, with no face finish, stops after 340 iterations with restart and
+after 3180 with constant momentum.
 
 Each iteration costs one gradient, taken at the new iterate x_k: f is
 quadratic, so the gradient at the extrapolated point y = x_k + beta*(x_k -
@@ -31,6 +32,22 @@ Iterates of a binding long-only problem are sparse, so when x holds at most
 n/4 assets the product reads only their rows of the symmetric H:
 H[held].T @ x[held] costs n*|held| reads instead of n^2, and leaves out only
 terms H_ij * 0.
+
+The loop finds which assets are held long before its residual reaches tol,
+so it finishes on the face (More & Toraldo 1991). Once the support of x_k,
+and whether the return target binds there, has held still for
+``FACE_WAIT`` iterates, ``face_solve`` minimizes f exactly on that face:
+zero weight off the support, the budget row, and mu.T @ x = R_target when
+it binds. Its point x_f is >= 0 with exact zeros off the support and meets
+the budget and the target to roundoff; ``solve`` accepts it only through
+the loop's own test, ||P_F(x_f - alpha*grad f(x_f)) - x_f|| <= tol, and then
+returns it at once, with that residual appended to the residual trace and
+f(x_f) as the objective trace's last entry. A rejected point changes
+nothing the loop holds, so the iterates up to an accepted finish are those
+of the loop alone, and each face is solved at most once. A ridgeless
+model gets no face solve on a support larger than its rank, where H_S is
+singular, nor on the factor path, where Woodbury needs gamma > 0.
+``SolveResult.face_solves`` counts the faces tried.
 """
 
 from __future__ import annotations
@@ -48,6 +65,16 @@ from .projection import FeasibleSet, project_feasible
 from .spectrum import RANK_TOL
 
 MOMENTUM_MODES = ("auto", "fista")
+
+#: Iterates over which the support must stay unchanged before ``solve``
+#: tries a face solve on it. Measured on the three desk solves (n = 600,
+#: seed 0, tol 1e-7), which take 335 / 240 / 240 iterations without one:
+#: waits of 3, 5, 10, 20 and 30 stop them after 74 / 51 / 95, 76 / 78 / 97,
+#: 81 / 102 / 102, 91 / 112 / 181 and 198 / 122 / 191 iterations. A wait of
+#: 3 needs a second face solve on one of them, 5 and more never do.
+FACE_WAIT = 5
+#: Times ``face_solve`` drops the assets it sends negative and solves again.
+FACE_DROPS = 3
 
 
 @dataclass
@@ -87,6 +114,7 @@ class SolveResult:
     momentum: str  # "strongly_convex" | "fista" | "fista_restart"
     restarts: int
     objective_trace: np.ndarray  # f(x_k) for k = 0..iterations
+    face_solves: int  # face solves tried (``face_solve``); at most the last is accepted
 
 
 @dataclass(frozen=True)
@@ -194,21 +222,80 @@ def gradient_operator(model: FactorModel) -> Operator:
     return DenseHessian(H=H, gamma=model.gamma, singular_values=model.singular_values)
 
 
+def face_solve(op: Operator, fs: FeasibleSet, held: np.ndarray,
+               binding: bool) -> Optional[np.ndarray]:
+    """The minimizer of f on the face of ``held``: x = 0 off the held assets
+    S, sum(x) = 1 and, when ``binding``, mu.T @ x = R_target. None when that
+    point is not feasible to roundoff or a system on the way is singular.
+
+    With B = [1, d], d = mu_S - mu_S[0] (the shift that makes d of a tied
+    support exactly 0, as in the projection), x_S = H_S^{-1} B @ w for the w
+    that meets both rows; only the budget column is kept when the target is
+    slack or d = 0. H_S^{-1} B is a solve with the block H[S][:, S] of a
+    ``DenseHessian``; on a factor with gamma > 0 it is Woodbury's
+    (B - L_S (gamma*I + L_S.T L_S)^{-1} L_S.T B) / gamma, from one ell x ell
+    system in O(|S| ell^2 + ell^3), never an |S| x |S| matrix. The scalars 2
+    and 1/gamma cancel in x_S and are left out. Assets that x_S sends
+    negative are dropped and the face is solved again, up to ``FACE_DROPS``
+    times. The x returned is >= 0 with exact zeros off its support; its sum
+    is within n ulps of 1 and its return at most n ulps of max|mu| short of
+    R_target. It is not projected: a point whose sum is 1 - eps projects to
+    eps/n on every asset.
+    """
+    mu, R = fs.mu, fs.R_target
+    idx = np.flatnonzero(held)
+    for _ in range(FACE_DROPS + 1):
+        d = mu[idx] - mu[idx[0]]
+        if binding and d.any():
+            B = np.stack([np.ones(idx.size), d], axis=1)
+        else:
+            B = np.ones((idx.size, 1))
+        try:
+            if isinstance(op, DenseHessian):
+                Z = np.linalg.solve(op.H[np.ix_(idx, idx)], B)
+            else:
+                L = op.L_eff[idx]
+                K = L.T @ L
+                K[np.diag_indices_from(K)] += op.gamma
+                Z = B - L @ np.linalg.solve(K, L.T @ B)
+            w = np.linalg.solve(B.T @ Z, [1.0, R - mu[idx[0]]][:B.shape[1]])
+        except np.linalg.LinAlgError:
+            return None
+        x_s = Z @ w
+        keep = x_s >= 0.0
+        if keep.all():
+            break
+        idx = idx[keep]
+        if idx.size == 0:
+            return None
+    else:
+        return None
+    x = np.zeros(fs.n)
+    x[idx] = x_s
+    ulps = fs.n * np.finfo(np.float64).eps
+    if abs(float(x.sum()) - 1.0) > ulps or R - float(mu @ x) > ulps * np.abs(mu).max():
+        return None
+    return x
+
+
 def solve(
     model: FactorModel,
     fs: FeasibleSet,
     x0: Optional[np.ndarray] = None,
     cfg: Optional[SolverConfig] = None,
 ) -> SolveResult:
-    """Run the accelerated projected-gradient loop on a factor model.
+    """Run the accelerated projected-gradient loop on a factor model, and
+    finish on the face of its support once that settles (module docstring).
 
     The default start is the uniform portfolio projected onto the feasible
     set; any supplied x0 is projected as well. While the return constraint
     binds, each projection starts from the previous projection's support,
     which moves little between iterates (``project_feasible``). Gradients
     are taken on ``gradient_operator(model)``, one per iterate, and the
-    objective on the model's own factor. ``wall_time_s`` covers the whole
-    call, the Hessian's formation included.
+    objective on the model's own factor, plus one at each face-solve point
+    for its residual test. A ``max_iters`` exit ends the residual trace with
+    the residual at the x it returns. ``wall_time_s`` covers the whole call,
+    the Hessian's formation included.
     """
     start = time.perf_counter()
     cfg = cfg or SolverConfig()
@@ -243,6 +330,16 @@ def solve(
     restarts = 0
     residuals: list[float] = []
     obj_trace = [0.5 * float(x @ g)]
+    # The largest support a face solve is tried on (module docstring).
+    sv = op.singular_values
+    if model.gamma > 0:
+        face_max = n
+    elif isinstance(op, DenseHessian) and sv.size:
+        face_max = int(np.count_nonzero(sv**2 >= RANK_TOL * sv[0] ** 2))
+    else:
+        face_max = 0
+    face_solves, stable, tried = 0, 0, None
+    face = np.append(x > 0.0, support is not None)  # x's support, and whether R binds
 
     def residual() -> float:
         return float(np.linalg.norm(project(x - alpha * g) - x))
@@ -253,7 +350,7 @@ def solve(
             residual_trace=np.asarray(residuals), L_f=L_f, m_f=m_f, kappa=consts.kappa,
             wall_time_s=time.perf_counter() - start,
             termination=termination, momentum=momentum, restarts=restarts,
-            objective_trace=np.asarray(obj_trace),
+            objective_trace=np.asarray(obj_trace), face_solves=face_solves,
         )
 
     residuals.append(residual())
@@ -284,4 +381,25 @@ def solve(
             residuals.append(residual())
             if residuals[-1] <= cfg.tol:
                 return result(k, "tolerance")
+
+        now = np.append(x > 0.0, support is not None)
+        stable = stable + 1 if np.array_equal(now, face) else 0
+        face = now
+        # A face is solved once: a second solve on it would return the same point.
+        if (stable >= FACE_WAIT and np.count_nonzero(face[:-1]) <= face_max
+                and not np.array_equal(face, tried)):
+            face_solves, tried = face_solves + 1, face
+            x_f = face_solve(op, fs, face[:-1], bool(face[-1]))
+            if x_f is not None:
+                g_f = gradient(op, x_f)
+                # The support guess stays the loop's: a rejected point leaves no trace.
+                moved = project_feasible(x_f - alpha * g_f, fs, support=support)[0]
+                r = float(np.linalg.norm(moved - x_f))
+                if r <= cfg.tol:
+                    x = x_f
+                    residuals.append(r)
+                    obj_trace[-1] = 0.5 * float(x_f @ g_f)
+                    return result(k, "tolerance")
+    if cfg.max_iters % cfg.residual_check_stride:
+        residuals.append(residual())  # the last check was at an earlier iterate
     return result(cfg.max_iters, "max_iters")

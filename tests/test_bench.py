@@ -342,6 +342,18 @@ class TestRateExperiment:
             assert len(row["gap_trace"]) == row["iterations"] + 1
             assert row["gap_trace"][-1] == row["final_gap"]
 
+    # Criteria 3 and 4 measure the loop's own rate at tol 1e-300, which no
+    # face-solve point meets: each is rejected and the loop runs on unchanged.
+    @pytest.mark.parametrize("seed", [0, -1, 3, 4, 5])
+    def test_face_solves_leave_the_report_unchanged(self, monkeypatch, seed):
+        import strmv.solver as solver
+
+        with_faces = run_rate_experiment(ExperimentConfig(seed=seed))
+        monkeypatch.setattr(solver, "face_solve", lambda *args: None)
+        without = run_rate_experiment(ExperimentConfig(seed=seed))
+        assert (strip_timings(dataclasses.asdict(with_faces))
+                == strip_timings(dataclasses.asdict(without)))
+
     def test_flat_trace_from_optimum(self):
         # when the start is already optimal the residual check fires at once
         cfg = ExperimentConfig(

@@ -606,6 +606,7 @@ class TestHeldRows:
     def test_desk_solve_matches_the_full_product(self, monkeypatch):
         import strmv.solver as solver
 
+        decline_face_solves(monkeypatch)  # both solves run the loop to tolerance
         factor, fs = _wide_instance(200, seed=2)  # 85th-percentile target, T = 4n
         baseline = build_baseline(factor)
         cfg = SolverConfig(tol=1e-7, residual_check_stride=5)
@@ -631,6 +632,14 @@ class TestHeldRows:
         assert held_rows.termination == full_product.termination == "tolerance"
         assert held_rows.iterations == full_product.iterations
         np.testing.assert_allclose(held_rows.x, full_product.x, rtol=0, atol=1e-12)
+
+
+def decline_face_solves(monkeypatch):
+    """Make every face solve that ``solve`` tries return no point, so that it
+    runs the accelerated loop alone."""
+    import strmv.solver as solver
+
+    monkeypatch.setattr(solver, "face_solve", lambda *args: None)
 
 
 def _reference_solve(model, fs, alpha, momentum, tol, max_iters):
@@ -665,7 +674,8 @@ def _reference_solve(model, fs, alpha, momentum, tol, max_iters):
 
 class TestGradientReuse:
     """One gradient per iterate: the step's gradient at y comes from the last
-    two iterates' by linearity, and each residual check reuses its own."""
+    two iterates' by linearity, and each residual check reuses its own. A
+    face solve's point takes one more, for its residual test."""
 
     @staticmethod
     def _models(n=30, seed=2):
@@ -681,23 +691,34 @@ class TestGradientReuse:
     def test_one_gradient_per_iteration(self, monkeypatch, stride):
         import strmv.solver as solver
 
-        calls = []
-        original = solver.gradient
+        calls, points = [], []  # points: per face tried, whether it returned one
+        original, original_face_solve = solver.gradient, solver.face_solve
+
+        def recorded_face_solve(*args):
+            x = original_face_solve(*args)
+            points.append(x is not None)
+            return x
+
         monkeypatch.setattr(solver, "gradient",
                             lambda op, x: calls.append(1) or original(op, x))
+        monkeypatch.setattr(solver, "face_solve", recorded_face_solve)
         fs, built = self._models()
         for kind, m in built.items():
             calls.clear()
+            points.clear()
             res = solve(m, fs, cfg=SolverConfig(tol=1e-9, residual_check_stride=stride))
             assert res.termination == "tolerance" and res.iterations > 0, kind
-            assert len(calls) == res.iterations + 1, kind
+            assert any(points) and len(points) == res.face_solves, kind
+            assert len(calls) == res.iterations + 1 + sum(points), kind
 
     @pytest.mark.parametrize("kind, mode, momentum", [
         ("baseline", "auto", "fista_restart"),
         ("baseline", "fista", "fista"),
         ("str", "auto", "strongly_convex"),
     ])
-    def test_matches_a_loop_that_takes_the_gradient_at_y(self, kind, mode, momentum):
+    def test_matches_a_loop_that_takes_the_gradient_at_y(self, monkeypatch, kind, mode,
+                                                          momentum):
+        decline_face_solves(monkeypatch)
         fs, built = self._models()
         m = built[kind]
         res = solve(m, fs, cfg=SolverConfig(tol=1e-9, momentum_mode=mode, max_iters=5000))
@@ -748,6 +769,90 @@ class TestObjectiveTrace:
         assert res.iterations > 0
         assert res.objective_trace[-1] == pytest.approx(res.objective, rel=1e-12)
         assert as_json(res)["objective_trace"] == res.objective_trace.tolist()
+
+
+class TestFaceSolve:
+    """Once the support has held still for FACE_WAIT iterates, ``solve`` solves
+    the KKT system of that face and returns its point when the point passes
+    the residual test: the exact optimum, with exact zeros off its support."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("percentile, binding", [(0, False), (85, True)])
+    @pytest.mark.parametrize("kind, dense", [
+        ("baseline", True), ("sketch", True), ("str_dense", True), ("str_factor", False),
+    ])
+    def test_matches_enumeration(self, kind, dense, percentile, binding, seed):
+        n = 8
+        factor = center_and_factor(generate_synthetic(SyntheticSpec(
+            n=n, T=5 * n, singular_decay=0.85, noise_floor=0.05, seed=seed)))
+        jl = SketchConfig(kind="gaussian_jl", s=5 * n, seed=seed)
+        m = {"baseline": lambda: build_baseline(factor),
+             "sketch": lambda: build_sketch(factor, SketchConfig(kind="countsketch", s=3 * n,
+                                                                 seed=seed)),
+             "str_dense": lambda: build_str(factor, jl, ell=n - 1, kappa_target=100.0),
+             "str_factor": lambda: build_str(factor, jl, ell=n // 3, kappa_target=100.0),
+             }[kind]()
+        fs = FeasibleSet(mu=factor.mean, R_target=float(np.percentile(factor.mean, percentile)))
+        res = solve(m, fs, cfg=SolverConfig(tol=1e-10, max_iters=20000))
+        assert isinstance(gradient_operator(m), DenseHessian) == dense  # str_factor: Woodbury
+        oracle = solve_exact(QPInstance(Q=2.0 * m.covariance(), c=np.zeros(fs.n), fs=fs))
+        assert oracle.return_active == binding
+        # Stride 1: one residual per iterate, and one more for the face's point.
+        assert res.termination == "tolerance" and res.face_solves >= 1
+        assert res.residual_trace.size == res.iterations + 2
+        assert res.residual_trace[-1] <= 1e-14
+        np.testing.assert_allclose(res.x, oracle.x, rtol=0, atol=1e-12)
+        assert res.x.min() >= 0.0
+        assert np.array_equal(np.flatnonzero(res.x == 0.0), oracle.active_bounds)
+        assert res.objective_trace.shape == (res.iterations + 1,)
+        assert res.objective_trace[-1] == pytest.approx(res.objective, rel=1e-12)
+
+    def test_zeros_off_the_support_are_exact(self, monkeypatch):
+        # The face's point is not projected: it holds no weight of roundoff
+        # size off its support, and the loop run to a tight tol holds the
+        # same assets.
+        m, fs = _str_desk_model(60, seed=3)
+        face = solve(m, fs, cfg=SolverConfig(tol=1e-8))
+        decline_face_solves(monkeypatch)
+        loop = solve(m, fs, cfg=SolverConfig(tol=1e-12, max_iters=20000))
+        assert face.residual_trace[-1] <= 1e-14 and face.iterations < loop.iterations
+        assert face.x.min() == 0.0 and np.array_equal(face.x > 0.0, loop.x > 0.0)
+        assert abs(face.x.sum() - 1.0) <= 60 * np.finfo(float).eps
+        np.testing.assert_allclose(face.x, loop.x, rtol=0, atol=1e-9)
+
+    def test_no_face_solve_beyond_the_rank_of_a_ridgeless_model(self, monkeypatch):
+        # Rank 12 < n = 20 and a minimum-variance target: the solution holds all
+        # 20 assets, and H_S is singular on every support larger than 12.
+        import strmv.solver as solver
+
+        factor = center_and_factor(generate_synthetic(SyntheticSpec(
+            n=20, T=12, singular_decay=0.9, noise_floor=0.02, seed=0)))
+        m = build_sketch(factor, SketchConfig(kind="countsketch", s=12, seed=0))
+        fs = FeasibleSet(mu=factor.mean, R_target=float(factor.mean.min()))
+        assert isinstance(gradient_operator(m), DenseHessian) and m.gamma == 0.0
+        monkeypatch.setattr(solver, "face_solve", lambda *args: pytest.fail("a face solve ran"))
+        res = solve(m, fs, cfg=SolverConfig(tol=1e-8, max_iters=20000))
+        assert res.face_solves == 0 and np.count_nonzero(res.x) > 12
+        decline_face_solves(monkeypatch)
+        loop = solve(m, fs, cfg=SolverConfig(tol=1e-8, max_iters=20000))
+        assert res.iterations == loop.iterations
+        np.testing.assert_array_equal(res.x, loop.x)
+
+    def test_max_iters_exit_reports_the_residual_at_x(self, monkeypatch):
+        # Stride 5 checks iterations 5 and 10; the exit at 13 appends the
+        # residual of the x it returns, not iteration 10's.
+        decline_face_solves(monkeypatch)
+        factor, fs = _wide_instance(40, seed=0)
+        m = build_baseline(factor)
+        res = solve(m, fs, cfg=SolverConfig(tol=1e-7, residual_check_stride=5, max_iters=13))
+        g = gradient(gradient_operator(m), res.x)
+        at_x = np.linalg.norm(project_feasible(res.x - g / res.L_f, fs)[0] - res.x)
+        assert res.termination == "max_iters" and res.residual_trace.size == 4
+        assert res.residual_trace[-1] == pytest.approx(at_x, rel=1e-9)
+        assert res.residual_trace[-2] > 1.2 * res.residual_trace[-1]
+        stride_exit = solve(m, fs, cfg=SolverConfig(tol=1e-7, residual_check_stride=5,
+                                                    max_iters=10))
+        np.testing.assert_array_equal(stride_exit.residual_trace, res.residual_trace[:3])
 
 
 @settings(max_examples=30, deadline=None)

@@ -28,8 +28,17 @@ def load_tracing():
     return module
 
 
-def test_full_trace_of_projection_and_solve():
+def test_full_trace_of_projection_and_solve(monkeypatch):
     tracing = load_tracing()
+    points = []  # per face solve that solve tries, whether it returned a point
+    original_face_solve = strmv.solver.face_solve
+
+    def recorded_face_solve(*args):
+        x = original_face_solve(*args)
+        points.append(x is not None)
+        return x
+
+    monkeypatch.setattr(strmv.solver, "face_solve", recorded_face_solve)
     original_solve = strmv.solver.solve
     tracer = tracing.Tracer(strmv)
     tracer.install("op", full=True)
@@ -52,7 +61,9 @@ def test_full_trace_of_projection_and_solve():
     assert rec["projection.active_share"] > 0
     assert rec["projection.fallback_calls"] == 0
     assert rec["solver.iterations"] == result.iterations > 0
-    assert rec["solver.gradient_calls"] == result.iterations + 1
+    # One gradient per iterate, and one per face-solve point, for its residual test.
+    assert len(points) == result.face_solves
+    assert rec["solver.gradient_calls"] == result.iterations + 1 + sum(points)
     # The baseline carries the factor's spectrum: its curvature is one read of
     # the stored extremes, the one call that solver.curvature_s times.
     assert [span[tracing.NAME] for span in tracer.spans].count("solver.curvature") == 1
