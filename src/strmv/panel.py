@@ -19,6 +19,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import lapack_lite
 
 from . import spectrum
 from .errors import ArgumentError, DataFormatError, DimensionError, NumericError
@@ -441,20 +442,48 @@ def center_and_factor(panel: ReturnPanel) -> CovarianceFactor:
     return CovarianceFactor(L=L, mean=mean)
 
 
+def _gaussian_basis(rng: np.random.Generator, rows: int, k: int) -> np.ndarray:
+    """Q.T for Q, r = np.linalg.qr(rng.standard_normal((rows, k))), k <= rows,
+    bit for bit: a C-ordered k x rows array.
+
+    The draw is copied once into LAPACK's column-major layout, which its C
+    transpose is, and freed; dgeqrf and then dorgqr factor that buffer in
+    place. Each takes the workspace its lwork = -1 query asks for, floored at
+    n as np.linalg.qr floors it, since a blocked factorization's bits depend
+    on the workspace it is given. That keeps one copy of the draw where
+    np.linalg.qr holds about five. lapack_lite checks an array's dtype and
+    contiguity but not its size, so m, n and lda come from the buffer's own
+    shape.
+    """
+    a = np.ascontiguousarray(rng.standard_normal((rows, k)).T)
+    n, m = a.shape
+    tau = np.empty(n)
+    for routine, args in ((lapack_lite.dgeqrf, (m, n, a, m, tau)),
+                          (lapack_lite.dorgqr, (m, n, n, a, m, tau))):
+        query = np.empty(1)
+        routine(*args, query, -1, 0)
+        work = np.empty(max(1, n, int(query[0])))
+        info = routine(*args, work, work.size, 0)["info"]
+        if info:
+            raise NumericError(f"{routine.__name__} failed on a {m} x {n} draw, info={info}")
+    return a
+
+
 def generate_synthetic(spec: SyntheticSpec) -> ReturnPanel:
     """Generate a panel whose sample factor has a controlled spectrum.
 
-    Draws orthonormal left/right bases from seeded Gaussian QR, sets singular
+    Draws orthonormal left/right bases from seeded Gaussian QR, each factored
+    in place with one copy of its draw (``_gaussian_basis``), sets singular
     values leading_scale * decay**i clipped below at noise_floor, and scales
     by sqrt(T-1) so that centering recovers (approximately) that spectrum.
     Pure function of the spec: identical specs give bit-identical panels.
     """
     rng = np.random.default_rng(spec.seed)
     k = min(spec.n, spec.T)
-    qu, _ = np.linalg.qr(rng.standard_normal((spec.n, k)))
-    qv, _ = np.linalg.qr(rng.standard_normal((spec.T, k)))
+    qu = _gaussian_basis(rng, spec.n, k).T
+    qvt = _gaussian_basis(rng, spec.T, k)
     sigma = spec.leading_scale * spec.singular_decay ** np.arange(k)
     sigma = np.maximum(sigma, spec.noise_floor)
-    returns = (qu * sigma) @ qv.T * np.sqrt(spec.T - 1)
+    returns = (qu * sigma) @ qvt * np.sqrt(spec.T - 1)
     asset_ids = [f"A{i:04d}" for i in range(spec.n)]
     return ReturnPanel(asset_ids=asset_ids, returns=returns)

@@ -46,7 +46,7 @@ f(x_f) as the objective trace's last entry. A rejected point changes
 nothing the loop holds, so the iterates up to an accepted finish are those
 of the loop alone, and each face is solved at most once. A ridgeless
 model gets no face solve on a support larger than its rank, where H_S is
-singular, nor on the factor path, where Woodbury needs gamma > 0.
+singular.
 ``SolveResult.face_solves`` counts the faces tried.
 """
 
@@ -234,13 +234,15 @@ def face_solve(op: Operator, fs: FeasibleSet, held: np.ndarray,
     slack or d = 0. H_S^{-1} B is a solve with the block H[S][:, S] of a
     ``DenseHessian``; on a factor with gamma > 0 it is Woodbury's
     (B - L_S (gamma*I + L_S.T L_S)^{-1} L_S.T B) / gamma, from one ell x ell
-    system in O(|S| ell^2 + ell^3), never an |S| x |S| matrix. The scalars 2
-    and 1/gamma cancel in x_S and are left out. Assets that x_S sends
-    negative are dropped and the face is solved again, up to ``FACE_DROPS``
-    times. The x returned is >= 0 with exact zeros off its support; its sum
-    is within n ulps of 1 and its return at most n ulps of max|mu| short of
-    R_target. It is not projected: a point whose sum is 1 - eps projects to
-    eps/n on every asset.
+    system in O(|S| ell^2 + ell^3), never an |S| x |S| matrix; on a ridgeless
+    factor it is a solve with the |S| x |S| block L_S L_S.T, which ``solve``
+    only asks for when |S| is at most the rank. The scalars 2 and 1/gamma
+    cancel in x_S and are left out. Assets that x_S sends negative are
+    dropped and the face is solved again, up to ``FACE_DROPS`` times. The x
+    returned is >= 0 with exact zeros off its support; its sum is within n
+    ulps of 1 and its return at most n ulps of max|mu| short of R_target. It
+    is not projected: a point whose sum is 1 - eps projects to eps/n on
+    every asset.
     """
     mu, R = fs.mu, fs.R_target
     idx = np.flatnonzero(held)
@@ -255,9 +257,12 @@ def face_solve(op: Operator, fs: FeasibleSet, held: np.ndarray,
                 Z = np.linalg.solve(op.H[np.ix_(idx, idx)], B)
             else:
                 L = op.L_eff[idx]
-                K = L.T @ L
-                K[np.diag_indices_from(K)] += op.gamma
-                Z = B - L @ np.linalg.solve(K, L.T @ B)
+                if op.gamma:
+                    K = L.T @ L
+                    K[np.diag_indices_from(K)] += op.gamma
+                    Z = B - L @ np.linalg.solve(K, L.T @ B)
+                else:
+                    Z = np.linalg.solve(L @ L.T, B)
             w = np.linalg.solve(B.T @ Z, [1.0, R - mu[idx[0]]][:B.shape[1]])
         except np.linalg.LinAlgError:
             return None
@@ -334,7 +339,7 @@ def solve(
     sv = op.singular_values
     if model.gamma > 0:
         face_max = n
-    elif isinstance(op, DenseHessian) and sv.size:
+    elif sv.size:
         face_max = int(np.count_nonzero(sv**2 >= RANK_TOL * sv[0] ** 2))
     else:
         face_max = 0

@@ -7,7 +7,9 @@ the enumeration oracle. ``materialize_sketch_matrix`` forms the dense Phi
 that ``apply_sketch`` never forms, so a test can sketch by a plain product
 and measure a sketch's subspace distortion. ``kappa_improvement_threshold``
 and ``truncation_error_bound`` are the paper's bounds that the tests check
-built models against.
+built models against. ``qr_synthetic_returns`` builds a synthetic panel's
+returns through ``np.linalg.qr``, which ``generate_synthetic`` must match
+bit for bit.
 """
 
 import math
@@ -16,6 +18,7 @@ import numpy as np
 
 from strmv.errors import ArgumentError, ProjectionFailureError
 from strmv.oracle import QPInstance, solve_exact
+from strmv.panel import SyntheticSpec
 from strmv.projection import FeasibleSet, project_simplex
 from strmv.sketch import SketchConfig, countsketch_arrays
 
@@ -36,6 +39,18 @@ def materialize_sketch_matrix(cfg: SketchConfig, T: int) -> np.ndarray:
     phi = np.zeros((T, cfg.s))
     phi[np.arange(T), h] = signs
     return phi
+
+
+def qr_synthetic_returns(spec: SyntheticSpec) -> np.ndarray:
+    """The returns of ``spec`` with both bases from ``np.linalg.qr``, which
+    holds several copies of each draw at once."""
+    rng = np.random.default_rng(spec.seed)
+    k = min(spec.n, spec.T)
+    qu, _ = np.linalg.qr(rng.standard_normal((spec.n, k)))
+    qv, _ = np.linalg.qr(rng.standard_normal((spec.T, k)))
+    sigma = spec.leading_scale * spec.singular_decay ** np.arange(k)
+    sigma = np.maximum(sigma, spec.noise_floor)
+    return (qu * sigma) @ qv.T * np.sqrt(spec.T - 1)
 
 
 def project_halfspace(y: np.ndarray, fs: FeasibleSet) -> np.ndarray:

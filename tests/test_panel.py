@@ -1,6 +1,7 @@
 import csv
 import multiprocessing
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +18,8 @@ from strmv.panel import (
     load_panel,
     save_panel,
 )
+
+from reference import qr_synthetic_returns
 
 
 def write(tmp_path, text, name="panel.csv"):
@@ -254,6 +257,57 @@ class TestSynthetic:
                     {"noise_floor": float("nan")}, {"noise_floor": float("inf")}):
             with pytest.raises(DataFormatError, match="finite"):
                 SyntheticSpec(n=4, T=8, **bad)
+
+
+class TestInPlaceBases:
+    """``generate_synthetic`` factors each Gaussian draw in place: the panel
+    is bit for bit the one ``np.linalg.qr`` bases give, with a peak of one
+    copy of each draw."""
+
+    @pytest.mark.parametrize("n, T, decay, floor", [
+        (30, 90, 0.9, 0.02),  # T > n
+        (24, 24, 0.9, 0.02),  # T = n
+        (40, 24, 0.9, 0.02),  # T < n
+        (2, 9, 0.5, 0.0),
+        (24, 96, 0.8, 0.05),  # the three perfbench toy shapes
+        (20, 80, 0.8, 0.05),
+        (40, 160, 0.9, 0.02),
+        (600, 2400, 0.9, 0.0316),  # the desk panel
+    ])
+    def test_returns_match_np_linalg_qr_bit_for_bit(self, n, T, decay, floor):
+        spec = SyntheticSpec(n=n, T=T, singular_decay=decay, noise_floor=floor, seed=0)
+        returns = generate_synthetic(spec).returns
+        assert returns.flags.c_contiguous
+        np.testing.assert_array_equal(returns, qr_synthetic_returns(spec), strict=True)
+
+    @pytest.mark.parametrize("n, T", [(400, 1600), (300, 300), (600, 200)])
+    def test_peak_memory_holds_one_copy_of_each_draw(self, n, T):
+        # The peak is the product: the panel, Qv.T and two n x k arrays.
+        # np.linalg.qr bases peak at 3.8, 6.1 and 3.7 panels on these shapes.
+        spec = SyntheticSpec(n=n, T=T, seed=0)
+        k = min(n, T)
+        generate_synthetic(spec)  # leave one-time allocations out of the peak
+        tracemalloc.start()
+        try:
+            generate_synthetic(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * (n * T + T * k + 2 * n * k) + 2**14
+
+    def test_lapack_failure_is_a_numeric_error(self, monkeypatch):
+        real = strmv.panel.lapack_lite
+
+        class Failing:
+            @staticmethod
+            def dgeqrf(*args):
+                return {**real.dgeqrf(*args), "info": 1}
+
+            dorgqr = real.dorgqr
+
+        monkeypatch.setattr(strmv.panel, "lapack_lite", Failing)
+        with pytest.raises(NumericError, match="dgeqrf"):
+            generate_synthetic(SyntheticSpec(n=4, T=8))
 
 
 @settings(max_examples=30, deadline=None)

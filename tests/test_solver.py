@@ -807,6 +807,25 @@ class TestFaceSolve:
         assert res.objective_trace.shape == (res.iterations + 1,)
         assert res.objective_trace[-1] == pytest.approx(res.objective, rel=1e-12)
 
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("percentile", [0, 85])
+    def test_ridgeless_factor_path_matches_enumeration(self, percentile, seed):
+        # A sketch model with n/2 columns runs on its factor and has no ridge:
+        # its face solve is one on the block L_S @ L_S.T of a support that
+        # fits under the rank.
+        n = 14
+        factor = center_and_factor(generate_synthetic(SyntheticSpec(
+            n=n, T=5 * n, singular_decay=0.85, noise_floor=0.05, seed=seed)))
+        m = build_sketch(factor, SketchConfig(kind="countsketch", s=n // 2, seed=seed))
+        fs = FeasibleSet(mu=factor.mean, R_target=float(np.percentile(factor.mean, percentile)))
+        assert gradient_operator(m) is m and m.gamma == 0.0
+        res = solve(m, fs, cfg=SolverConfig(tol=1e-10, max_iters=20000))
+        oracle = solve_exact(QPInstance(Q=2.0 * m.covariance(), c=np.zeros(n), fs=fs))
+        assert res.termination == "tolerance" and res.face_solves >= 1
+        assert res.residual_trace[-1] <= 1e-14
+        assert np.count_nonzero(res.x) <= n // 2
+        np.testing.assert_allclose(res.x, oracle.x, rtol=0, atol=1e-12)
+
     def test_zeros_off_the_support_are_exact(self, monkeypatch):
         # The face's point is not projected: it holds no weight of roundoff
         # size off its support, and the loop run to a tight tol holds the
