@@ -11,11 +11,12 @@ from strmv.cli import _json_value
 from strmv.errors import ArgumentError, DimensionError, InfeasibleTargetError, NumericError
 from strmv.metrics import objective_gap
 from strmv.models import FactorModel, build_baseline, build_sketch, build_str
-from strmv.oracle import QPInstance, solve_exact
+from strmv.oracle import MAX_ORACLE_DIM, QPInstance, solve_exact
 from strmv.panel import CovarianceFactor, SyntheticSpec, center_and_factor, generate_synthetic
 from strmv.projection import FeasibleSet, project_feasible
 from strmv.sketch import SketchConfig
 from strmv.solver import (
+    FACE_WAIT,
     DenseHessian,
     SolverConfig,
     curvature_constants,
@@ -25,6 +26,7 @@ from strmv.solver import (
     objective,
     solve,
 )
+from strmv.spectrum import RANK_TOL
 
 
 def factor_of(L):
@@ -642,6 +644,28 @@ def decline_face_solves(monkeypatch):
     monkeypatch.setattr(solver, "face_solve", lambda *args: None)
 
 
+def _beyond_rank_instance(case, binding):
+    """A ridgeless sketch model whose solution holds more assets than its rank,
+    its feasible set, and its rank (sigma^2 >= RANK_TOL * sigma_1^2). "dense20"
+    (T = s = 12, rank 10) and "dense14" (T = s = 8, rank 6) run on the dense
+    Hessian, "factor14" (s = 5 <= n/2) on the factor. The binding targets are
+    ones at which points of f = 0 still meet the target."""
+    n, T, decay, floor, s, seed, percentile = {
+        ("dense20", False): (20, 12, 0.9, 0.02, 12, 0, 0),
+        ("dense20", True): (20, 12, 0.9, 0.02, 12, 0, 41),
+        ("dense14", False): (14, 8, 0.9, 0.02, 8, 1, 0),
+        ("dense14", True): (14, 8, 0.9, 0.02, 8, 1, 70),
+        ("factor14", False): (14, 70, 0.85, 0.05, 5, 1, 0),
+        ("factor14", True): (14, 70, 0.85, 0.05, 5, 1, 50),
+    }[case, binding]
+    factor = center_and_factor(generate_synthetic(SyntheticSpec(
+        n=n, T=T, singular_decay=decay, noise_floor=floor, seed=seed)))
+    m = build_sketch(factor, SketchConfig(kind="countsketch", s=s, seed=seed))
+    fs = FeasibleSet(mu=factor.mean, R_target=float(np.percentile(factor.mean, percentile)))
+    sv = m.singular_values
+    return m, fs, int(np.count_nonzero(sv**2 >= RANK_TOL * sv[0] ** 2))
+
+
 def _reference_solve(model, fs, alpha, momentum, tol, max_iters):
     """The accelerated loop with no gradient reuse: a gradient on the dense
     covariance at every extrapolated point y and at every residual check."""
@@ -839,23 +863,121 @@ class TestFaceSolve:
         assert abs(face.x.sum() - 1.0) <= 60 * np.finfo(float).eps
         np.testing.assert_allclose(face.x, loop.x, rtol=0, atol=1e-9)
 
-    def test_no_face_solve_beyond_the_rank_of_a_ridgeless_model(self, monkeypatch):
-        # Rank 12 < n = 20 and a minimum-variance target: the solution holds all
-        # 20 assets, and H_S is singular on every support larger than 12.
+    @pytest.mark.parametrize("case, binding", [
+        ("dense20", False), ("dense20", True), ("dense14", False), ("dense14", True),
+        ("factor14", False), ("factor14", True),
+    ])
+    def test_support_beyond_the_rank_ends_on_a_zero_objective_point(self, case, binding):
+        # The solution holds more assets than the model's rank plus the face's
+        # rows, so the face holds a whole set of points with f = 0, the global
+        # minimum, and the solve ends on one at roundoff.
+        m, fs, rank = _beyond_rank_instance(case, binding)
+        assert m.gamma == 0.0
+        assert isinstance(gradient_operator(m), DenseHessian) == case.startswith("dense")
+        res = solve(m, fs, cfg=SolverConfig(tol=1e-8, max_iters=20000))
+        assert res.termination == "tolerance" and res.face_solves >= 1
+        # The face's point ends the trace: one residual per iterate, one for it.
+        assert res.residual_trace.size == res.iterations + 2
+        assert res.residual_trace[-1] <= 1e-14
+        assert np.count_nonzero(res.x) > rank + 1 + binding
+        # x >= 0, and its zeros are exact: no weight of roundoff size is left.
+        assert res.x.min() >= 0.0 and res.x[res.x > 0.0].min() > 1e-9
+        assert abs(res.x.sum() - 1.0) <= fs.n * np.finfo(float).eps
+        assert (float(fs.mu @ res.x) - fs.R_target <= 1e-12) == binding
+        assert float(fs.mu @ res.x) >= fs.R_target - 1e-15
+        if fs.n <= MAX_ORACLE_DIM:
+            oracle = solve_exact(QPInstance(Q=2.0 * m.covariance(), c=np.zeros(fs.n), fs=fs))
+            assert abs(res.objective - oracle.value) <= 1e-12
+        else:
+            # f >= 0 everywhere, so an objective in [0, 1e-12] is within 1e-12 of
+            # the optimum the enumeration oracle, limited to n <= 14, would find.
+            assert 0.0 <= res.objective <= 1e-12
+
+    def test_a_declined_wide_face_leaves_the_loop_unchanged(self, monkeypatch):
+        import strmv.solver as solver
+
+        m, fs, rank = _beyond_rank_instance("dense20", False)
+        cfg = SolverConfig(tol=1e-8, max_iters=20000)
+        supports = []
+
+        def declined(L_eff, fs, idx, *args):
+            supports.append(idx.size)
+            return None
+
+        monkeypatch.setattr(solver, "_zero_point", declined)
+        res = solve(m, fs, cfg=cfg)
+        monkeypatch.setattr(solver, "FACE_WAIT", cfg.max_iters + 1)  # no face is tried
+        loop = solve(m, fs, cfg=cfg)
+        assert supports and all(size > rank + 1 for size in supports)
+        assert res.face_solves == len(supports) and loop.face_solves == 0
+        assert res.termination == loop.termination == "tolerance"
+        assert (res.iterations, res.restarts) == (loop.iterations, loop.restarts)
+        np.testing.assert_array_equal(res.x, loop.x)
+        np.testing.assert_array_equal(res.residual_trace, loop.residual_trace)
+        np.testing.assert_array_equal(res.objective_trace, loop.objective_trace)
+
+    @pytest.mark.parametrize("s, seed", [(24, 0), (27, 1)])
+    def test_the_first_wide_face_ends_the_solve(self, s, seed):
+        # The nearest points on these faces send assets negative 4 and 5 times
+        # before every weight is >= 0; all of it fits in FACE_DROPS.
+        factor = center_and_factor(generate_synthetic(SyntheticSpec(
+            n=60, T=240, singular_decay=0.9, noise_floor=0.0316, seed=0)))
+        m = build_sketch(factor, SketchConfig(kind="countsketch", s=s, seed=seed))
+        fs = FeasibleSet(mu=factor.mean, R_target=float(factor.mean.min()))
+        res = solve(m, fs, cfg=SolverConfig(tol=1e-8, max_iters=20000))
+        assert res.termination == "tolerance" and res.iterations == FACE_WAIT
+        assert res.face_solves == 1 and res.residual_trace[-1] <= 1e-14
+        assert res.x.min() >= 0.0 and 0.0 <= res.objective <= 1e-30
+
+    def test_each_failed_wide_face_doubles_the_wait(self, monkeypatch):
+        # No point of f = 0 is >= 0 here (the optimum is 4.4e-6), yet the
+        # support stays beyond the rank of 36 for hundreds of iterates. The
+        # k-th wide face waits FACE_WAIT * 2**k stable iterates, so W of them
+        # need FACE_WAIT * (2**W - 1) iterations; trying each new support
+        # would make 16 of them.
         import strmv.solver as solver
 
         factor = center_and_factor(generate_synthetic(SyntheticSpec(
-            n=20, T=12, singular_decay=0.9, noise_floor=0.02, seed=0)))
-        m = build_sketch(factor, SketchConfig(kind="countsketch", s=12, seed=0))
+            n=60, T=240, singular_decay=0.9, noise_floor=0.0316, seed=0)))
+        m = build_sketch(factor, SketchConfig(kind="countsketch", s=36, seed=0))
         fs = FeasibleSet(mu=factor.mean, R_target=float(factor.mean.min()))
-        assert isinstance(gradient_operator(m), DenseHessian) and m.gamma == 0.0
-        monkeypatch.setattr(solver, "face_solve", lambda *args: pytest.fail("a face solve ran"))
+        wide, original = [], solver._zero_point
+
+        def recorded(*args):
+            wide.append(original(*args))
+            return wide[-1]
+
+        monkeypatch.setattr(solver, "_zero_point", recorded)
         res = solve(m, fs, cfg=SolverConfig(tol=1e-8, max_iters=20000))
-        assert res.face_solves == 0 and np.count_nonzero(res.x) > 12
-        decline_face_solves(monkeypatch)
-        loop = solve(m, fs, cfg=SolverConfig(tol=1e-8, max_iters=20000))
-        assert res.iterations == loop.iterations
-        np.testing.assert_array_equal(res.x, loop.x)
+        assert res.termination == "tolerance" and res.objective > 1e-6
+        assert len(wide) >= 2 and all(point is None for point in wide)
+        assert len(wide) <= math.log2(res.iterations / FACE_WAIT + 1)
+
+    @pytest.mark.parametrize("dependent", [False, True])
+    def test_zero_point_is_the_nearest_point_of_the_affine_set(self, dependent):
+        # With no asset sent negative, the point is x - M^+ (M x - b) for M =
+        # [L.T; 1.T], also when L has a zero column and a repeated one, as a
+        # CountSketch with an empty bucket or a sketch of a centered panel
+        # has, which leaves L.T @ L singular.
+        from strmv.solver import _zero_point
+
+        rng = np.random.default_rng(4)
+        n = 200
+        L = rng.standard_normal((n, 4))
+        if dependent:
+            L = np.column_stack([L, np.zeros(n), L[:, 1]])
+        x = rng.uniform(0.5, 1.5, n)
+        x /= x.sum()
+        M = np.vstack([L.T, np.ones(n)])
+        want = x - np.linalg.lstsq(M, M @ x - np.append(np.zeros(L.shape[1]), 1.0),
+                                   rcond=None)[0]
+        assert want.min() > 0.0  # the premise: no drops
+        fs = FeasibleSet(mu=rng.standard_normal(n), R_target=-10.0)
+        idx, v = _zero_point(L, fs, np.arange(n), x, False, 4)
+        assert np.array_equal(idx, np.arange(n))
+        np.testing.assert_allclose(v, want, rtol=0, atol=1e-15)
+        assert abs(v.sum() - 1.0) <= n * np.finfo(float).eps
+        assert np.abs(L.T @ v).max() <= 1e-15
 
     def test_max_iters_exit_reports_the_residual_at_x(self, monkeypatch):
         # Stride 5 checks iterations 5 and 10; the exit at 13 appends the
