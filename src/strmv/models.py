@@ -86,7 +86,6 @@ def build_baseline(factor: CovarianceFactor) -> FactorModel:
         L_eff=factor.L,
         gamma=0.0,
         kind="baseline",
-        provenance={"columns": int(factor.columns)},
         singular_values=factor.singular_values,
         gram=factor.covariance if factor.columns >= factor.n else None,
     )

@@ -34,32 +34,31 @@ H[held].T @ x[held] costs n*|held| reads instead of n^2, and leaves out only
 terms H_ij * 0.
 
 The loop finds which assets are held long before its residual reaches tol,
-so it finishes on the face (More & Toraldo 1991). Once the support of x_k,
-and whether the return target binds there, has held still for
-``FACE_WAIT`` iterates, ``face_solve`` minimizes f exactly on that face:
-zero weight off the support, the budget row, and mu.T @ x = R_target when
-it binds. Its point x_f is >= 0 with exact zeros off the support and meets
-the budget and the target to roundoff; ``solve`` accepts it only through
-the loop's own test, ||P_F(x_f - alpha*grad f(x_f)) - x_f|| <= tol, and then
-returns it at once, with that residual appended to the residual trace and
-f(x_f) as the objective trace's last entry. A rejected point changes
-nothing the loop holds, so the iterates up to an accepted finish are those
-of the loop alone, and each face is solved at most once.
-
-A ridgeless model whose support S holds more assets than its rank r plus
-the face's m rows (the budget, and the target when it binds) has a whole
-affine set of points on the face with L_S.T @ x_S = 0. Each has f = 0,
-the global minimum; ``face_solve`` takes the one nearest x_k and, while it
-sends assets negative, drops them and repeats. No such point need be
->= 0, and a face that returns none costs one Gram
-matrix of the factor's columns and a few solves of its order, so each
-failure doubles the wait before the next such face is tried. On the desk
-panel (n = 600, seed 0) a CountSketch sketch model with s = 300 tries 69
-such faces in 1860 iterations without the backoff, 0.32 s of a 0.51 s
-solve, and 4 with it, 0.019 s of 0.21 s. A support with
-r < |S| <= r + m gets no face solve: H_S is singular there, and the rows
-leave the face at most one point of f = 0.
-``SolveResult.face_solves`` counts the faces tried.
+so it finishes on the face (More & Toraldo 1991). Once the support S of
+x_k, and whether the return target binds there, has held still for
+``FACE_WAIT`` iterates, ``face_solve`` solves for a minimizer of f on that
+face: zero weight off S, the budget row, and mu.T @ x = R_target when it
+binds. A support no larger than the model's rank r (n with a ridge) has
+one minimizer there. A ridgeless support beyond r plus the face's m rows
+holds a whole affine set of points with L_S.T @ x_S = 0, each with f = 0,
+the global minimum, and ``face_solve`` takes the one nearest x_k. Either
+way it drops the assets its point sends negative and solves again, and its
+point x_f is >= 0 with exact zeros off the support and meets the budget and
+the target to roundoff. A support with r < |S| <= r + m gets no face solve:
+H_S is singular there, and the rows leave the face at most one point of
+f = 0. ``solve`` accepts x_f only through the loop's own test,
+||P_F(x_f - alpha*grad f(x_f)) - x_f|| <= tol, and then returns it at once,
+with that residual appended to the residual trace and f(x_f) as the
+objective trace's last entry. A rejected point changes nothing the loop
+holds, so the iterates up to an accepted finish are those of the loop
+alone, and each face is solved at most once. No point of f = 0 need be
+>= 0, and a wide face that returns none costs one Gram matrix of the
+factor's columns and a few solves of its order, so each such failure
+doubles the wait before the next wide face is tried. On the desk panel
+(n = 600, seed 0) a CountSketch sketch model with s = 300 tries 69 such
+faces in 1860 iterations without the backoff, 0.32 s of a 0.51 s solve, and
+4 with it, 0.019 s of 0.21 s. ``SolveResult.face_solves`` counts the faces
+tried.
 """
 
 from __future__ import annotations
@@ -74,7 +73,7 @@ import numpy as np
 from .errors import ArgumentError, DimensionError
 from .models import FactorModel
 from .projection import FeasibleSet, project_feasible
-from .spectrum import RANK_TOL
+from .spectrum import numerical_rank
 
 MOMENTUM_MODES = ("auto", "fista")
 
@@ -216,13 +215,13 @@ def curvature_constants(model: Operator) -> CurvatureConstants:
     the spectrum the model carries (``estimate_spectral_norm``): no eigensolve.
 
     L_f = 2*(sigma_1^2 + gamma). m_f = 2*(sigma_n^2 + gamma), where sigma_n
-    counts only when the factor has at least n columns and sigma_n^2 >=
-    RANK_TOL * sigma_1^2: below that floor it is roundoff (a centered panel
-    with T <= n has rank below n). Otherwise m_f = 2*gamma exactly, as on the
-    factor path and for every str model with ell < n.
+    counts only when the factor's ``numerical_rank`` is n: below the rank
+    floor sigma_n is roundoff (a centered panel with T <= n has rank below
+    n). Otherwise m_f = 2*gamma exactly, as on the factor path and for every
+    str model with ell < n.
     """
     sigma_1, sigma_n = estimate_spectral_norm(model)
-    if sigma_n**2 < RANK_TOL * sigma_1**2:
+    if numerical_rank(model.singular_values) < model.n:
         sigma_n = 0.0
     L_f, m_f = 2.0 * (sigma_1**2 + model.gamma), 2.0 * (sigma_n**2 + model.gamma)
     return CurvatureConstants(L_f=L_f, m_f=m_f, kappa=L_f / m_f if m_f > 0 else None)
@@ -243,38 +242,78 @@ def gradient_operator(model: FactorModel) -> Operator:
 def face_solve(model: FactorModel, op: Operator, fs: FeasibleSet, x: np.ndarray,
                binding: bool, rank: int) -> Optional[np.ndarray]:
     """A minimizer of f on the face of x's support S: x = 0 off S, sum(x) = 1
-    and, when ``binding``, mu.T @ x = R_target. None when that point is not
-    feasible to roundoff, or none is found. ``rank`` is the model's rank (n
-    when it has a ridge); ``solve`` asks for no S with rank < |S| <= rank +
-    the number of rows.
+    and, when ``binding``, mu.T @ x = R_target. None when a system on the way
+    is singular, the drops run out, or the point is not feasible to roundoff.
+    ``rank`` is the model's rank (n when it has a ridge); ``solve`` asks for
+    no S with rank < |S| <= rank + the number of rows.
 
-    On a support no larger than the rank f has one minimizer on the face
-    (``_face_minimizer``). A larger support holds a whole affine set of
-    points with L_S.T @ x_S = 0 on the face's rows, each with f = 0, the
-    global minimum; ``_zero_point`` finds the one nearest x. Either way,
-    assets that x_S sends negative are dropped and the point is found again,
-    up to ``FACE_DROPS`` times. The x returned is >= 0 with exact zeros off
-    its support; its sum is within n ulps of 1 and its return at most n ulps
-    of max|mu| short of R_target. It is not projected: a point whose sum is
-    1 - eps projects to eps/n on every asset.
+    The point v meets the rows B.T @ v = b of ``_face_rows`` as v = p + Z @ w,
+    where w solves B.T Z w = b - B.T p. A support no larger than the rank on
+    a ``DenseHessian`` or a ridgeless factor takes the block solve: p = 0 and
+    Z = H_S^{-1} B, with the block H[S][:, S] of the ``DenseHessian`` or L_S
+    @ L_S.T. Every other face takes the Gram solve [p, Z] = P [x_hat, B],
+    where P = I - L_S G^{-1} L_S.T and the Gram matrix G = L_S.T @ L_S of the
+    factor's columns is shifted by gamma, or by eps * trace(G) without a
+    ridge. With a ridge, x_hat = 0 and P = gamma * H_S^{-1} (Woodbury), so v
+    is the minimizer, from ell x ell systems in O(|S| ell^2 + ell^3). A
+    ridgeless support beyond the rank holds a whole affine set of points
+    with L_S.T @ v = 0, each with f = 0, the global minimum; x_hat = x_S, P
+    projects onto the null space of L_S.T, and v is the point of that set
+    nearest x_S. The shift, needed when the factor has more columns than its
+    rank, leaves a share of about eps * trace(G) / sigma^2 of each direction
+    of L_S with singular value sigma in v. The scalars 2 and 1/gamma cancel
+    in v and are left out.
+
+    The assets v sends negative are dropped, G is downdated by their rows,
+    and v is found again (beyond the rank, from x_hat = v clipped at 0), up
+    to ``FACE_DROPS`` times; beyond the rank only while the support stays
+    wider than the rank plus the rows. The x returned is >= 0 with exact
+    zeros off its support; its sum is within n ulps of 1 and its return at
+    most n ulps of max|mu| short of R_target. It is not projected: a point
+    whose sum is 1 - eps projects to eps/n on every asset.
     """
     idx = np.flatnonzero(x)
-    if idx.size > rank:
-        found = _zero_point(model.L_eff, fs, idx, x[idx], binding, rank)
-    else:
-        found = _face_minimizer(op, fs, idx, binding)
-    if found is None:
-        return None
-    x = np.zeros(fs.n)
-    x[found[0]] = found[1]
-    mu, ulps = fs.mu, fs.n * np.finfo(np.float64).eps
-    if abs(float(x.sum()) - 1.0) > ulps or fs.R_target - float(mu @ x) > ulps * np.abs(mu).max():
-        return None
-    return x
+    wide = idx.size > rank
+    x_hat = x[idx] if wide else np.zeros(idx.size)
+    dense = isinstance(op, DenseHessian)
+    block = not wide and (dense or not model.gamma)
+    if not block:
+        L = model.L_eff[idx]
+        G = L.T @ L
+        G[np.diag_indices_from(G)] += model.gamma or np.finfo(np.float64).eps * np.trace(G)
+    for _ in range(FACE_DROPS + 1):
+        B, b = _face_rows(fs, idx, binding)
+        try:
+            if block:
+                H_S = op.H[np.ix_(idx, idx)] if dense else model.L_eff[idx] @ model.L_eff[idx].T
+                p, Z = x_hat, np.linalg.solve(H_S, B)
+            else:
+                V = np.column_stack([x_hat, B])
+                V -= L @ np.linalg.solve(G, L.T @ V)
+                p, Z = V[:, 0], V[:, 1:]
+            w = np.linalg.solve(B.T @ Z, b - B.T @ p)
+        except np.linalg.LinAlgError:
+            return None
+        v = p + Z @ w
+        keep = v >= 0.0
+        if keep.all():
+            x = np.zeros(fs.n)
+            x[idx] = v
+            mu, ulps = fs.mu, fs.n * np.finfo(np.float64).eps
+            short = fs.R_target - float(mu @ x)
+            feasible = abs(float(x.sum()) - 1.0) <= ulps and short <= ulps * np.abs(mu).max()
+            return x if feasible else None
+        idx, x_hat = idx[keep], (v if wide else x_hat)[keep]
+        if idx.size <= (rank + len(b) if wide else 0):
+            return None
+        if not block:
+            G -= L[~keep].T @ L[~keep]
+            L = L[keep]
+    return None
 
 
 def _face_rows(fs: FeasibleSet, idx: np.ndarray, binding: bool) -> tuple[np.ndarray, list]:
-    """The rows B.T @ x_S = b of the face of ``idx``: the budget and, when
+    """The rows B.T @ x = b of the face of ``idx``: the budget and, when
     ``binding`` and mu_S is not tied, the target, in the column d = mu_S -
     mu_S[0] (the shift that makes d of a tied support exactly 0, as in the
     projection), whose right-hand side is R_target - mu_S[0]."""
@@ -282,86 +321,6 @@ def _face_rows(fs: FeasibleSet, idx: np.ndarray, binding: bool) -> tuple[np.ndar
     if binding and d.any():
         return np.stack([np.ones(idx.size), d], axis=1), [1.0, fs.R_target - fs.mu[idx[0]]]
     return np.ones((idx.size, 1)), [1.0]
-
-
-def _face_minimizer(op: Operator, fs: FeasibleSet, idx: np.ndarray,
-                    binding: bool) -> Optional[tuple[np.ndarray, np.ndarray]]:
-    """(support, x_S) for the minimizer of f on the face of ``idx``, or None
-    when a system on the way is singular or the drops run out.
-
-    x_S = H_S^{-1} B @ w for the w that meets the rows B of ``_face_rows``.
-    H_S^{-1} B is a solve with the block H[S][:, S] of a ``DenseHessian``; on
-    a factor with gamma > 0 it is Woodbury's (B - L_S (gamma*I + L_S.T
-    L_S)^{-1} L_S.T B) / gamma, from one ell x ell system in O(|S| ell^2 +
-    ell^3), never an |S| x |S| matrix; on a ridgeless factor it is a solve
-    with the |S| x |S| block L_S L_S.T. The scalars 2 and 1/gamma cancel in
-    x_S and are left out.
-    """
-    for _ in range(FACE_DROPS + 1):
-        B, b = _face_rows(fs, idx, binding)
-        try:
-            if isinstance(op, DenseHessian):
-                Z = np.linalg.solve(op.H[np.ix_(idx, idx)], B)
-            else:
-                L = op.L_eff[idx]
-                if op.gamma:
-                    K = L.T @ L
-                    K[np.diag_indices_from(K)] += op.gamma
-                    Z = B - L @ np.linalg.solve(K, L.T @ B)
-                else:
-                    Z = np.linalg.solve(L @ L.T, B)
-            w = np.linalg.solve(B.T @ Z, b)
-        except np.linalg.LinAlgError:
-            return None
-        x_s = Z @ w
-        keep = x_s >= 0.0
-        if keep.all():
-            return idx, x_s
-        idx = idx[keep]
-        if idx.size == 0:
-            return None
-    return None
-
-
-def _zero_point(L_eff: np.ndarray, fs: FeasibleSet, idx: np.ndarray, x_s: np.ndarray,
-                binding: bool, rank: int) -> Optional[tuple[np.ndarray, np.ndarray]]:
-    """(support, v) for the point v nearest x_s with L_S.T @ v = 0 and B.T @
-    v = b, the rows of ``_face_rows``; None once the support falls to rank +
-    rows or the drops run out.
-
-    That point is x_s - M.T (M M.T)^{-1} (M x_s - b) for M = [L_S.T; B.T]. By
-    block elimination it is v = P (x_s - B w), where P = I - L_S G^{-1} L_S.T
-    projects onto the null space of L_S.T, G = L_S.T @ L_S is the Gram
-    matrix of the factor's columns on S, and w solves the rows-by-rows
-    system B.T P B w = B.T P x_s - b, so v meets B to roundoff. G is shifted
-    by eps * trace(G): it is singular when the factor has more columns than
-    its rank (a CountSketch bucket no column hashes to, or a sketch of a
-    centered panel with s >= T), and the shift only leaves a share of about
-    eps * trace(G) / sigma^2 of each direction of L_S with singular value
-    sigma in v. The assets v sends negative are dropped, G is downdated by
-    their rows, and the point is found again from v clipped at 0.
-    """
-    L = L_eff[idx]
-    G = L.T @ L
-    G[np.diag_indices_from(G)] += np.finfo(np.float64).eps * np.trace(G)
-    for _ in range(FACE_DROPS + 1):
-        B, b = _face_rows(fs, idx, binding)
-        V = np.column_stack([x_s, B])
-        try:
-            V -= L @ np.linalg.solve(G, L.T @ V)
-            w = np.linalg.solve(B.T @ V[:, 1:], B.T @ V[:, 0] - b)
-        except np.linalg.LinAlgError:
-            return None
-        v = V[:, 0] - V[:, 1:] @ w
-        keep = v >= 0.0
-        if keep.all():
-            return idx, v
-        idx, x_s = idx[keep], v[keep]
-        if idx.size <= rank + len(b):
-            return None
-        G -= L[~keep].T @ L[~keep]
-        L = L[keep]
-    return None
 
 
 def solve(
@@ -416,14 +375,7 @@ def solve(
     restarts = 0
     residuals: list[float] = []
     obj_trace = [0.5 * float(x @ g)]
-    # The model's rank (module docstring): n for a ridged model.
-    sv = op.singular_values
-    if model.gamma > 0:
-        rank = n
-    elif sv.size:
-        rank = int(np.count_nonzero(sv**2 >= RANK_TOL * sv[0] ** 2))
-    else:
-        rank = 0
+    rank = n if model.gamma > 0 else numerical_rank(model.singular_values)
     face_solves, stable, tried, missed = 0, 0, None, 0  # missed: wide faces that failed
     face = np.append(x > 0.0, support is not None)  # x's support, and whether R binds
 

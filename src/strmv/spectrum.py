@@ -78,6 +78,12 @@ def _numerical_rank(lam: np.ndarray) -> int:
     return int(np.count_nonzero(lam >= RANK_TOL * lam[0]))
 
 
+def numerical_rank(singular_values: np.ndarray) -> int:
+    """Count of singular values (descending) with sigma^2 >= RANK_TOL *
+    sigma_1^2: the rank of a factor whose spectrum they are."""
+    return _numerical_rank(np.asarray(singular_values, dtype=np.float64) ** 2)
+
+
 def _finite(A: np.ndarray) -> np.ndarray:
     """A as float64, or NumericError if any entry is NaN or infinite."""
     A = np.asarray(A, dtype=np.float64)

@@ -67,6 +67,7 @@ class TestBaselineAndSketch:
         L = np.array([[-1.0, 1.0]])
         m = build_baseline(factor_of(L))
         assert m.kind == "baseline" and m.gamma == 0.0
+        assert m.provenance == {}  # a baseline makes no choice; its columns are m.columns
         x = np.array([3.0])
         assert objective(m, x) == pytest.approx(2 * 9.0)  # f(x) = 2 x^2
 

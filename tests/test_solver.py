@@ -21,6 +21,7 @@ from strmv.solver import (
     SolverConfig,
     curvature_constants,
     estimate_spectral_norm,
+    face_solve,
     gradient,
     gradient_operator,
     objective,
@@ -850,6 +851,41 @@ class TestFaceSolve:
         assert np.count_nonzero(res.x) <= n // 2
         np.testing.assert_allclose(res.x, oracle.x, rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("seed, percentile, kappa_target, kind", [
+        (4, 0, 100.0, "countsketch"), (3, 85, 100.0, "countsketch"),
+        (1, 85, 1000.0, "gaussian_jl"),
+    ])
+    def test_ridged_factor_face_drops_and_matches_enumeration(self, monkeypatch, seed,
+                                                             percentile, kappa_target, kind):
+        # An STR model with ell = n/3 runs on its factor with a ridge, so its
+        # face takes the Gram solve. The one face tried here first sends
+        # assets negative; the Gram matrix downdated by their rows solves the
+        # smaller face, and its point is the optimum.
+        import strmv.solver as solver
+
+        n = 14
+        factor = center_and_factor(generate_synthetic(SyntheticSpec(
+            n=n, T=5 * n, singular_decay=0.85, noise_floor=0.05, seed=seed)))
+        m = build_str(factor, SketchConfig(kind=kind, s=3 * n, seed=seed), ell=n // 3,
+                      kappa_target=kappa_target)
+        fs = FeasibleSet(mu=factor.mean, R_target=float(np.percentile(factor.mean, percentile)))
+        assert gradient_operator(m) is m and m.gamma > 0.0
+        supports, original = [], solver._face_rows  # one entry per pass of the drop loop
+
+        def recorded(fs, idx, binding):
+            supports.append(idx.size)
+            return original(fs, idx, binding)
+
+        monkeypatch.setattr(solver, "_face_rows", recorded)
+        res = solve(m, fs, cfg=SolverConfig(tol=1e-10, max_iters=20000))
+        oracle = solve_exact(QPInstance(Q=2.0 * m.covariance(), c=np.zeros(n), fs=fs))
+        assert res.termination == "tolerance" and res.face_solves == 1
+        assert len(supports) >= 2 and all(a > b for a, b in zip(supports, supports[1:]))
+        assert supports[-1] == np.count_nonzero(res.x)
+        assert res.residual_trace[-1] <= 1e-14
+        np.testing.assert_allclose(res.x, oracle.x, rtol=0, atol=1e-12)
+        assert np.array_equal(np.flatnonzero(res.x == 0.0), oracle.active_bounds)
+
     def test_zeros_off_the_support_are_exact(self, monkeypatch):
         # The face's point is not projected: it holds no weight of roundoff
         # size off its support, and the loop run to a tight tol holds the
@@ -898,13 +934,15 @@ class TestFaceSolve:
 
         m, fs, rank = _beyond_rank_instance("dense20", False)
         cfg = SolverConfig(tol=1e-8, max_iters=20000)
-        supports = []
+        supports, original = [], solver.face_solve
 
-        def declined(L_eff, fs, idx, *args):
-            supports.append(idx.size)
+        def declined(model, op, fs, x, binding, rank):
+            if np.count_nonzero(x) <= rank:
+                return original(model, op, fs, x, binding, rank)
+            supports.append(np.count_nonzero(x))
             return None
 
-        monkeypatch.setattr(solver, "_zero_point", declined)
+        monkeypatch.setattr(solver, "face_solve", declined)
         res = solve(m, fs, cfg=cfg)
         monkeypatch.setattr(solver, "FACE_WAIT", cfg.max_iters + 1)  # no face is tried
         loop = solve(m, fs, cfg=cfg)
@@ -941,13 +979,15 @@ class TestFaceSolve:
             n=60, T=240, singular_decay=0.9, noise_floor=0.0316, seed=0)))
         m = build_sketch(factor, SketchConfig(kind="countsketch", s=36, seed=0))
         fs = FeasibleSet(mu=factor.mean, R_target=float(factor.mean.min()))
-        wide, original = [], solver._zero_point
+        wide, original = [], solver.face_solve
 
-        def recorded(*args):
-            wide.append(original(*args))
-            return wide[-1]
+        def recorded(model, op, fs, x, binding, rank):
+            found = original(model, op, fs, x, binding, rank)
+            if np.count_nonzero(x) > rank:
+                wide.append(found)
+            return found
 
-        monkeypatch.setattr(solver, "_zero_point", recorded)
+        monkeypatch.setattr(solver, "face_solve", recorded)
         res = solve(m, fs, cfg=SolverConfig(tol=1e-8, max_iters=20000))
         assert res.termination == "tolerance" and res.objective > 1e-6
         assert len(wide) >= 2 and all(point is None for point in wide)
@@ -959,8 +999,6 @@ class TestFaceSolve:
         # [L.T; 1.T], also when L has a zero column and a repeated one, as a
         # CountSketch with an empty bucket or a sketch of a centered panel
         # has, which leaves L.T @ L singular.
-        from strmv.solver import _zero_point
-
         rng = np.random.default_rng(4)
         n = 200
         L = rng.standard_normal((n, 4))
@@ -973,8 +1011,10 @@ class TestFaceSolve:
                                    rcond=None)[0]
         assert want.min() > 0.0  # the premise: no drops
         fs = FeasibleSet(mu=rng.standard_normal(n), R_target=-10.0)
-        idx, v = _zero_point(L, fs, np.arange(n), x, False, 4)
-        assert np.array_equal(idx, np.arange(n))
+        m = FactorModel(L_eff=L, gamma=0.0, kind="sketch")
+        assert gradient_operator(m) is m
+        v = face_solve(m, m, fs, x, False, 4)
+        assert np.count_nonzero(v) == n
         np.testing.assert_allclose(v, want, rtol=0, atol=1e-15)
         assert abs(v.sum() - 1.0) <= n * np.finfo(float).eps
         assert np.abs(L.T @ v).max() <= 1e-15

@@ -8,6 +8,7 @@ from strmv.errors import ArgumentError, DegenerateSpectrumError, NumericError
 from strmv.spectrum import (
     cumulative_energy,
     energy_rank,
+    numerical_rank,
     report_from_singular_values,
     select_truncation_level,
     singular_values,
@@ -140,12 +141,14 @@ class TestEnergy:
         np.testing.assert_array_equal(energy, [0.0, 0.0])
         report = report_from_singular_values([0.0, 0.0])
         assert report.numerical_rank == 0
+        assert numerical_rank([0.0, 0.0]) == numerical_rank([]) == 0
 
     def test_report_and_thin_svd_share_the_rank_floor(self):
         # lam = 1e-6 clears the 1e-8 floor on eigenvalues; lam = 1e-10 does not
         s = [1.0, 1e-3, 1e-5]
         assert report_from_singular_values(s).numerical_rank == 2
         assert thin_svd(np.diag(s)).rank == 2
+        assert numerical_rank(s) == 2
 
     def test_energy_rank(self):
         assert energy_rank([0.75, 1.0], 0.8) == 2
